@@ -20,12 +20,12 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .clip_sequence import ClipCorpusConfig, build_clip_corpus
+from .clip_sequence import ClipCorpusConfig, clip_corpus
 from .dataset_io import (
+    CorpusStats,
     corpus_stats,
     load_clip_captions,
     load_image_captions,
-    write_jsonl,
 )
 from .errors import (
     CaptionProtocolError,
@@ -42,7 +42,7 @@ from .evaluation import (
     DEFAULT_R1_THRESHOLDS,
     evaluate_run,
 )
-from .image_sequence import ImageCorpusConfig, build_image_corpus
+from .image_sequence import ImageCorpusConfig, image_corpus
 from .position_token import (
     ErrorModel,
     TimeRepresentation,
@@ -146,6 +146,16 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _emit_build(args, output: str, seed: int, stats: CorpusStats) -> None:
+    summary = stats.to_dict()
+    _emit(
+        args,
+        {"records": stats.total, "output": str(output), "seed": seed, "stats": summary},
+        f"wrote {stats.total} records to {output} "
+        f"(tasks: {json.dumps(summary['task_counts'])})",
+    )
+
+
 def _cmd_build_image_seq(args) -> int:
     config = _load_config_file(args.config)
     source = _require(_resolve(args.source, config, "source"), "source")
@@ -183,14 +193,8 @@ def _cmd_build_image_seq(args) -> int:
         "templates": templates_path,
     }
     _log_resolved("build-image-seq", resolved)
-    count = write_jsonl(build_image_corpus(corpus_config, pool, bank, jobs=jobs), output)
-    stats = corpus_stats(output)
-    _emit(
-        args,
-        {"records": count, "output": str(output), "seed": seed, "stats": stats.to_dict()},
-        f"wrote {count} records to {output} "
-        f"(tasks: {json.dumps(stats.to_dict()['task_counts'])})",
-    )
+    stats = image_corpus(corpus_config, pool, bank).write(output, jobs)
+    _emit_build(args, output, seed, stats)
     return 0
 
 
@@ -231,14 +235,8 @@ def _cmd_build_clip_seq(args) -> int:
         "templates": templates_path,
     }
     _log_resolved("build-clip-seq", resolved)
-    count = write_jsonl(build_clip_corpus(corpus_config, pool, bank, jobs=jobs), output)
-    stats = corpus_stats(output)
-    _emit(
-        args,
-        {"records": count, "output": str(output), "seed": seed, "stats": stats.to_dict()},
-        f"wrote {count} records to {output} "
-        f"(tasks: {json.dumps(stats.to_dict()['task_counts'])})",
-    )
+    stats = clip_corpus(corpus_config, pool, bank).write(output, jobs)
+    _emit_build(args, output, seed, stats)
     return 0
 
 

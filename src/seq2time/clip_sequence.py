@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
+from .corpus import Corpus
 from .dataset_io import InstructionRecord, derive_record_seed, validate_ratios
 from .errors import ConfigError, InvariantViolation
 from .position_token import (
@@ -444,17 +444,20 @@ def generate_clip_record(
     )
 
 
-_WORKER: tuple | None = None
-
-
-def _init_worker(config: ClipCorpusConfig, pool: tuple, templates: TemplateBank) -> None:
-    global _WORKER
-    _WORKER = (config, pool, templates)
-
-
-def _run_worker(ordinal: int) -> InstructionRecord:
-    config, pool, templates = _WORKER  # type: ignore[misc]
-    return generate_clip_record(config, pool, templates, ordinal)
+def clip_corpus(
+    config: ClipCorpusConfig,
+    pool: Sequence[CaptionedClip],
+    templates: TemplateBank | None = None,
+) -> Corpus:
+    """The build ``config`` describes, ready to run or write."""
+    if len(pool) < config.clip_range[1]:
+        raise ConfigError(
+            f"pool of {len(pool)} clips cannot fill sequences of up to "
+            f"{config.clip_range[1]}"
+        )
+    if templates is None:
+        templates = TemplateBank.load()
+    return Corpus(generate_clip_record, config, tuple(pool), templates)
 
 
 def build_clip_corpus(
@@ -464,23 +467,4 @@ def build_clip_corpus(
     jobs: int = 1,
 ) -> Iterator[InstructionRecord]:
     """Emit exactly ``n_instances`` records, task drawn i.i.d. per the mix."""
-    if templates is None:
-        templates = TemplateBank.load()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if len(pool) < config.clip_range[1]:
-        raise ConfigError(
-            f"pool of {len(pool)} clips cannot fill sequences of up to "
-            f"{config.clip_range[1]}"
-        )
-    if jobs == 1 or config.n_instances < 2:
-        for ordinal in range(config.n_instances):
-            yield generate_clip_record(config, pool, templates, ordinal)
-        return
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_worker,
-        initargs=(config, tuple(pool), templates),
-    ) as executor:
-        chunk = max(16, config.n_instances // (jobs * 8))
-        yield from executor.map(_run_worker, range(config.n_instances), chunksize=chunk)
+    yield from clip_corpus(config, pool, templates).records(jobs)

@@ -1,0 +1,97 @@
+"""The corpus runner both builders share.
+
+Record i of a build depends only on (config, seed, i), so the ordinals
+split into contiguous ranges that can run anywhere: in the parent, one
+record at a time, at ``jobs=1``; otherwise in a process pool, with
+``max(16, n // (8 * jobs))`` ordinals per range. Ranges come back in
+ordinal order, so the output never depends on ``jobs``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Iterator
+
+from .dataset_io import CorpusStats, InstructionRecord, encode_line, open_replacing
+from .errors import ConfigError
+from .templates import TemplateBank
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """One build: a per-ordinal record generator and everything it reads."""
+
+    generate: Callable[[Any, tuple, TemplateBank, int], InstructionRecord]
+    config: Any  # ImageCorpusConfig or ClipCorpusConfig
+    pool: tuple
+    templates: TemplateBank
+
+    def records(self, jobs: int = 1) -> Iterator[InstructionRecord]:
+        for chunk in self._map(_generate, jobs):
+            yield from chunk
+
+    def write(self, path: str | Path, jobs: int = 1) -> CorpusStats:
+        """Write the bytes ``write_jsonl(self.records())`` would write.
+
+        Each range is encoded and counted where it was generated; the
+        parent only writes the text in order and adds up the counts, so
+        the stats equal what ``corpus_stats(path)`` would read back.
+        """
+        chunks = self._map(_encode, jobs)
+        counts: Counter[str] = Counter()
+        question_chars = answer_chars = 0
+        with open_replacing(path) as fh:
+            for text, chunk_counts, q_chars, a_chars in chunks:
+                fh.write(text)
+                counts.update(chunk_counts)
+                question_chars += q_chars
+                answer_chars += a_chars
+        return CorpusStats.from_sums(dict(counts), question_chars, answer_chars)
+
+    def _map(self, task: Callable, jobs: int) -> Iterator:
+        """``task(self, ordinals)`` over consecutive ordinal ranges, in order."""
+        if jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        n = self.config.n_instances
+        if jobs == 1 or n < 2:
+            return (task(self, range(i, i + 1)) for i in range(n))
+        size = max(16, n // (jobs * 8))
+        ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]
+        return _pooled(task, self, jobs, ranges)
+
+
+def _generate(corpus: Corpus, ordinals: range) -> list[InstructionRecord]:
+    config, pool, templates = corpus.config, corpus.pool, corpus.templates
+    return [corpus.generate(config, pool, templates, i) for i in ordinals]
+
+
+def _encode(corpus: Corpus, ordinals: range) -> tuple[str, Counter, int, int]:
+    records = _generate(corpus, ordinals)
+    return (
+        "".join(map(encode_line, records)),
+        Counter(record.task for record in records),
+        sum(len(record.question) for record in records),
+        sum(len(record.answer) for record in records),
+    )
+
+
+_CORPUS: Corpus | None = None  # set only inside pool workers
+
+
+def _init_worker(corpus: Corpus) -> None:
+    global _CORPUS
+    _CORPUS = corpus
+
+
+def _run_in_worker(task: Callable, ordinals: range):
+    return task(_CORPUS, ordinals)
+
+
+def _pooled(task: Callable, corpus: Corpus, jobs: int, ranges: list[range]) -> Iterator:
+    from concurrent.futures import ProcessPoolExecutor  # only fan-out needs it
+
+    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(corpus,)) as pool:
+        yield from pool.map(partial(_run_in_worker, task), ranges)

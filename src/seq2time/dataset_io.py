@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     CaptionProtocolError,
@@ -253,6 +253,8 @@ def fetch_clip_captions(
     ``{"clip_id", "caption"}`` payload is a protocol violation and raises
     :class:`CaptionProtocolError` immediately.
     """
+    import requests  # only the caption client needs it
+
     from .clip_sequence import CaptionedClip
 
     if max_attempts < 1:
@@ -356,23 +358,46 @@ def mix_corpora(
             ) from None
 
 
+def encode_line(record) -> str:
+    """One JSONL line, newline included, for an InstructionRecord or a plain dict."""
+    obj = record.to_json_obj() if hasattr(record, "to_json_obj") else record
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+@contextmanager
+def open_replacing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file that takes the place of ``path`` only on success.
+
+    Text goes to a temporary file in the same directory, which
+    ``os.replace`` moves onto ``path`` once the block completes. On any
+    failure the temporary file is removed and ``path`` is left as it was,
+    so a failed run never leaves a truncated or empty file behind.
+    """
+    p = Path(path)
+    tmp = p.with_name(f".{p.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, p)
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot write {p}: {exc}") from exc
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 def write_jsonl(records: Iterable, path: str | Path) -> int:
     """Write records (InstructionRecord or plain dict) one per line.
 
     Returns the record count. Output is UTF-8, newline-terminated, with
-    the fixed record key order preserved for byte-stable files.
+    the fixed record key order preserved for byte-stable files, and
+    replaces ``path`` only once every record is written.
     """
-    p = Path(path)
     count = 0
-    try:
-        with p.open("w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                obj = record.to_json_obj() if hasattr(record, "to_json_obj") else record
-                fh.write(json.dumps(obj, ensure_ascii=False))
-                fh.write("\n")
-                count += 1
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot write {p}: {exc}") from exc
+    with open_replacing(path) as fh:
+        for record in records:
+            fh.write(encode_line(record))
+            count += 1
     return count
 
 
@@ -394,6 +419,18 @@ class CorpusStats:
     mean_question_chars: float
     mean_answer_chars: float
 
+    @classmethod
+    def from_sums(
+        cls, task_counts: dict[str, int], question_chars: int, answer_chars: int
+    ) -> "CorpusStats":
+        total = sum(task_counts.values())
+        return cls(
+            total=total,
+            task_counts=task_counts,
+            mean_question_chars=question_chars / total if total else 0.0,
+            mean_answer_chars=answer_chars / total if total else 0.0,
+        )
+
     def to_dict(self) -> dict:
         return {
             "total": self.total,
@@ -406,7 +443,6 @@ class CorpusStats:
 def corpus_stats(path: str | Path) -> CorpusStats:
     """Per-task record counts and mean question/answer lengths of a file."""
     counts: dict[str, int] = {}
-    total = 0
     q_chars = 0
     a_chars = 0
     for obj in read_jsonl(path):
@@ -414,10 +450,4 @@ def corpus_stats(path: str | Path) -> CorpusStats:
         counts[record.task] = counts.get(record.task, 0) + 1
         q_chars += len(record.question)
         a_chars += len(record.answer)
-        total += 1
-    return CorpusStats(
-        total=total,
-        task_counts=counts,
-        mean_question_chars=q_chars / total if total else 0.0,
-        mean_answer_chars=a_chars / total if total else 0.0,
-    )
+    return CorpusStats.from_sums(counts, q_chars, a_chars)

@@ -201,21 +201,31 @@ def match_events(
         for pred in preds
     ]
     owner = [-1] * len(gts)
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if owner[v] < 0 or augment(owner[v], seen):
-                owner[v] = u
-                return True
-        return False
-
     matches = 0
-    for u in range(len(preds)):
-        if augment(u, [False] * len(gts)):
-            matches += 1
+    for root in range(len(preds)):
+        # depth-first search for an augmenting path, on an explicit stack so
+        # long chains cannot hit the recursion limit; path[k] is the gt tried
+        # from stack[k], owned by the pred of stack[k + 1] or else free
+        seen = [False] * len(gts)
+        stack = [(root, iter(adjacency[root]))]
+        path: list[int] = []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    seen[v] = True
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(v)
+            if owner[v] < 0:
+                for (u, _), gt in zip(stack, path):
+                    owner[gt] = u
+                matches += 1
+                break
+            stack.append((owner[v], iter(adjacency[owner[v]])))
     return matches
 
 

@@ -25,14 +25,19 @@ processes without changing a byte of the output.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from .corpus import Corpus
 from .dataset_io import InstructionRecord, derive_record_seed, validate_ratios
 from .errors import ConfigError, InvariantViolation
-from .position_token import TimeRepresentation, encode_relative, render_code
+from .position_token import (
+    MAX_RPT_LENGTH,
+    TimeRepresentation,
+    encode_relative,
+    render_code,
+)
 from .templates import TemplateBank, find_missing_in_order, render_template
 
 
@@ -99,7 +104,9 @@ def sample_sequence(
 
     Target count is uniform on 1..max_targets (capped at seq_len); target
     positions are a sorted uniform draw. Deterministic given pool order
-    and rng state.
+    and rng state. Drawing indices picks the same images as
+    ``rng.sample(list(pool), seq_len)``, since ``random.sample`` chooses
+    by index, without copying the pool per sample.
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
@@ -109,7 +116,7 @@ def sample_sequence(
         )
     if max_targets < 1:
         raise ConfigError(f"max_targets must be >= 1, got {max_targets}")
-    images = tuple(rng.sample(list(pool), seq_len))
+    images = tuple(pool[i] for i in rng.sample(range(len(pool)), seq_len))
     n_targets = rng.randint(1, min(max_targets, seq_len))
     targets = tuple(sorted(rng.sample(range(1, seq_len + 1), n_targets)))
     return ImageSequenceSample(
@@ -277,6 +284,11 @@ class ImageCorpusConfig:
             raise ConfigError(f"n_instances must be >= 0, got {self.n_instances}")
         if self.seq_len < 2:
             raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
+        if self.time_repr is TimeRepresentation.RPT and self.seq_len > MAX_RPT_LENGTH:
+            raise ConfigError(
+                f"seq_len {self.seq_len} exceeds {MAX_RPT_LENGTH}, the longest "
+                "sequence whose position codes decode back to unique indices"
+            )
         if not 1 <= self.max_targets <= self.seq_len:
             raise ConfigError(
                 f"max_targets must be in 1..{self.seq_len}, got {self.max_targets}"
@@ -316,17 +328,15 @@ def generate_image_record(
     )
 
 
-_WORKER: tuple | None = None
-
-
-def _init_worker(config: ImageCorpusConfig, pool: tuple, templates: TemplateBank) -> None:
-    global _WORKER
-    _WORKER = (config, pool, templates)
-
-
-def _run_worker(ordinal: int) -> InstructionRecord:
-    config, pool, templates = _WORKER  # type: ignore[misc]
-    return generate_image_record(config, pool, templates, ordinal)
+def image_corpus(
+    config: ImageCorpusConfig,
+    pool: Sequence[CaptionedImage],
+    templates: TemplateBank | None = None,
+) -> Corpus:
+    """The build ``config`` describes, ready to run or write."""
+    if templates is None:
+        templates = TemplateBank.load()
+    return Corpus(generate_image_record, config, tuple(pool), templates)
 
 
 def build_image_corpus(
@@ -341,18 +351,4 @@ def build_image_corpus(
     bytes) match the sequential run because each record depends only on
     its ordinal.
     """
-    if templates is None:
-        templates = TemplateBank.load()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or config.n_instances < 2:
-        for ordinal in range(config.n_instances):
-            yield generate_image_record(config, pool, templates, ordinal)
-        return
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_worker,
-        initargs=(config, tuple(pool), templates),
-    ) as executor:
-        chunk = max(16, config.n_instances // (jobs * 8))
-        yield from executor.map(_run_worker, range(config.n_instances), chunksize=chunk)
+    yield from image_corpus(config, pool, templates).records(jobs)

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, TokenParseError
 
 SCALE = 10_000        # four decimal digits
 MAX_CODE = SCALE - 1  # 0.9999, the largest representable fraction
+# longest sequence whose every position code decodes back to its index
+MAX_RPT_LENGTH = SCALE // 2
 
 _TOKENS = tuple(f"<{d}>" for d in range(10))
 _TOKEN_TO_DIGIT = {tok: d for d, tok in enumerate(_TOKENS)}
@@ -175,8 +175,8 @@ def decode_relative(code: RelativePositionCode) -> float:
 def code_to_index(code: RelativePositionCode, length: int) -> int:
     """Nearest 1-based position for a decoded fraction.
 
-    Inverse of :func:`encode_relative` for all length <= 10^4 / 2 (half a
-    code quantum resolves to a unique position).
+    Inverse of :func:`encode_relative` for all length <= ``MAX_RPT_LENGTH``
+    (10^4 / 2: half a code quantum resolves to a unique position).
     """
     if length < 1:
         raise DomainError(f"sequence length must be >= 1, got {length}")
@@ -298,6 +298,8 @@ def quantization_error_report(
     reconstruction among the ``sampled_frames`` codec-carried frame
     positions; here the sampling stride dominates.
     """
+    import numpy as np  # only this report needs it
+
     if video_duration_s <= 0 or fps <= 0 or sampled_frames < 1:
         raise DomainError(
             "duration, fps and sampled_frames must all be positive, got "

@@ -8,9 +8,14 @@ import subprocess
 import pytest
 
 import seq2time.cli as cli
+import seq2time.image_sequence as image_sequence
 from seq2time.cli import main
-from seq2time.dataset_io import write_jsonl
+from seq2time.clip_sequence import ClipCorpusConfig, build_clip_corpus
+from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
+from seq2time.image_sequence import ImageCorpusConfig, build_image_corpus
+
+from conftest import write_clip_source
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +216,31 @@ class TestBuildImageSeq:
         assert code == 4
         assert "missing field" in err
 
+    def test_rpt_seq_len_limit(self, capsys, tmp_path):
+        # above 5000 positions, four-digit codes stop decoding back to
+        # unique indices, so such a config is refused before any output
+        rows = [
+            {"id": f"img-{k}", "image": f"images/{k}.jpg", "caption": f"photo {k}"}
+            for k in range(5001)
+        ]
+        source = tmp_path / "images.jsonl"
+        write_jsonl(rows, source)
+        out_path = tmp_path / "corpus.jsonl"
+        args = [
+            "build-image-seq",
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", "2",
+            "--time-repr", "rpt",
+        ]
+        code, _, _ = run_cli(capsys, *args, "--seq-len", "5000")
+        assert code == 0
+        assert len(out_path.read_text().splitlines()) == 2
+
+        code, _, err = run_cli(capsys, *args, "--seq-len", "5001")
+        assert code == 2
+        assert "seq_len 5001 exceeds 5000" in err
+
 
 class TestBuildClipSeq:
     def test_build_writes_records(self, capsys, clip_source, tmp_path):
@@ -254,6 +284,83 @@ class TestBuildClipSeq:
         )
         assert code == 2
         assert "clip_range" in err
+
+
+BUILDS = {
+    "image": ("build-image-seq", ImageCorpusConfig, build_image_corpus),
+    "clip": ("build-clip-seq", ClipCorpusConfig, build_clip_corpus),
+}
+
+
+class TestCorpusWriter:
+    """The CLI writes what the record-yielding library path would write."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_matches_library_path(self, capsys, request, tmp_path, kind, jobs):
+        subcommand, make_config, build = BUILDS[kind]
+        source = request.getfixturevalue(f"{kind}_source")
+        out_path, reference = tmp_path / "corpus.jsonl", tmp_path / "reference.jsonl"
+        code, out, _ = run_cli(
+            capsys,
+            subcommand,
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", "40",
+            "--seed", "6",
+            "--jobs", str(jobs),
+            "--json",
+        )
+        assert code == 0
+        pool = request.getfixturevalue(f"{kind}_pool")
+        write_jsonl(build(make_config(n_instances=40, seed=6), pool), reference)
+        assert out_path.read_bytes() == reference.read_bytes()
+        payload = json.loads(out)
+        assert payload["records"] == 40
+        assert payload["stats"] == corpus_stats(out_path).to_dict()
+
+    def test_invariant_violation_keeps_existing_output(
+        self, capsys, image_source, tmp_path, monkeypatch
+    ):
+        real = image_sequence.generate_image_record
+
+        def fail_at_five(config, pool, templates, ordinal):
+            if ordinal == 5:
+                raise InvariantViolation("synthetic failure")
+            return real(config, pool, templates, ordinal)
+
+        monkeypatch.setattr(image_sequence, "generate_image_record", fail_at_five)
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        code, _, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(image_source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--jobs", "1",
+        )
+        assert code == 3
+        assert "synthetic failure" in err
+        assert out_path.read_bytes() == b"previous corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
+
+    def test_small_clip_pool_keeps_existing_output(self, capsys, clip_pool, tmp_path):
+        source = write_clip_source(clip_pool[:5], tmp_path / "clips.jsonl")
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        code, _, err = run_cli(
+            capsys,
+            "build-clip-seq",
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--clip-max", "10",
+        )
+        assert code == 2
+        assert "cannot fill" in err
+        assert out_path.read_bytes() == b"previous corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clips.jsonl", "corpus.jsonl"]
 
 
 class TestConfigFile:
@@ -475,7 +582,7 @@ class TestParserBehavior:
         def explode(*args, **kwargs):
             raise InvariantViolation("synthetic failure")
 
-        monkeypatch.setattr(cli, "build_image_corpus", explode)
+        monkeypatch.setattr(cli, "image_corpus", explode)
         code, _, err = run_cli(
             capsys,
             "build-image-seq",

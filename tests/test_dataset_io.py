@@ -243,6 +243,19 @@ class TestWriteJsonl:
         with pytest.raises(CorpusFormatError, match="cannot write"):
             write_jsonl(self._records(), tmp_path)  # a directory, not a file
 
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b"previous\n")
+
+        def records():
+            yield from self._records()
+            raise CorpusFormatError("synthetic failure")
+
+        with pytest.raises(CorpusFormatError, match="synthetic"):
+            write_jsonl(records(), path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
     def test_plain_dicts_accepted(self, tmp_path):
         path = tmp_path / "out.jsonl"
         assert write_jsonl([{"k": 1}], path) == 1

@@ -228,6 +228,14 @@ class TestMatchEvents:
         assert match_events([], [sec(0, 1)], 0.5) == 0
         assert match_events([sec(0, 1)], [], 0.5) == 0
 
+    def test_long_chain(self):
+        # pred i overlaps gt i-1 (tried first) and gt i, so every new pred
+        # re-routes all earlier matches: augmenting paths 1,500 deep over
+        # 3,000 events, beyond the default recursion limit
+        preds = [sec(i, i + 1) for i in range(1500)]
+        gts = [sec(i + 0.5, i + 1.5) for i in range(1500)]
+        assert match_events(preds, gts, 0.3) == 1500
+
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(404)
         for trial in range(2000):

@@ -22,7 +22,12 @@ from seq2time.image_sequence import (
     render_index,
     sample_sequence,
 )
-from seq2time.position_token import TimeRepresentation
+from seq2time.position_token import (
+    MAX_RPT_LENGTH,
+    TimeRepresentation,
+    code_to_index,
+    encode_relative,
+)
 from seq2time.templates import TemplateBank
 
 
@@ -116,6 +121,17 @@ class TestSampleContracts:
         one = sample_sequence(image_pool, 48, random.Random(7))
         two = sample_sequence(image_pool, 48, random.Random(7))
         assert one == two
+
+    def test_index_draw_picks_what_a_pool_copy_picks(self, image_pool):
+        # pools on both sides of random.sample's switch from a list copy to
+        # a set of drawn indices (about 1,000 for 96 picks)
+        large = [CaptionedImage(f"x{k}", f"x{k}.jpg", f"picture {k}") for k in range(5000)]
+        for pool in (image_pool[:96], image_pool, large):
+            for seq_len in (2, 48, 96):
+                for seed in range(5):
+                    copied = random.Random(seed).sample(list(pool), seq_len)
+                    sample = sample_sequence(pool, seq_len, random.Random(seed))
+                    assert sample.images == tuple(copied)
 
     def test_pool_too_small(self, image_pool):
         with pytest.raises(ConfigError, match="cannot fill"):
@@ -352,6 +368,21 @@ class TestImageCorpusConfig:
             ImageCorpusConfig(n_instances=1, task_mix={"dvc": 1.0})
         with pytest.raises(ConfigError, match="sum to 1"):
             ImageCorpusConfig(n_instances=1, task_mix={"iig": 0.5})
+
+    def test_rpt_seq_len_limit(self):
+        ImageCorpusConfig(n_instances=1, seq_len=MAX_RPT_LENGTH)
+        ImageCorpusConfig(
+            n_instances=1,
+            seq_len=MAX_RPT_LENGTH + 1,
+            time_repr=TimeRepresentation.FREE_FORM,
+        )
+        with pytest.raises(ConfigError, match="exceeds 5000"):
+            ImageCorpusConfig(n_instances=1, seq_len=MAX_RPT_LENGTH + 1)
+        # at the limit every position still decodes back to itself
+        assert all(
+            code_to_index(encode_relative(i, MAX_RPT_LENGTH), MAX_RPT_LENGTH) == i
+            for i in range(1, MAX_RPT_LENGTH + 1)
+        )
 
 
 class TestBuildImageCorpus:
