@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-One binary, eight subcommands: two corpus builders, the codec helpers
-(tokenize/detokenize), the quantization analyzer, two evaluators, and a
-corpus stats reader. Flags override values from a JSON config file given
+One binary, seven subcommands: two corpus builders, the codec helpers
+(tokenize/detokenize), the quantization analyzer, the evaluator
+(``eval-dvc``, also named ``eval-tvg``), and a corpus stats reader. The
+builders take ``--seed`` and read defaults from a JSON config file given
 via ``--config`` or the ``SEQ2TIME_CONFIG`` environment variable (config
-keys are the long flag names with underscores).
+keys are the long flag names with underscores); flags override it.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
 violations, 4 I/O and data-format errors.
@@ -28,12 +29,10 @@ from .dataset_io import (
     load_image_captions,
 )
 from .errors import (
-    CaptionProtocolError,
     ConfigError,
     CorpusFormatError,
     DomainError,
     InvariantViolation,
-    StreamExhaustedError,
     TemplateError,
     TokenParseError,
 )
@@ -88,17 +87,30 @@ def _load_config_file(explicit: str | None) -> dict:
     return data
 
 
-def _resolve(args_value, config: dict, key: str, default=None):
-    """Flag value wins; otherwise the config file; otherwise the default."""
-    if args_value is not None:
-        return args_value
-    return config.get(key, default)
+_REQUIRED = object()
 
 
-def _require(value, name: str):
+def _option(args, config: dict, key: str, kind: type = str, default=_REQUIRED):
+    """The flag value, else the config file's, else ``default``, as a ``kind``.
+
+    A missing required option, or a config value that is null or does not
+    convert to ``kind``, is a ConfigError. A ``default`` of None makes the
+    option optional and lets it stay None.
+    """
+    value = getattr(args, key)
     if value is None:
-        raise ConfigError(f"missing required option --{name.replace('_', '-')}")
-    return value
+        value = config.get(key, default)
+    flag = "--" + key.replace("_", "-")
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required option {flag}")
+    if value is None and default is None:
+        return None
+    if value is not None:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{flag} must be {kind.__name__}, got {json.dumps(value)}")
 
 
 def _time_repr(text: str) -> TimeRepresentation:
@@ -127,14 +139,6 @@ def _existing_path(value: str, what: str) -> Path:
     return p
 
 
-def _jobs(value, config: dict) -> int:
-    jobs = _resolve(value, config, "jobs", os.cpu_count() or 1)
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _log_resolved(subcommand: str, resolved: dict) -> None:
     log.info("%s resolved config: %s", subcommand, json.dumps(resolved, sort_keys=True))
 
@@ -158,15 +162,15 @@ def _emit_build(args, output: str, seed: int, stats: CorpusStats) -> None:
 
 def _cmd_build_image_seq(args) -> int:
     config = _load_config_file(args.config)
-    source = _require(_resolve(args.source, config, "source"), "source")
-    output = _require(_resolve(args.output, config, "output"), "output")
-    n = int(_require(_resolve(args.n, config, "n"), "n"))
-    seq_len = int(_resolve(args.seq_len, config, "seq_len", 96))
-    max_targets = int(_resolve(args.max_targets, config, "max_targets", 5))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    time_repr = _time_repr(_resolve(args.time_repr, config, "time_repr", "rpt"))
-    jobs = _jobs(args.jobs, config)
-    templates_path = _resolve(args.templates, config, "templates")
+    source = _option(args, config, "source")
+    output = _option(args, config, "output")
+    n = _option(args, config, "n", int)
+    seq_len = _option(args, config, "seq_len", int, 96)
+    max_targets = _option(args, config, "max_targets", int, 5)
+    seed = _option(args, config, "seed", int, 0)
+    time_repr = _time_repr(_option(args, config, "time_repr", str, "rpt"))
+    jobs = _option(args, config, "jobs", int, os.cpu_count() or 1)
+    templates_path = _option(args, config, "templates", str, None)
     if max_targets > MAX_STANDARD_TARGETS and not args.allow_nonstandard:
         raise ConfigError(
             f"--max-targets {max_targets} exceeds the standard cap of "
@@ -200,18 +204,18 @@ def _cmd_build_image_seq(args) -> int:
 
 def _cmd_build_clip_seq(args) -> int:
     config = _load_config_file(args.config)
-    source = _require(_resolve(args.source, config, "source"), "source")
-    output = _require(_resolve(args.output, config, "output"), "output")
-    n = int(_require(_resolve(args.n, config, "n"), "n"))
-    total_frames = int(_resolve(args.total_frames, config, "total_frames", 96))
-    clip_min = int(_resolve(args.clip_min, config, "clip_min", 2))
-    clip_max = int(_resolve(args.clip_max, config, "clip_max", 10))
-    rate_min = float(_resolve(args.rate_min, config, "rate_min", 0.5))
-    rate_max = float(_resolve(args.rate_max, config, "rate_max", 2.0))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    time_repr = _time_repr(_resolve(args.time_repr, config, "time_repr", "rpt"))
-    jobs = _jobs(args.jobs, config)
-    templates_path = _resolve(args.templates, config, "templates")
+    source = _option(args, config, "source")
+    output = _option(args, config, "output")
+    n = _option(args, config, "n", int)
+    total_frames = _option(args, config, "total_frames", int, 96)
+    clip_min = _option(args, config, "clip_min", int, 2)
+    clip_max = _option(args, config, "clip_max", int, 10)
+    rate_min = _option(args, config, "rate_min", float, 0.5)
+    rate_max = _option(args, config, "rate_max", float, 2.0)
+    seed = _option(args, config, "seed", int, 0)
+    time_repr = _time_repr(_option(args, config, "time_repr", str, "rpt"))
+    jobs = _option(args, config, "jobs", int, os.cpu_count() or 1)
+    templates_path = _option(args, config, "templates", str, None)
     pool = load_clip_captions(_existing_path(source, "source"))
     bank = TemplateBank.load(templates_path)
     corpus_config = ClipCorpusConfig(
@@ -288,7 +292,7 @@ def _cmd_analyze_quantization(args) -> int:
     return 0
 
 
-def _run_eval(args, lead_metric: str) -> int:
+def _cmd_eval(args) -> int:
     pred = _existing_path(args.pred, "prediction")
     gt = _existing_path(args.gt, "ground truth")
     time_repr = _time_repr(args.time_repr)
@@ -299,15 +303,9 @@ def _run_eval(args, lead_metric: str) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    lines = []
-    if lead_metric == "f1":
-        lines.append(f"temporal_f1 {report.f1:.6f}")
-        for th in sorted(report.r_at_1):
-            lines.append(f"r@1(iou={th:g}) {report.r_at_1[th]:.6f}")
-    else:
-        for th in sorted(report.r_at_1):
-            lines.append(f"r@1(iou={th:g}) {report.r_at_1[th]:.6f}")
-        lines.append(f"temporal_f1 {report.f1:.6f}")
+    lines = [f"temporal_f1 {report.f1:.6f}"]
+    for th in sorted(report.r_at_1):
+        lines.append(f"r@1(iou={th:g}) {report.r_at_1[th]:.6f}")
     for th in sorted(report.f1_per_threshold):
         lines.append(f"f1@{th:g} {report.f1_per_threshold[th]:.6f}")
     lines.append(f"n_pred {report.n_pred:.4f}")
@@ -317,14 +315,6 @@ def _run_eval(args, lead_metric: str) -> int:
     lines.append(f"skipped_lines {report.skipped_lines}")
     print("\n".join(lines))
     return 0
-
-
-def _cmd_eval_dvc(args) -> int:
-    return _run_eval(args, lead_metric="f1")
-
-
-def _cmd_eval_tvg(args) -> int:
-    return _run_eval(args, lead_metric="r1")
 
 
 def _cmd_stats(args) -> int:
@@ -345,7 +335,6 @@ def _cmd_stats(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     sub.add_argument("--json", action="store_true", help="machine-readable stdout")
     sub.add_argument(
         "-v", "--verbose", action="count", default=0, help="log resolved config and more"
@@ -354,6 +343,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_build_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (or set SEQ2TIME_CONFIG)")
+    sub.add_argument("--seed", type=int, help="run seed (default 0)")
     sub.add_argument("--source", help="caption corpus (JSON-lines)")
     sub.add_argument("--output", help="output instruction corpus path")
     sub.add_argument("--n", type=int, help="number of records to generate")
@@ -441,32 +431,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_analyze_quantization)
 
-    for name, helptext, func in (
-        ("eval-dvc", "score dense captioning predictions", _cmd_eval_dvc),
-        ("eval-tvg", "score grounding predictions", _cmd_eval_tvg),
-    ):
-        p = subparsers.add_parser(name, help=helptext)
-        p.add_argument("--pred", required=True, help="predictions JSON-lines")
-        p.add_argument("--gt", required=True, help="ground truth JSON-lines")
-        p.add_argument(
-            "--time-repr",
-            dest="time_repr",
-            choices=sorted(_TIME_REPRS),
-            default="free-form",
-            help="how predictions render time",
-        )
-        p.add_argument(
-            "--thresholds",
-            default=",".join(str(t) for t in DEFAULT_F1_THRESHOLDS),
-            help="F1 IoU thresholds, comma-separated",
-        )
-        p.add_argument(
-            "--iou",
-            default=",".join(str(t) for t in DEFAULT_R1_THRESHOLDS),
-            help="R@1 IoU thresholds, comma-separated",
-        )
-        _add_common(p)
-        p.set_defaults(func=func)
+    p = subparsers.add_parser(
+        "eval-dvc",
+        aliases=["eval-tvg"],
+        help="score dense captioning or grounding predictions",
+    )
+    p.add_argument("--pred", required=True, help="predictions JSON-lines")
+    p.add_argument("--gt", required=True, help="ground truth JSON-lines")
+    p.add_argument(
+        "--time-repr",
+        dest="time_repr",
+        choices=sorted(_TIME_REPRS),
+        default="free-form",
+        help="how predictions render time",
+    )
+    p.add_argument(
+        "--thresholds",
+        default=",".join(str(t) for t in DEFAULT_F1_THRESHOLDS),
+        help="F1 IoU thresholds, comma-separated",
+    )
+    p.add_argument(
+        "--iou",
+        default=",".join(str(t) for t in DEFAULT_R1_THRESHOLDS),
+        help="R@1 IoU thresholds, comma-separated",
+    )
+    _add_common(p)
+    p.set_defaults(func=_cmd_eval)
 
     p = subparsers.add_parser("stats", help="summarize an instruction corpus")
     p.add_argument("corpus", help="instruction corpus JSON-lines")
@@ -492,12 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (
-        CorpusFormatError,
-        CaptionProtocolError,
-        StreamExhaustedError,
-        OSError,
-    ) as exc:
+    except (CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -11,19 +11,21 @@ human timestamps are involved.
 Two record generators: DVC (dense captioning: list every event with its
 time span) and TVG (grounding: locate one queried caption). Times render
 as boundary position codes or as seconds at 0.1 s display precision, and
-the synthetic timeline is D = the sum of real clip durations.
+the synthetic timeline is D = the sum of real clip durations. Generators
+return records with an empty id; a corpus run names record i
+``cs-{seed}-{i:08d}``.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .corpus import Corpus
-from .dataset_io import InstructionRecord, derive_record_seed, validate_ratios
+from .corpus import Corpus, check_task_mix, draw_task, stamp, uniform_mix
+from .dataset_io import InstructionRecord, derive_record_seed
 from .errors import ConfigError, InvariantViolation
 from .position_token import (
     IntervalUnit,
@@ -34,16 +36,10 @@ from .position_token import (
     format_seconds,
     render_code,
 )
-from .templates import TemplateBank, find_missing_in_order, render_template
+from .templates import TemplateBank, check_in_order, render_template
 
 MIN_CLIPS = 2
 MAX_CLIPS = 10
-
-
-def _check_in_order(text: str, needles, what: str) -> None:
-    missing = find_missing_in_order(text, needles)
-    if missing is not None:
-        raise InvariantViolation(f"{what}: {missing!r} missing from {text!r}")
 
 
 class ClipTask(Enum):
@@ -77,7 +73,6 @@ class ClipSequenceSample:
     frame_counts: tuple[int, ...]
     total_frames: int
     pseudo_duration_s: float
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.clips)
@@ -172,7 +167,6 @@ def compose_sequence(
     total_frames: int,
     rate_range: tuple[float, float],
     rng: random.Random,
-    rng_seed: int | None = None,
 ) -> ClipSequenceSample:
     """Draw clips without replacement and split the frame budget among them.
 
@@ -221,7 +215,6 @@ def compose_sequence(
         frame_counts=counts,
         total_frames=total_frames,
         pseudo_duration_s=sum(c.duration_s for c in clips),
-        rng_seed=rng_seed if rng_seed is not None else 0,
     )
 
 
@@ -324,9 +317,9 @@ def gen_dvc(
     q_tpl, a_tpl = templates.sample(ClipTask.DVC.value, "single", rng)
     question = render_template(q_tpl, {})
     answer = render_template(a_tpl, {"<EVENTS>": "\n".join(lines)})
-    _check_in_order(answer, [ann.caption for ann in annotations], "dvc answer")
+    check_in_order(answer, [ann.caption for ann in annotations], "dvc answer")
     return InstructionRecord(
-        id=f"dvc-{sample.rng_seed:016x}",
+        id="",
         media=tuple(clip.video for clip in sample.clips),
         task=ClipTask.DVC.name,
         question=question,
@@ -363,10 +356,10 @@ def gen_tvg(
     q_tpl, a_tpl = templates.sample(ClipTask.TVG.value, "single", rng)
     question = render_template(q_tpl, {"<CAPTION>": ann.caption})
     answer = render_template(a_tpl, {"<INTERVAL>": interval_text})
-    _check_in_order(question, [ann.caption], "tvg question")
-    _check_in_order(answer, [interval_text], "tvg answer")
+    check_in_order(question, [ann.caption], "tvg question")
+    check_in_order(answer, [interval_text], "tvg answer")
     return InstructionRecord(
-        id=f"tvg-{sample.rng_seed:016x}",
+        id="",
         media=tuple(clip.video for clip in sample.clips),
         task=ClipTask.TVG.name,
         question=question,
@@ -382,17 +375,13 @@ def gen_tvg(
     )
 
 
-def _default_task_mix() -> dict[str, float]:
-    return {t.value: 0.5 for t in ClipTask}
-
-
 @dataclass(frozen=True)
 class ClipCorpusConfig:
     n_instances: int
     clip_range: tuple[int, int] = (MIN_CLIPS, MAX_CLIPS)
     total_frames: int = 96
     rate_range: tuple[float, float] = (0.5, 2.0)
-    task_mix: dict[str, float] = field(default_factory=_default_task_mix)
+    task_mix: dict[str, float] = field(default_factory=lambda: uniform_mix(ClipTask))
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
 
@@ -411,11 +400,7 @@ class ClipCorpusConfig:
         rlo, rhi = self.rate_range
         if not 0 < rlo <= rhi:
             raise ConfigError(f"invalid rate_range {self.rate_range}")
-        validate_ratios(self.task_mix)
-        known = {t.value for t in ClipTask}
-        unknown = set(self.task_mix) - known
-        if unknown:
-            raise ConfigError(f"unknown tasks in mix: {sorted(unknown)}")
+        check_task_mix(self.task_mix, ClipTask)
 
 
 def generate_clip_record(
@@ -425,23 +410,15 @@ def generate_clip_record(
     ordinal: int,
 ) -> InstructionRecord:
     """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
-    rseed = derive_record_seed(config.seed, ordinal, namespace="clip-seq")
-    rng = random.Random(rseed)
-    names = sorted(n for n in config.task_mix if config.task_mix[n] > 0)
-    task = ClipTask(rng.choices(names, weights=[config.task_mix[n] for n in names])[0])
+    rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="clip-seq"))
+    task = draw_task(config.task_mix, ClipTask, rng)
     n_clips = rng.randint(*config.clip_range)
-    sample = compose_sequence(
-        pool, n_clips, config.total_frames, config.rate_range, rng, rng_seed=rseed
-    )
+    sample = compose_sequence(pool, n_clips, config.total_frames, config.rate_range, rng)
     if task is ClipTask.DVC:
         record = gen_dvc(sample, templates, config.time_repr, rng)
     else:
         record = gen_tvg(sample, templates, config.time_repr, rng)
-    return replace(
-        record,
-        id=f"cs-{config.seed}-{ordinal:08d}",
-        meta={**record.meta, "seed": config.seed, "ordinal": ordinal},
-    )
+    return stamp(record, "cs", config.seed, ordinal)
 
 
 def clip_corpus(

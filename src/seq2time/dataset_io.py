@@ -1,4 +1,4 @@
-"""Corpus ingestion, ratio mixing, and instruction-record serialization.
+"""Corpus ingestion and instruction-record serialization.
 
 Input corpora are JSON-lines. Image rows carry ``{"id", "image",
 "caption"}``; clip rows carry ``{"id", "video", "label", "caption",
@@ -6,11 +6,6 @@ Input corpora are JSON-lines. Image rows carry ``{"id", "image",
 fixed key order (id, media, task, question, answer, meta) and no float
 re-formatting, so equal inputs produce byte-identical files and builds can
 be regression-tested by hash.
-
-Captions normally come from files. ``fetch_clip_captions`` is the optional
-remote path: it asks an HTTP captioning service to describe clips given
-their action labels, retrying transient failures and reporting per-clip
-failures without aborting the run.
 """
 
 from __future__ import annotations
@@ -18,20 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .errors import (
-    CaptionProtocolError,
-    ConfigError,
-    CorpusFormatError,
-    StreamExhaustedError,
-)
-from .position_token import TimeRepresentation
+from .errors import ConfigError, CorpusFormatError
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .clip_sequence import CaptionedClip
@@ -93,23 +80,6 @@ class InstructionRecord:
         )
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    """Mixing plan: which sources feed the output and in what proportion."""
-
-    sources: dict[str, str]
-    counts: dict[str, int]
-    ratios: dict[str, float]
-    seed: int
-    time_repr: TimeRepresentation
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if any(n < 0 for n in self.counts.values()):
-            raise ConfigError(f"counts must be >= 0, got {self.counts}")
-        validate_ratios(self.ratios)
-
-
 def validate_ratios(ratios: dict[str, float]) -> None:
     if not ratios:
         raise ConfigError("at least one mix ratio is required")
@@ -160,13 +130,10 @@ def _require_positive(obj: dict, lineno: int, field_name: str, path: Path) -> fl
     return float(value)
 
 
-def load_image_captions(path: str | Path) -> list["CaptionedImage"]:
-    """Load an image-caption corpus, rejecting malformed rows by line number."""
-    from .image_sequence import CaptionedImage
-
+def _unique_rows(path: str | Path) -> Iterator[tuple[Path, int, dict, str]]:
+    """(path, line number, object, id) per row; a repeated id is an error."""
     p = Path(path)
     seen: dict[str, int] = {}
-    corpus: list[CaptionedImage] = []
     for lineno, obj in iter_jsonl_with_lines(p):
         row_id = _require_text(obj, lineno, "id", p)
         if row_id in seen:
@@ -174,188 +141,38 @@ def load_image_captions(path: str | Path) -> list["CaptionedImage"]:
                 f"{p}: duplicate id {row_id!r} at lines {seen[row_id]} and {lineno}"
             )
         seen[row_id] = lineno
-        corpus.append(
-            CaptionedImage(
-                id=row_id,
-                image=_require_text(obj, lineno, "image", p),
-                caption=_require_text(obj, lineno, "caption", p),
-            )
+        yield p, lineno, obj, row_id
+
+
+def load_image_captions(path: str | Path) -> list["CaptionedImage"]:
+    """Load an image-caption corpus, rejecting malformed rows by line number."""
+    from .image_sequence import CaptionedImage
+
+    return [
+        CaptionedImage(
+            id=row_id,
+            image=_require_text(obj, lineno, "image", p),
+            caption=_require_text(obj, lineno, "caption", p),
         )
-    return corpus
+        for p, lineno, obj, row_id in _unique_rows(path)
+    ]
 
 
 def load_clip_captions(path: str | Path) -> list["CaptionedClip"]:
     """Load a clip-caption corpus, rejecting malformed rows by line number."""
     from .clip_sequence import CaptionedClip
 
-    p = Path(path)
-    seen: dict[str, int] = {}
-    corpus: list[CaptionedClip] = []
-    for lineno, obj in iter_jsonl_with_lines(p):
-        row_id = _require_text(obj, lineno, "id", p)
-        if row_id in seen:
-            raise CorpusFormatError(
-                f"{p}: duplicate id {row_id!r} at lines {seen[row_id]} and {lineno}"
-            )
-        seen[row_id] = lineno
-        corpus.append(
-            CaptionedClip(
-                id=row_id,
-                video=_require_text(obj, lineno, "video", p),
-                label=_require_text(obj, lineno, "label", p),
-                caption=_require_text(obj, lineno, "caption", p),
-                duration_s=_require_positive(obj, lineno, "duration_s", p),
-                fps=_require_positive(obj, lineno, "fps", p),
-            )
+    return [
+        CaptionedClip(
+            id=row_id,
+            video=_require_text(obj, lineno, "video", p),
+            label=_require_text(obj, lineno, "label", p),
+            caption=_require_text(obj, lineno, "caption", p),
+            duration_s=_require_positive(obj, lineno, "duration_s", p),
+            fps=_require_positive(obj, lineno, "fps", p),
         )
-    return corpus
-
-
-@dataclass(frozen=True)
-class ClipStub:
-    """A clip that still needs a caption from the captioning service."""
-
-    id: str
-    video: str
-    label: str
-    duration_s: float
-    fps: float
-
-
-@dataclass(frozen=True)
-class FetchFailure:
-    clip_id: str
-    attempts: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class CaptionFetchResult:
-    corpus: list  # list[CaptionedClip]
-    failures: list[FetchFailure] = field(default_factory=list)
-
-
-def fetch_clip_captions(
-    service_endpoint: str,
-    clips_without_captions: Sequence[ClipStub],
-    *,
-    max_attempts: int = 3,
-    backoff_s: float = 1.0,
-    timeout_s: float = 30.0,
-    sleep: Callable[[float], None] = time.sleep,
-) -> CaptionFetchResult:
-    """Caption clips via ``POST <endpoint>/caption``, one request per clip.
-
-    Transient failures (non-200 status, connection errors) are retried up
-    to ``max_attempts`` times with exponential backoff; a clip that never
-    succeeds lands in the failure report while the rest of the run
-    continues. A 200 response that does not carry the expected
-    ``{"clip_id", "caption"}`` payload is a protocol violation and raises
-    :class:`CaptionProtocolError` immediately.
-    """
-    import requests  # only the caption client needs it
-
-    from .clip_sequence import CaptionedClip
-
-    if max_attempts < 1:
-        raise ConfigError(f"max_attempts must be >= 1, got {max_attempts}")
-    url = service_endpoint.rstrip("/") + "/caption"
-    corpus: list[CaptionedClip] = []
-    failures: list[FetchFailure] = []
-    for stub in clips_without_captions:
-        payload = {
-            "clip_id": stub.id,
-            "video_uri": stub.video,
-            "action_label": stub.label,
-        }
-        reason = "no attempt made"
-        caption: str | None = None
-        for attempt in range(max_attempts):
-            if attempt > 0:
-                sleep(backoff_s * 2 ** (attempt - 1))
-            try:
-                response = requests.post(url, json=payload, timeout=timeout_s)
-            except requests.RequestException as exc:
-                reason = f"request failed: {exc}"
-                continue
-            if response.status_code != 200:
-                reason = f"HTTP {response.status_code}"
-                continue
-            try:
-                body = response.json()
-            except ValueError as exc:
-                raise CaptionProtocolError(
-                    f"clip {stub.id!r}: response is not JSON"
-                ) from exc
-            if (
-                not isinstance(body, dict)
-                or body.get("clip_id") != stub.id
-                or not isinstance(body.get("caption"), str)
-                or not body["caption"].strip()
-            ):
-                raise CaptionProtocolError(
-                    f"clip {stub.id!r}: response missing or mismatching "
-                    f"clip_id/caption fields"
-                )
-            caption = body["caption"].strip()
-            break
-        if caption is None:
-            failures.append(
-                FetchFailure(clip_id=stub.id, attempts=max_attempts, reason=reason)
-            )
-            continue
-        corpus.append(
-            CaptionedClip(
-                id=stub.id,
-                video=stub.video,
-                label=stub.label,
-                caption=caption,
-                duration_s=stub.duration_s,
-                fps=stub.fps,
-            )
-        )
-    return CaptionFetchResult(corpus=corpus, failures=failures)
-
-
-def mix_corpora(
-    sources: dict[str, Iterable],
-    ratios: dict[str, float],
-    total_n: int,
-    seed: int,
-    allow_replacement: bool = False,
-) -> Iterator:
-    """Interleave sources by drawing each record's origin i.i.d. per ratios.
-
-    Relative order within each source is preserved. A source that runs dry
-    raises :class:`StreamExhaustedError` unless ``allow_replacement`` lets
-    it restart from its beginning (requires a re-iterable source).
-    """
-    validate_ratios(ratios)
-    if set(sources) != set(ratios):
-        raise ConfigError(
-            f"sources {sorted(sources)} and ratios {sorted(ratios)} disagree"
-        )
-    if total_n < 0:
-        raise ConfigError(f"total_n must be >= 0, got {total_n}")
-    names = sorted(n for n in sources if ratios[n] > 0)
-    weights = [ratios[n] for n in names]
-    iterators = {name: iter(sources[name]) for name in names}
-    rng = random.Random(f"{seed}:mix")
-    for position in range(total_n):
-        name = rng.choices(names, weights=weights)[0]
-        try:
-            yield next(iterators[name])
-        except StopIteration:
-            if allow_replacement:
-                iterators[name] = iter(sources[name])
-                try:
-                    yield next(iterators[name])
-                    continue
-                except StopIteration:
-                    pass
-            raise StreamExhaustedError(
-                f"source {name!r} exhausted at output position {position}"
-            ) from None
+        for p, lineno, obj, row_id in _unique_rows(path)
+    ]
 
 
 def encode_line(record) -> str:

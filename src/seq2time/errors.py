@@ -25,13 +25,5 @@ class CorpusFormatError(Seq2TimeError, ValueError):
     """An input corpus file is malformed; message carries the line number."""
 
 
-class CaptionProtocolError(Seq2TimeError, RuntimeError):
-    """The caption service replied 200 but violated the response schema."""
-
-
-class StreamExhaustedError(Seq2TimeError, RuntimeError):
-    """A mixed source ran dry before the requested total was produced."""
-
-
 class InvariantViolation(Seq2TimeError, RuntimeError):
     """A generation postcondition failed; output must not be trusted."""

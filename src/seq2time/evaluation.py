@@ -458,20 +458,17 @@ def evaluate_run(
         n_pred_total += len(parsed.events)
 
     n_videos = len(gts)
-    f1_per_threshold = {
-        float(th): sum(r.per_threshold[float(th)].f1 for r in per_video_f1) / n_videos
-        for th in thresholds
-    }
-    precision_per_threshold = {
-        float(th): sum(r.per_threshold[float(th)].precision for r in per_video_f1)
-        / n_videos
-        for th in thresholds
-    }
-    recall_per_threshold = {
-        float(th): sum(r.per_threshold[float(th)].recall for r in per_video_f1)
-        / n_videos
-        for th in thresholds
-    }
+
+    def video_mean(metric: str) -> dict[float, float]:
+        """Per threshold, the mean over videos of one per-video metric."""
+        return {
+            float(th): sum(
+                getattr(r.per_threshold[float(th)], metric) for r in per_video_f1
+            )
+            / n_videos
+            for th in thresholds
+        }
+
     try:
         rich = aggregate_richness(captions_per_video)
         l_avg, ttr = rich.l_avg, rich.ttr
@@ -480,9 +477,9 @@ def evaluate_run(
     return MetricsReport(
         n_videos=n_videos,
         f1=sum(r.f1 for r in per_video_f1) / n_videos,
-        f1_per_threshold=f1_per_threshold,
-        precision_per_threshold=precision_per_threshold,
-        recall_per_threshold=recall_per_threshold,
+        f1_per_threshold=video_mean("f1"),
+        precision_per_threshold=video_mean("precision"),
+        recall_per_threshold=video_mean("recall"),
         r_at_1=recall_at_1(query_preds, query_gts, r1_thresholds),
         n_pred=n_pred_total / n_videos,
         l_avg=l_avg,

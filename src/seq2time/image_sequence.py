@@ -19,18 +19,19 @@ record.
 
 Corpus building is pure per record ordinal: record i of a run is a
 function of (config, seed, i) only, so generation can fan out across
-processes without changing a byte of the output.
+processes without changing a byte of the output. Generators return
+records with an empty id; a corpus run names record i ``is-{seed}-{i:08d}``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .corpus import Corpus
-from .dataset_io import InstructionRecord, derive_record_seed, validate_ratios
+from .corpus import Corpus, check_task_mix, draw_task, stamp, uniform_mix
+from .dataset_io import InstructionRecord, derive_record_seed
 from .errors import ConfigError, InvariantViolation
 from .position_token import (
     MAX_RPT_LENGTH,
@@ -38,7 +39,7 @@ from .position_token import (
     encode_relative,
     render_code,
 )
-from .templates import TemplateBank, find_missing_in_order, render_template
+from .templates import TemplateBank, check_in_order, render_template
 
 
 class PretextTask(Enum):
@@ -69,7 +70,6 @@ class ImageSequenceSample:
 
     images: tuple[CaptionedImage, ...]
     targets: tuple[int, ...]
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.images)
@@ -98,7 +98,6 @@ def sample_sequence(
     seq_len: int,
     rng: random.Random,
     max_targets: int = 5,
-    rng_seed: int | None = None,
 ) -> ImageSequenceSample:
     """Draw a sequence uniformly without replacement, plus target positions.
 
@@ -119,9 +118,7 @@ def sample_sequence(
     images = tuple(pool[i] for i in rng.sample(range(len(pool)), seq_len))
     n_targets = rng.randint(1, min(max_targets, seq_len))
     targets = tuple(sorted(rng.sample(range(1, seq_len + 1), n_targets)))
-    return ImageSequenceSample(
-        images=images, targets=targets, rng_seed=rng_seed if rng_seed is not None else 0
-    )
+    return ImageSequenceSample(images=images, targets=targets)
 
 
 def render_index(index: int, seq_len: int, time_repr: TimeRepresentation) -> str:
@@ -129,13 +126,6 @@ def render_index(index: int, seq_len: int, time_repr: TimeRepresentation) -> str
     if time_repr is TimeRepresentation.RPT:
         return render_code(encode_relative(index, seq_len))
     return str(index)
-
-
-def _check_in_order(text: str, needles: Iterable[str], what: str) -> None:
-    """Every needle must appear in text, in order; else the record is bad."""
-    missing = find_missing_in_order(text, needles)
-    if missing is not None:
-        raise InvariantViolation(f"{what}: {missing!r} missing from {text!r}")
 
 
 def _arity(targets: Sequence[int]) -> str:
@@ -160,10 +150,10 @@ def gen_iig(
     q_tpl, a_tpl = templates.sample(PretextTask.IIG.value, _arity(sample.targets), rng)
     question = render_template(q_tpl, {"<CAPTION>": _join_captions(captions)})
     answer = render_template(a_tpl, {"<INDEX>": ", ".join(rendered)})
-    _check_in_order(question, captions, "iig question")
-    _check_in_order(answer, rendered, "iig answer")
+    check_in_order(question, captions, "iig question")
+    check_in_order(answer, rendered, "iig answer")
     return InstructionRecord(
-        id=f"iig-{sample.rng_seed:016x}",
+        id="",
         media=tuple(img.image for img in sample.images),
         task=PretextTask.IIG.name,
         question=question,
@@ -194,11 +184,11 @@ def gen_iic(
         render_template(a_tpl, {"<INDEX>": idx, "<CAPTION>": cap})
         for idx, cap in zip(rendered, captions)
     )
-    _check_in_order(question, rendered, "iic question")
+    check_in_order(question, rendered, "iic question")
     interleaved = [part for pair in zip(rendered, captions) for part in pair]
-    _check_in_order(answer, interleaved, "iic answer")
+    check_in_order(answer, interleaved, "iic answer")
     return InstructionRecord(
-        id=f"iic-{sample.rng_seed:016x}",
+        id="",
         media=tuple(img.image for img in sample.images),
         task=PretextTask.IIC.name,
         question=question,
@@ -244,14 +234,14 @@ def gen_alr(
     answer = render_template(
         a_tpl, {"<INDEX>": rendered, "<CAPTION2>": neighbor_caption}
     )
-    _check_in_order(question, [anchor_caption], "alr question")
-    _check_in_order(answer, [rendered, neighbor_caption], "alr answer")
+    check_in_order(question, [anchor_caption], "alr question")
+    check_in_order(answer, [rendered, neighbor_caption], "alr answer")
     if abs(neighbor - anchor) != 1:
         raise InvariantViolation(
             f"alr neighbor {neighbor} not adjacent to anchor {anchor}"
         )
     return InstructionRecord(
-        id=f"alr-{sample.rng_seed:016x}",
+        id="",
         media=tuple(img.image for img in sample.images),
         task=PretextTask.ALR.name,
         question=question,
@@ -266,16 +256,12 @@ def gen_alr(
     )
 
 
-def _default_task_mix() -> dict[str, float]:
-    return {t.value: 1.0 / 3.0 for t in PretextTask}
-
-
 @dataclass(frozen=True)
 class ImageCorpusConfig:
     n_instances: int
     seq_len: int = 96
     max_targets: int = 5
-    task_mix: dict[str, float] = field(default_factory=_default_task_mix)
+    task_mix: dict[str, float] = field(default_factory=lambda: uniform_mix(PretextTask))
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
 
@@ -293,11 +279,7 @@ class ImageCorpusConfig:
             raise ConfigError(
                 f"max_targets must be in 1..{self.seq_len}, got {self.max_targets}"
             )
-        validate_ratios(self.task_mix)
-        known = {t.value for t in PretextTask}
-        unknown = set(self.task_mix) - known
-        if unknown:
-            raise ConfigError(f"unknown tasks in mix: {sorted(unknown)}")
+        check_task_mix(self.task_mix, PretextTask)
 
 
 def generate_image_record(
@@ -307,13 +289,9 @@ def generate_image_record(
     ordinal: int,
 ) -> InstructionRecord:
     """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
-    rseed = derive_record_seed(config.seed, ordinal, namespace="image-seq")
-    rng = random.Random(rseed)
-    names = sorted(n for n in config.task_mix if config.task_mix[n] > 0)
-    task = PretextTask(rng.choices(names, weights=[config.task_mix[n] for n in names])[0])
-    sample = sample_sequence(
-        pool, config.seq_len, rng, max_targets=config.max_targets, rng_seed=rseed
-    )
+    rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="image-seq"))
+    task = draw_task(config.task_mix, PretextTask, rng)
+    sample = sample_sequence(pool, config.seq_len, rng, max_targets=config.max_targets)
     if task is PretextTask.IIG:
         record = gen_iig(sample, templates, config.time_repr, rng)
     elif task is PretextTask.IIC:
@@ -321,11 +299,7 @@ def generate_image_record(
     else:
         direction = rng.choice((Direction.BEFORE, Direction.AFTER))
         record = gen_alr(sample, templates, direction, config.time_repr, rng)
-    return replace(
-        record,
-        id=f"is-{config.seed}-{ordinal:08d}",
-        meta={**record.meta, "seed": config.seed, "ordinal": ordinal},
-    )
+    return stamp(record, "is", config.seed, ordinal)
 
 
 def image_corpus(

@@ -159,14 +159,6 @@ def encode_relative(index: int, length: int) -> RelativePositionCode:
     return encode_ratio(index, length)
 
 
-def encode_fraction(fraction: float) -> RelativePositionCode:
-    """Encode a fraction in [0, 1] directly (used for frame boundaries)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DomainError(f"fraction {fraction} outside [0, 1]")
-    scaled = int(math.floor(fraction * SCALE + 0.5))
-    return RelativePositionCode.from_int(min(scaled, MAX_CODE))
-
-
 def decode_relative(code: RelativePositionCode) -> float:
     """The fraction digits/10000 encoded by ``code``."""
     return code.value()

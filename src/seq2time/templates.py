@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .errors import TemplateError
+from .errors import InvariantViolation, TemplateError
 
 _SLOT_RE = re.compile(r"<(?:CAPTION[12]?|INDEX|DIRECTION|EVENTS|INTERVAL)>")
 
@@ -54,6 +54,13 @@ def find_missing_in_order(text: str, needles: Iterable[str]) -> str | None:
             return needle
         pos = found + len(needle)
     return None
+
+
+def check_in_order(text: str, needles: Iterable[str], what: str) -> None:
+    """Every needle must appear in text, in order; else the record is bad."""
+    missing = find_missing_in_order(text, needles)
+    if missing is not None:
+        raise InvariantViolation(f"{what}: {missing!r} missing from {text!r}")
 
 
 def render_template(template: str, values: dict[str, str]) -> str:

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import ImageCorpusConfig, build_image_corpus
 
 from conftest import write_clip_source
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -164,6 +169,20 @@ class TestBuildImageSeq:
             assert code == 0
             digests.append(hashlib.sha256(out_path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_zero_jobs_is_config_error(self, capsys, image_source, tmp_path):
+        out_path = tmp_path / "out.jsonl"
+        code, _, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(image_source),
+            "--output", str(out_path),
+            "--n", "4",
+            "--jobs", "0",
+        )
+        assert code == 2
+        assert "jobs must be >= 1, got 0" in err
+        assert not out_path.exists()
 
     def test_missing_source_names_path(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -416,6 +435,32 @@ class TestConfigFile:
         assert code == 2
         assert "config file not found" in err
 
+    @pytest.mark.parametrize(
+        "sub, key, value",
+        [
+            ("build-image-seq", "n", "ten"),
+            ("build-image-seq", "seq_len", None),
+            ("build-clip-seq", "jobs", [2]),
+            ("build-clip-seq", "rate_min", "slow"),
+        ],
+        ids=["n", "seq_len", "jobs", "rate_min"],
+    )
+    def test_wrong_type_value_is_config_error(
+        self, capsys, image_source, clip_source, tmp_path, sub, key, value
+    ):
+        source = image_source if sub == "build-image-seq" else clip_source
+        output = tmp_path / "out.jsonl"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps({"source": str(source), "output": str(output), "n": 3, key: value}),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, sub, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"--{key.replace('_', '-')} must be" in err
+        assert not output.exists()
+
 
 def _write_eval_run(tmp_path):
     """v1 scores perfectly, v2 produces nothing parseable."""
@@ -469,13 +514,14 @@ class TestEvalCommands:
         assert "n_pred 1.0000" in lines
         assert "skipped_lines 1" in lines
 
-    def test_eval_tvg_leads_with_recall(self, capsys, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_eval_tvg_is_eval_dvc(self, capsys, tmp_path, extra):
         pred, gt = _write_eval_run(tmp_path)
-        code, out, _ = run_cli(
-            capsys, "eval-tvg", "--pred", str(pred), "--gt", str(gt)
-        )
-        assert code == 0
-        assert out.splitlines()[0] == "r@1(iou=0.5) 0.666667"
+        argv = ["--pred", str(pred), "--gt", str(gt), *extra]
+        dvc = run_cli(capsys, "eval-dvc", *argv)
+        tvg = run_cli(capsys, "eval-tvg", *argv)
+        assert dvc[0] == 0
+        assert tvg == dvc
 
     def test_eval_json(self, capsys, tmp_path):
         pred, gt = _write_eval_run(tmp_path)
@@ -564,6 +610,12 @@ class TestParserBehavior:
             main(["tokenize", "7", "96", "--frobnicate"])
         assert excinfo.value.code == 2
 
+    def test_seed_is_only_a_build_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tokenize", "7", "96", "--seed", "3"])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "sub",
         [
@@ -592,6 +644,24 @@ class TestParserBehavior:
         )
         assert code == 3
         assert "invariant violation" in err
+
+    def test_import_stays_light(self):
+        # the CLI imports numpy, requests and the process pool only where
+        # a subcommand needs them, which keeps every start-up cheap
+        probe = (
+            "import sys, seq2time.cli, seq2time\n"
+            "heavy = {'numpy', 'requests', 'concurrent.futures.process'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+            "print([n for n in seq2time.__all__ if not hasattr(seq2time, n)])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
     def test_console_script_installed(self):
         exe = shutil.which("seq2time")

@@ -17,7 +17,6 @@ from seq2time import (
     code_to_index,
     code_to_tokens,
     decode_relative,
-    encode_fraction,
     encode_ratio,
     encode_relative,
     format_seconds,
@@ -64,13 +63,6 @@ class TestEncode:
         assert encode_ratio(96, 96).as_int() == MAX_CODE
         with pytest.raises(DomainError):
             encode_ratio(97, 96)
-
-    def test_encode_fraction(self):
-        assert encode_fraction(0.0729).as_int() == 729
-        assert encode_fraction(0.0).as_int() == 0
-        assert encode_fraction(1.0).as_int() == MAX_CODE
-        with pytest.raises(DomainError):
-            encode_fraction(1.5)
 
 
 class TestTokens:

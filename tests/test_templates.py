@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from seq2time.errors import TemplateError
+from seq2time.errors import InvariantViolation, TemplateError
 from seq2time.templates import (
     DEFAULT_MIN_VARIANTS,
     REQUIRED_SLOTS,
     TemplateBank,
+    check_in_order,
     find_missing_in_order,
     render_template,
 )
@@ -192,3 +193,10 @@ class TestFindMissingInOrder:
 
     def test_empty_needles(self):
         assert find_missing_in_order("anything", []) is None
+
+
+class TestCheckInOrder:
+    def test_check_in_order_raises_invariant_violation(self):
+        check_in_order("a then b", ["a", "b"], "demo")
+        with pytest.raises(InvariantViolation, match="'b' missing"):
+            check_in_order("b then a", ["a", "b"], "demo")
