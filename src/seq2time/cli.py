@@ -46,6 +46,7 @@ from .position_token import (
     ErrorModel,
     TimeRepresentation,
     code_from_string,
+    decode_relative,
     encode_relative,
     quantization_error_report,
     render_code,
@@ -93,9 +94,10 @@ _REQUIRED = object()
 def _option(args, config: dict, key: str, kind: type = str, default=_REQUIRED):
     """The flag value, else the config file's, else ``default``, as a ``kind``.
 
-    A missing required option, or a config value that is null or does not
-    convert to ``kind``, is a ConfigError. A ``default`` of None makes the
-    option optional and lets it stay None.
+    A missing required option, or a config value that is null, a bool, or
+    does not convert to ``kind`` without loss (8.9 to int, NaN to float),
+    is a ConfigError. A ``default`` of None makes the option optional and
+    lets it stay None.
     """
     value = getattr(args, key)
     if value is None:
@@ -105,11 +107,14 @@ def _option(args, config: dict, key: str, kind: type = str, default=_REQUIRED):
         raise ConfigError(f"missing required option {flag}")
     if value is None and default is None:
         return None
-    if value is not None:
+    if value is not None and not isinstance(value, bool):
         try:
-            return kind(value)
+            converted = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if not isinstance(value, float) or converted == value:
+                return converted
     raise ConfigError(f"{flag} must be {kind.__name__}, got {json.dumps(value)}")
 
 
@@ -252,7 +257,7 @@ def _cmd_tokenize(args) -> int:
             "index": args.index,
             "length": args.length,
             "code": render_code(code),
-            "fraction": code.value(),
+            "fraction": decode_relative(code),
         },
         render_code(code),
     )
@@ -261,7 +266,7 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_detokenize(args) -> int:
     code = code_from_string(args.code)
-    fraction = code.value()
+    fraction = decode_relative(code)
     if args.duration is not None:
         if args.duration <= 0:
             raise ConfigError(f"--duration must be positive, got {args.duration}")

@@ -18,6 +18,7 @@ return records with an empty id; a corpus run names record i
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -185,7 +186,7 @@ def compose_sequence(
             f"total_frames {total_frames} below one frame per clip ({n_clips})"
         )
     lo, hi = rate_range
-    if not 0 < lo <= hi:
+    if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"rate_range must satisfy 0 < lo <= hi, got {rate_range}")
     window_size = min(len(pool), max(8 * n_clips, n_clips))
     window = [pool[i] for i in rng.sample(range(len(pool)), window_size)]
@@ -243,59 +244,58 @@ def derive_annotations(sample: ClipSequenceSample) -> list[EventAnnotation]:
     return annotations
 
 
-def _boundary_codes(sample: ClipSequenceSample) -> list[tuple]:
-    """Per clip, the (start, end) codes of its boundary frame indices.
-
-    Adjacent clips share a boundary frame, so the end code of clip j
-    equals the start code of clip j+1 exactly.
-    """
-    codes = []
-    cumulative = 0
-    for count in sample.frame_counts:
-        start = encode_ratio(cumulative, sample.total_frames)
-        cumulative += count
-        end = encode_ratio(cumulative, sample.total_frames)
-        codes.append((start, end))
-    return codes
-
-
-def render_event_line(
-    start_s: float | None,
-    end_s: float | None,
-    caption: str,
-    codes: tuple | None,
-    time_repr: TimeRepresentation,
-) -> str:
-    if time_repr is TimeRepresentation.RPT:
-        start_code, end_code = codes  # type: ignore[misc]
-        return f"{render_code(start_code)}{render_code(end_code)} {caption}"
-    return f"{format_seconds(start_s)} - {format_seconds(end_s)} seconds, {caption}"
-
-
-def _answer_precision_intervals(
+def _spans(
     sample: ClipSequenceSample, time_repr: TimeRepresentation
-) -> list[list[float]]:
-    """Interval metadata exactly as recoverable from the rendered answer."""
-    duration = sample.pseudo_duration_s
-    out = []
-    if time_repr is TimeRepresentation.RPT:
-        for start_code, end_code in _boundary_codes(sample):
-            out.append(
-                [
-                    decode_relative(start_code) * duration,
-                    decode_relative(end_code) * duration,
-                ]
+) -> list[tuple[str, list[float]]]:
+    """Per clip, its rendered interval and the [start_s, end_s] it parses to.
+
+    Position codes are those of the boundary frame indices, so the end code
+    of clip j equals the start code of clip j+1 exactly; seconds are the
+    clip's relative span scaled by the pseudo duration, at display
+    precision.
+    """
+    total, duration = sample.total_frames, sample.pseudo_duration_s
+    spans = []
+    end_frame = 0
+    for count in sample.frame_counts:
+        start_frame, end_frame = end_frame, end_frame + count
+        if time_repr is TimeRepresentation.RPT:
+            codes = (encode_ratio(start_frame, total), encode_ratio(end_frame, total))
+            text = render_code(codes[0]) + render_code(codes[1])
+            seconds = [decode_relative(code) * duration for code in codes]
+        else:
+            start_s, end_s = (
+                format_seconds(frame / total * duration)
+                for frame in (start_frame, end_frame)
             )
-    else:
-        for ann in derive_annotations(sample):
-            seconds = ann.interval.to_seconds(duration)
-            out.append(
-                [
-                    float(format_seconds(seconds.start)),
-                    float(format_seconds(seconds.end)),
-                ]
-            )
-    return out
+            text = f"{start_s} - {end_s} seconds"
+            seconds = [float(start_s), float(end_s)]
+        spans.append((text, seconds))
+    return spans
+
+
+def _record(
+    sample: ClipSequenceSample,
+    task: ClipTask,
+    question: str,
+    answer: str,
+    time_repr: TimeRepresentation,
+    **meta,
+) -> InstructionRecord:
+    """A record of ``sample``; ``meta`` goes between duration_s and time_repr."""
+    return InstructionRecord(
+        id="",
+        media=tuple(clip.video for clip in sample.clips),
+        task=task.name,
+        question=question,
+        answer=answer,
+        meta={
+            "total_frames": sample.total_frames,
+            "duration_s": sample.pseudo_duration_s,
+            **meta,
+            "time_repr": time_repr.value,
+        },
+    )
 
 
 def gen_dvc(
@@ -305,32 +305,18 @@ def gen_dvc(
     rng: random.Random,
 ) -> InstructionRecord:
     """All events with their time spans, one line per clip, in order."""
-    annotations = derive_annotations(sample)
-    duration = sample.pseudo_duration_s
-    codes = _boundary_codes(sample)
-    lines = []
-    for ann, pair in zip(annotations, codes):
-        seconds = ann.interval.to_seconds(duration)
-        lines.append(
-            render_event_line(seconds.start, seconds.end, ann.caption, pair, time_repr)
-        )
+    spans = _spans(sample, time_repr)
+    captions = [clip.caption for clip in sample.clips]
+    sep = " " if time_repr is TimeRepresentation.RPT else ", "
+    lines = [f"{text}{sep}{caption}" for (text, _), caption in zip(spans, captions)]
     q_tpl, a_tpl = templates.sample(ClipTask.DVC.value, "single", rng)
     question = render_template(q_tpl, {})
     answer = render_template(a_tpl, {"<EVENTS>": "\n".join(lines)})
-    check_in_order(answer, [ann.caption for ann in annotations], "dvc answer")
-    return InstructionRecord(
-        id="",
-        media=tuple(clip.video for clip in sample.clips),
-        task=ClipTask.DVC.name,
-        question=question,
-        answer=answer,
-        meta={
-            "total_frames": sample.total_frames,
-            "duration_s": duration,
-            "intervals": _answer_precision_intervals(sample, time_repr),
-            "captions": [ann.caption for ann in annotations],
-            "time_repr": time_repr.value,
-        },
+    check_in_order(answer, captions, "dvc answer")
+    intervals = [seconds for _, seconds in spans]
+    return _record(
+        sample, ClipTask.DVC, question, answer, time_repr,
+        intervals=intervals, captions=captions,
     )
 
 
@@ -341,37 +327,17 @@ def gen_tvg(
     rng: random.Random,
 ) -> InstructionRecord:
     """One uniformly chosen clip: caption in the question, span in the answer."""
-    annotations = derive_annotations(sample)
-    pick = rng.randrange(len(annotations))
-    ann = annotations[pick]
-    duration = sample.pseudo_duration_s
-    codes = _boundary_codes(sample)[pick]
-    seconds = ann.interval.to_seconds(duration)
-    if time_repr is TimeRepresentation.RPT:
-        interval_text = f"{render_code(codes[0])}{render_code(codes[1])}"
-    else:
-        interval_text = (
-            f"{format_seconds(seconds.start)} - {format_seconds(seconds.end)} seconds"
-        )
+    pick = rng.randrange(len(sample.clips))
+    clip = sample.clips[pick]
+    interval_text, seconds = _spans(sample, time_repr)[pick]
     q_tpl, a_tpl = templates.sample(ClipTask.TVG.value, "single", rng)
-    question = render_template(q_tpl, {"<CAPTION>": ann.caption})
+    question = render_template(q_tpl, {"<CAPTION>": clip.caption})
     answer = render_template(a_tpl, {"<INTERVAL>": interval_text})
-    check_in_order(question, [ann.caption], "tvg question")
+    check_in_order(question, [clip.caption], "tvg question")
     check_in_order(answer, [interval_text], "tvg answer")
-    return InstructionRecord(
-        id="",
-        media=tuple(clip.video for clip in sample.clips),
-        task=ClipTask.TVG.name,
-        question=question,
-        answer=answer,
-        meta={
-            "total_frames": sample.total_frames,
-            "duration_s": duration,
-            "intervals": [_answer_precision_intervals(sample, time_repr)[pick]],
-            "captions": [ann.caption],
-            "target_clip": ann.clip_id,
-            "time_repr": time_repr.value,
-        },
+    return _record(
+        sample, ClipTask.TVG, question, answer, time_repr,
+        intervals=[seconds], captions=[clip.caption], target_clip=clip.id,
     )
 
 
@@ -398,7 +364,7 @@ class ClipCorpusConfig:
                 f"total_frames {self.total_frames} below one frame per clip ({hi})"
             )
         rlo, rhi = self.rate_range
-        if not 0 < rlo <= rhi:
+        if not 0 < rlo <= rhi < math.inf:
             raise ConfigError(f"invalid rate_range {self.rate_range}")
         check_task_mix(self.task_mix, ClipTask)
 

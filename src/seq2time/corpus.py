@@ -9,6 +9,7 @@ ordinal order, so the output never depends on ``jobs``.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -131,5 +132,8 @@ def _run_in_worker(task: Callable, ordinals: range):
 def _pooled(task: Callable, corpus: Corpus, jobs: int, ranges: list[range]) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor  # only fan-out needs it
 
-    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(corpus,)) as pool:
+    # a fork-started pool launches every worker up front, so never ask for
+    # more than there are ranges or cores
+    workers = min(jobs, len(ranges), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(corpus,)) as pool:
         yield from pool.map(partial(_run_in_worker, task), ranges)

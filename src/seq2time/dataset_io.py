@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,9 +122,14 @@ def _require_text(obj: dict, lineno: int, field_name: str, path: Path) -> str:
     return value.strip() if field_name == "caption" else value
 
 
+def is_positive_number(value) -> bool:
+    """A JSON number in (0, largest float]: no bool, NaN or infinity."""
+    return type(value) in (int, float) and 0 < value <= sys.float_info.max
+
+
 def _require_positive(obj: dict, lineno: int, field_name: str, path: Path) -> float:
     value = _require(obj, lineno, field_name, path)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+    if not is_positive_number(value):
         raise CorpusFormatError(
             f"{path}: line {lineno}: field {field_name} must be a positive number"
         )

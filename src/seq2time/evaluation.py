@@ -33,14 +33,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .dataset_io import iter_jsonl_with_lines
+from .dataset_io import is_positive_number, iter_jsonl_with_lines
 from .errors import CorpusFormatError, DomainError
 from .position_token import (
+    CODE_PATTERN,
     IntervalUnit,
     TimeInterval,
     TimeRepresentation,
     code_from_string,
     code_to_index,
+    decode_relative,
     to_timestamp,
 )
 
@@ -52,8 +54,8 @@ _FREE_FORM_LINE = re.compile(
     r"^\s*(\d+(?:\.\d+)?)\s*-\s*(\d+(?:\.\d+)?)\s*seconds?\s*[,:]*\s*(.*?)\s*$",
     re.IGNORECASE,
 )
-_RPT_LINE = re.compile(r"^\s*((?:<\d>){8})\s*(.*?)\s*$")
-_TOKEN_GROUP = re.compile(r"(?:<\d>){4}")
+_RPT_LINE = re.compile(rf"^\s*({CODE_PATTERN})({CODE_PATTERN})\s*(.*?)\s*$")
+_TOKEN_GROUP = re.compile(CODE_PATTERN)
 _WORD = re.compile(r"[^\W_]+")
 
 
@@ -103,12 +105,10 @@ def parse_predictions(
             if match is None:
                 skipped += 1
                 continue
-            tokens, caption = match.groups()
-            start = to_timestamp(
-                code_from_string(tokens[: len(tokens) // 2]).value(), video_duration_s
-            )
-            end = to_timestamp(
-                code_from_string(tokens[len(tokens) // 2 :]).value(), video_duration_s
+            start_code, end_code, caption = match.groups()
+            start, end = (
+                to_timestamp(decode_relative(code_from_string(code)), video_duration_s)
+                for code in (start_code, end_code)
             )
         else:
             match = _FREE_FORM_LINE.match(line)
@@ -397,9 +397,7 @@ def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
         if (
             not isinstance(video_id, str)
             or not isinstance(output, str)
-            or not isinstance(duration, (int, float))
-            or isinstance(duration, bool)
-            or duration <= 0
+            or not is_positive_number(duration)
         ):
             raise CorpusFormatError(
                 f"{p}: line {lineno}: expected video_id, output and positive duration_s"

@@ -1,10 +1,12 @@
 """Relative position codec: sequence positions as 4-digit token codes.
 
-A 1-based position ``i`` in a sequence of length ``L`` is normalized to
-``round(i/L, 4)`` and rendered as four digit tokens, so the 7th image of a
-96-image sequence becomes 0.0729 -> ``<0><7><2><9>``. Only ten distinct
-tokens (``<0>`` .. ``<9>``) exist. Absolute timestamps are recovered by
-scaling the decoded fraction with the video duration.
+A 1-based position ``i`` in a sequence of length ``L`` becomes the code
+``round(i/L, 4) * 10000``, a plain int in 0..9999 (``encode_relative``).
+Only this module knows its text form, four of the ten digit tokens
+``<0>`` .. ``<9>``: the 7th image of 96 is code 729, rendered
+``<0><7><2><9>`` (``render_code``, parsed back by ``code_from_string``).
+Absolute timestamps scale the fraction code / 10000 (``decode_relative``)
+by the video duration.
 
 The value 1.0000 does not fit in four digits; it is clamped to 0.9999 so
 every code is exactly four tokens wide. The clamp affects every ratio
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .errors import DomainError, TokenParseError
 
@@ -42,7 +43,9 @@ MAX_CODE = SCALE - 1  # 0.9999, the largest representable fraction
 MAX_RPT_LENGTH = SCALE // 2
 
 _TOKENS = tuple(f"<{d}>" for d in range(10))
-_TOKEN_TO_DIGIT = {tok: d for d, tok in enumerate(_TOKENS)}
+# one rendered code, ASCII digits only: ``\d`` would also match digits
+# such as Arabic-Indic ones, which no code renders and code_from_string rejects
+CODE_PATTERN = r"(?:<[0-9]>){4}"
 
 
 class TimeRepresentation(Enum):
@@ -55,41 +58,6 @@ class TimeRepresentation(Enum):
 class IntervalUnit(Enum):
     RELATIVE = "relative"
     SECONDS = "seconds"
-
-
-@dataclass(frozen=True, order=True)
-class RelativePositionCode:
-    """A normalized position 0.d1d2d3d4 stored as its four digits."""
-
-    digits: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.digits) != 4 or any(
-            not isinstance(d, int) or not 0 <= d <= 9 for d in self.digits
-        ):
-            raise DomainError(
-                f"code digits must be four integers in 0..9, got {self.digits!r}"
-            )
-
-    @classmethod
-    def from_int(cls, value: int) -> "RelativePositionCode":
-        if not 0 <= value <= MAX_CODE:
-            raise DomainError(f"code value {value} outside 0..{MAX_CODE}")
-        d1, rest = divmod(value, 1000)
-        d2, rest = divmod(rest, 100)
-        d3, d4 = divmod(rest, 10)
-        return cls((d1, d2, d3, d4))
-
-    def as_int(self) -> int:
-        d1, d2, d3, d4 = self.digits
-        return 1000 * d1 + 100 * d2 + 10 * d3 + d4
-
-    def value(self) -> float:
-        """The encoded fraction digits/10000, in [0.0, 0.9999]."""
-        return self.as_int() / SCALE
-
-    def __str__(self) -> str:
-        return render_code(self)
 
 
 @dataclass(frozen=True)
@@ -130,7 +98,7 @@ def vocabulary() -> tuple[str, ...]:
     return _TOKENS
 
 
-def encode_ratio(numerator: int, denominator: int) -> RelativePositionCode:
+def encode_ratio(numerator: int, denominator: int) -> int:
     """Encode the exact rational numerator/denominator in [0, 1] as a code.
 
     Integer-only half-away-from-zero rounding to 4 decimals, clamping
@@ -143,10 +111,10 @@ def encode_ratio(numerator: int, denominator: int) -> RelativePositionCode:
         raise DomainError(f"ratio {numerator}/{denominator} outside [0, 1]")
     # floor((SCALE*num + den/2) / den), exact for all integers
     scaled = (2 * SCALE * numerator + denominator) // (2 * denominator)
-    return RelativePositionCode.from_int(min(scaled, MAX_CODE))
+    return min(scaled, MAX_CODE)
 
 
-def encode_relative(index: int, length: int) -> RelativePositionCode:
+def encode_relative(index: int, length: int) -> int:
     """Encode 1-based ``index`` of a ``length``-long sequence as a code.
 
     Computes round(index/length, 4) with half-away-from-zero rounding in
@@ -159,12 +127,12 @@ def encode_relative(index: int, length: int) -> RelativePositionCode:
     return encode_ratio(index, length)
 
 
-def decode_relative(code: RelativePositionCode) -> float:
-    """The fraction digits/10000 encoded by ``code``."""
-    return code.value()
+def decode_relative(code: int) -> float:
+    """The fraction code/10000, in [0.0, 0.9999] for every valid code."""
+    return code / SCALE
 
 
-def code_to_index(code: RelativePositionCode, length: int) -> int:
+def code_to_index(code: int, length: int) -> int:
     """Nearest 1-based position for a decoded fraction.
 
     Inverse of :func:`encode_relative` for all length <= ``MAX_RPT_LENGTH``
@@ -172,58 +140,32 @@ def code_to_index(code: RelativePositionCode, length: int) -> int:
     """
     if length < 1:
         raise DomainError(f"sequence length must be >= 1, got {length}")
-    nearest = int(math.floor(code.value() * length + 0.5))
+    nearest = int(math.floor(decode_relative(code) * length + 0.5))
     return min(length, max(1, nearest))
 
 
-def code_to_tokens(code: RelativePositionCode) -> list[str]:
-    return [_TOKENS[d] for d in code.digits]
+def render_code(code: int) -> str:
+    """The four digit tokens of ``code``, unseparated: 729 -> "<0><7><2><9>"."""
+    if not 0 <= code <= MAX_CODE:
+        raise DomainError(f"code value {code} outside 0..{MAX_CODE}")
+    return "<%s><%s><%s><%s>" % tuple(f"{code:04d}")
 
 
-def tokens_to_code(tokens: Sequence[str]) -> RelativePositionCode:
-    """Parse exactly four digit tokens back into a code.
+def code_from_string(text: str) -> int:
+    """Parse one rendered code such as "<0><7><2><9>" back into its int.
 
-    Raises :class:`TokenParseError` naming the offending token and its
-    1-based position on unknown tokens or wrong arity.
+    The whole string must consist of exactly four digit tokens; otherwise
+    :class:`TokenParseError` names the 1-based character where the first
+    bad token starts, or the token count.
     """
-    if len(tokens) != 4:
-        raise TokenParseError(f"expected exactly 4 digit tokens, got {len(tokens)}")
-    digits = []
-    for pos, tok in enumerate(tokens, start=1):
-        digit = _TOKEN_TO_DIGIT.get(tok)
-        if digit is None:
-            raise TokenParseError(f"unknown token {tok!r} at token {pos}")
-        digits.append(digit)
-    return RelativePositionCode(tuple(digits))
-
-
-def render_code(code: RelativePositionCode) -> str:
-    """Concatenate the four tokens with no separator, e.g. "<0><7><2><9>"."""
-    return "".join(code_to_tokens(code))
-
-
-def split_token_string(text: str) -> list[str]:
-    """Split a concatenated token string into individual tokens.
-
-    The whole string must consist of digit tokens; anything else raises
-    :class:`TokenParseError` with the position of the first bad character.
-    """
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        chunk = text[i : i + 3]
-        if chunk not in _TOKEN_TO_DIGIT:
+    for i in range(0, len(text), 3):
+        if text[i : i + 3] not in _TOKENS:
             raise TokenParseError(
                 f"invalid token starting at character {i + 1}: {text[i:i+3]!r}"
             )
-        tokens.append(chunk)
-        i += 3
-    return tokens
-
-
-def code_from_string(text: str) -> RelativePositionCode:
-    """Parse one rendered code such as "<0><7><2><9>"."""
-    return tokens_to_code(split_token_string(text))
+    if len(text) != 12:
+        raise TokenParseError(f"expected exactly 4 digit tokens, got {len(text) // 3}")
+    return int(text[1::3])
 
 
 def to_timestamp(fraction: float, video_duration_s: float) -> float:
@@ -232,8 +174,10 @@ def to_timestamp(fraction: float, video_duration_s: float) -> float:
     Returns ``fraction * video_duration_s`` at full float precision;
     callers round for display (see :func:`format_seconds`).
     """
-    if video_duration_s <= 0:
-        raise DomainError(f"duration must be positive, got {video_duration_s}")
+    if not 0 < video_duration_s < math.inf:
+        raise DomainError(
+            f"duration must be positive and finite, got {video_duration_s}"
+        )
     if not 0.0 <= fraction <= 1.0:
         raise DomainError(f"fraction {fraction} outside [0, 1]")
     return fraction * video_duration_s
@@ -292,9 +236,10 @@ def quantization_error_report(
     """
     import numpy as np  # only this report needs it
 
-    if video_duration_s <= 0 or fps <= 0 or sampled_frames < 1:
+    finite = 0 < video_duration_s < math.inf and 0 < fps < math.inf
+    if not finite or sampled_frames < 1:
         raise DomainError(
-            "duration, fps and sampled_frames must all be positive, got "
+            "duration, fps and sampled_frames must all be positive and finite, got "
             f"({video_duration_s}, {fps}, {sampled_frames})"
         )
     duration = float(video_duration_s)

@@ -17,6 +17,7 @@ from seq2time import (
     TimeRepresentation,
     write_jsonl,
 )
+from seq2time.position_token import MAX_RPT_LENGTH
 
 _ADJECTIVES = ("amber", "rusty", "pale", "shiny", "crooked", "quiet", "vivid")
 _NOUNS = (
@@ -74,6 +75,17 @@ def image_pool() -> list[CaptionedImage]:
             id=f"img-{k:04d}", image=f"images/{k:06d}.jpg", caption=_image_caption(k)
         )
         for k in range(500)
+    ]
+
+
+@pytest.fixture(scope="session")
+def large_image_pool() -> list[CaptionedImage]:
+    """Enough digit-free images for the longest position-token sequence."""
+    return [
+        CaptionedImage(
+            id=f"img-{k:05d}", image=f"images/{k:06d}.jpg", caption=_image_caption(k)
+        )
+        for k in range(MAX_RPT_LENGTH)
     ]
 
 

@@ -38,7 +38,6 @@ from seq2time.image_sequence import ImageCorpusConfig, build_image_corpus
 from seq2time.position_token import (
     ErrorModel,
     IntervalUnit,
-    RelativePositionCode,
     TimeInterval,
     TimeRepresentation,
     code_from_string,
@@ -63,7 +62,7 @@ def report(criterion: int, text: str) -> None:
 def test_criterion_01_codec_worked_example_under_1ms():
     code = encode_relative(7, 96)
     assert render_code(code) == "<0><7><2><9>"
-    assert code.digits == (0, 7, 2, 9)
+    assert code == 729
     # best single-call latency after warmup; the budget is 1 ms
     best = min(
         timeit_once() for _ in range(1000)
@@ -84,8 +83,8 @@ def test_criterion_02_vocabulary_size_and_code_bijection():
     assert list(vocab) == [f"<{d}>" for d in range(10)]
     seen = set()
     for value in range(10_000):
-        rendered = render_code(RelativePositionCode.from_int(value))
-        assert code_from_string(rendered).as_int() == value
+        rendered = render_code(value)
+        assert code_from_string(rendered) == value
         seen.add(rendered)
     assert len(seen) == 10_000  # injective over the whole code space
     report(2, "10-token vocabulary; 10000-code render/parse bijection")

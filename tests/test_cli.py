@@ -76,6 +76,13 @@ class TestCodecCommands:
         assert code == 2
         assert "--duration" in err
 
+    def test_detokenize_nan_duration(self, capsys):
+        code, out, err = run_cli(
+            capsys, "detokenize", "<5><0><0><0>", "--duration", "nan"
+        )
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
 
 class TestAnalyzeQuantization:
     def test_rounding_only_report(self, capsys):
@@ -104,6 +111,19 @@ class TestAnalyzeQuantization:
         payload = json.loads(out)
         assert payload["model"] == "frame_sampling"
         assert payload["mean_abs_error_s"] > 0.05
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--duration", "60", "--fps", "inf", "--model", "frame-sampling"],
+            ["--duration", "nan"],
+        ],
+        ids=["inf-fps", "nan-duration"],
+    )
+    def test_non_finite_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze-quantization", *argv)
+        assert (code, out) == (2, "")
+        assert "finite" in err
 
 
 class TestBuildImageSeq:
@@ -304,6 +324,37 @@ class TestBuildClipSeq:
         assert code == 2
         assert "clip_range" in err
 
+    def test_infinite_rate_is_config_error(self, capsys, clip_source, tmp_path):
+        output = tmp_path / "out.jsonl"
+        code, _, err = run_cli(
+            capsys,
+            "build-clip-seq",
+            "--source", str(clip_source),
+            "--output", str(output),
+            "--n", "1",
+            "--rate-max", "inf",
+        )
+        assert code == 2
+        assert "rate_range" in err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_clip_duration_is_data_error(self, capsys, tmp_path, value):
+        source = tmp_path / "clips.jsonl"
+        source.write_text(
+            '{"id": "c", "video": "v.mp4", "label": "x", "caption": "c",'
+            f' "duration_s": {value}, "fps": 30}}\n',
+            encoding="utf-8",
+        )
+        output = tmp_path / "out.jsonl"
+        code, _, err = run_cli(
+            capsys, "build-clip-seq", "--source", str(source),
+            "--output", str(output), "--n", "1",
+        )
+        assert code == 4
+        assert "line 1: field duration_s must be a positive number" in err
+        assert not output.exists()
+
 
 BUILDS = {
     "image": ("build-image-seq", ImageCorpusConfig, build_image_corpus),
@@ -442,8 +493,10 @@ class TestConfigFile:
             ("build-image-seq", "seq_len", None),
             ("build-clip-seq", "jobs", [2]),
             ("build-clip-seq", "rate_min", "slow"),
+            ("build-image-seq", "n", True),
+            ("build-image-seq", "seq_len", 8.9),
         ],
-        ids=["n", "seq_len", "jobs", "rate_min"],
+        ids=["n", "seq_len", "jobs", "rate_min", "n-bool", "seq_len-fraction"],
     )
     def test_wrong_type_value_is_config_error(
         self, capsys, image_source, clip_source, tmp_path, sub, key, value
@@ -460,6 +513,22 @@ class TestConfigFile:
         assert out == ""
         assert f"--{key.replace('_', '-')} must be" in err
         assert not output.exists()
+
+    def test_integral_values_convert(self, capsys, image_source, tmp_path):
+        output = tmp_path / "out.jsonl"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {"source": str(image_source), "output": str(output), "n": "3",
+                 "seq_len": 8, "max_targets": 2.0}
+            ),
+            encoding="utf-8",
+        )
+        code, _, _ = run_cli(capsys, "build-image-seq", "--config", str(cfg))
+        assert code == 0
+        rows = [json.loads(line) for line in output.read_text().splitlines()]
+        assert len(rows) == 3
+        assert {row["meta"]["seq_len"] for row in rows} == {8}
 
 
 def _write_eval_run(tmp_path):
@@ -566,6 +635,32 @@ class TestEvalCommands:
         )
         assert code == 2
         assert "prediction file not found" in err
+
+    def test_non_ascii_digit_line_is_skipped(self, capsys, tmp_path):
+        pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        write_jsonl(
+            [{
+                "video_id": "v1",
+                "output": (
+                    "<\u0660><\u0660><\u0660><\u0660><\u0665><\u0660><\u0660><\u0660> x\n"
+                    "<0><0><0><0><5><0><0><0> a person is kneading dough"
+                ),
+                "duration_s": 20.0,
+            }],
+            pred,
+        )
+        write_jsonl(
+            [{"video_id": "v1", "events": [{"start": 0.0, "end": 10.0, "caption": "k"}]}],
+            gt,
+        )
+        code, out, _ = run_cli(
+            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt),
+            "--time-repr", "rpt", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["skipped_lines"] == 1
+        assert payload["temporal_f1"] == 1.0
 
     def test_malformed_gt_is_data_error(self, capsys, tmp_path):
         pred, gt = _write_eval_run(tmp_path)

@@ -4,9 +4,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seq2time.clip_sequence import (
+    MAX_CLIPS,
+    MIN_CLIPS,
     CaptionedClip,
     ClipCorpusConfig,
     ClipSequenceSample,
@@ -17,7 +19,6 @@ from seq2time.clip_sequence import (
     gen_dvc,
     gen_tvg,
     generate_clip_record,
-    render_event_line,
 )
 from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import parse_predictions
@@ -196,6 +197,8 @@ class TestComposeSequence:
             compose_sequence(clip_pool, 5, 4, (0.5, 2.0), random.Random(0))
         with pytest.raises(ConfigError, match="rate_range"):
             compose_sequence(clip_pool, 5, 96, (2.0, 0.5), random.Random(0))
+        with pytest.raises(ConfigError, match="rate_range"):
+            compose_sequence(clip_pool, 5, 96, (0.5, float("inf")), random.Random(0))
 
 
 class TestSampleValidation:
@@ -296,21 +299,6 @@ class TestDeriveAnnotations:
             assert all(a.interval.unit is IntervalUnit.RELATIVE for a in annotations)
 
 
-class TestRenderEventLine:
-    def test_free_form(self):
-        line = render_event_line(0.0, 5.0, "a person is kneading dough", None,
-                                 TimeRepresentation.FREE_FORM)
-        assert line == "0.0 - 5.0 seconds, a person is kneading dough"
-
-    def test_rpt_concatenates_boundary_codes(self):
-        from seq2time.position_token import encode_ratio
-
-        codes = (encode_ratio(0, 96), encode_ratio(24, 96))
-        line = render_event_line(None, None, "a person is kneading dough", codes,
-                                 TimeRepresentation.RPT)
-        assert line == "<0><0><0><0><2><5><0><0> a person is kneading dough"
-
-
 class TestGenDVC:
     def test_free_form_exact(self):
         record = gen_dvc(
@@ -379,6 +367,32 @@ class TestGenDVC:
                 assert [e.caption for e in events] == record.meta["captions"]
 
 
+class TestGenerateParseIdentity:
+    @given(time_repr=st.sampled_from(list(TimeRepresentation)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_parse_recovers_meta(self, clip_pool, time_repr, data):
+        # every accepted (clip_range, total_frames, time_repr) renders
+        # answers that parse back to the meta intervals bit for bit
+        lo = data.draw(st.integers(MIN_CLIPS, MAX_CLIPS), label="clip_min")
+        hi = data.draw(st.integers(lo, MAX_CLIPS), label="clip_max")
+        config = ClipCorpusConfig(
+            n_instances=4,
+            clip_range=(lo, hi),
+            total_frames=data.draw(st.integers(hi, 20_000), label="total_frames"),
+            seed=data.draw(st.integers(0, 2**32), label="seed"),
+            time_repr=time_repr,
+        )
+        for record in build_clip_corpus(config, clip_pool):
+            events = list(
+                parse_predictions(record.answer, time_repr, record.meta["duration_s"])
+            )
+            assert [[e.interval.start, e.interval.end] for e in events] == (
+                record.meta["intervals"]
+            ), record.answer
+            if record.task == "DVC":
+                assert [e.caption for e in events] == record.meta["captions"]
+
+
 class TestGenTVG:
     def test_scripted_pick_free_form(self):
         record = gen_tvg(
@@ -433,6 +447,9 @@ class TestClipCorpusConfig:
             ClipCorpusConfig(n_instances=1, total_frames=8)
         with pytest.raises(ConfigError, match="rate_range"):
             ClipCorpusConfig(n_instances=1, rate_range=(0.0, 1.0))
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="rate_range"):
+                ClipCorpusConfig(n_instances=1, rate_range=(0.5, bad))
         with pytest.raises(ConfigError, match="unknown tasks"):
             ClipCorpusConfig(n_instances=1, task_mix={"iig": 1.0})
 

@@ -168,6 +168,19 @@ class TestLoaders:
         ):
             load_clip_captions(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+    def test_clip_duration_must_be_finite(self, tmp_path, value):
+        path = tmp_path / "clips.jsonl"
+        path.write_text(
+            '{"id": "c", "video": "v.mp4", "label": "x", "caption": "c",'
+            f' "duration_s": {value}, "fps": 30}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            CorpusFormatError, match=r"line 1: field duration_s must be a positive number"
+        ):
+            load_clip_captions(path)
+
     def test_clip_fps_bool_rejected(self, tmp_path):
         # bool is an int subclass; it must not pass as a frame rate
         path = tmp_path / "clips.jsonl"

@@ -111,6 +111,17 @@ class TestParseRPT:
         assert len(result) == 0
         assert result.skipped_lines == 1
 
+    def test_non_ascii_digit_line_skipped(self):
+        # Arabic-Indic digits match \d but are no tokens; one such line is
+        # skipped and counted, and never aborts the parse
+        text = (
+            "<\u0660><\u0660><\u0660><\u0660><\u0665><\u0660><\u0660><\u0660> x\n"
+            "<0><0><0><0><5><0><0><0> y"
+        )
+        result = parse_predictions(text, RPT, video_duration_s=10.0)
+        assert [e.caption for e in result] == ["y"]
+        assert result.skipped_lines == 1
+
     def test_duration_required(self):
         with pytest.raises(DomainError, match="video_duration_s"):
             parse_predictions("<2><5><0><0><5><0><0><0> x", RPT)
@@ -137,6 +148,10 @@ class TestParseIndexMentions:
 
     def test_rpt_ignores_partial_codes(self):
         assert parse_index_mentions("just <7> alone", RPT, 96) == []
+
+    def test_rpt_ignores_non_ascii_digits(self):
+        text = "<\u0660><\u0667><\u0662><\u0669> then <2><5><0><0>"
+        assert parse_index_mentions(text, RPT, 96) == [24]
 
     def test_no_mentions(self):
         assert parse_index_mentions("nothing numeric here", FREE, 96) == []
@@ -419,6 +434,13 @@ class TestLoaders:
         path = tmp_path / "pred.jsonl"
         write_jsonl([{"video_id": "v1", "output": "x", "duration_s": 0}], path)
         with pytest.raises(CorpusFormatError, match="positive duration_s"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_predictions_reject_non_finite_duration(self, tmp_path, duration):
+        path = tmp_path / "pred.jsonl"
+        write_jsonl([{"video_id": "v1", "output": "x", "duration_s": duration}], path)
+        with pytest.raises(CorpusFormatError, match="line 1: .*positive duration_s"):
             load_predictions(path)
 
     def test_predictions_reject_bool_duration(self, tmp_path):

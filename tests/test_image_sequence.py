@@ -1,10 +1,14 @@
 """Image pretext-task generators: grounding, captioning, adjacency."""
 
+import concurrent.futures
 import json
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seq2time import corpus
 from seq2time.dataset_io import derive_record_seed
 from seq2time.errors import ConfigError
 from seq2time.evaluation import parse_index_mentions
@@ -19,6 +23,7 @@ from seq2time.image_sequence import (
     gen_iic,
     gen_iig,
     generate_image_record,
+    image_corpus,
     render_index,
     sample_sequence,
 )
@@ -328,6 +333,28 @@ class TestGenALR:
 
 
 class TestOutputInvariants:
+    @given(
+        time_repr=st.sampled_from(list(TimeRepresentation)),
+        task=st.sampled_from(list(PretextTask)),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_generate_parse_identity(self, large_image_pool, time_repr, task, data):
+        # every accepted (seq_len, max_targets, time_repr) parses back to
+        # its own targets, up to the longest position-token sequence
+        seq_len = data.draw(st.integers(2, MAX_RPT_LENGTH), label="seq_len")
+        config = ImageCorpusConfig(
+            n_instances=2,
+            seq_len=seq_len,
+            max_targets=data.draw(st.integers(1, seq_len), label="max_targets"),
+            task_mix={t.value: float(t is task) for t in PretextTask},
+            seed=data.draw(st.integers(0, 2**32), label="seed"),
+            time_repr=time_repr,
+        )
+        for record in build_image_corpus(config, large_image_pool):
+            parsed = parse_index_mentions(record.answer, time_repr, seq_len)
+            assert parsed == record.meta["targets"], record.answer
+
     @pytest.mark.parametrize("repr_name", ["rpt", "free_form"])
     def test_parse_back_recovers_targets(self, image_pool, repr_name):
         # answers must decode back to the exact target positions; this is
@@ -417,6 +444,37 @@ class TestBuildImageCorpus:
             json.dumps(r.to_json_obj(), ensure_ascii=False) for r in records
         )
         assert as_bytes(parallel) == as_bytes(sequential)
+
+    def test_workers_capped_at_cores(self, image_pool, tmp_path, monkeypatch):
+        # a fork-started pool launches every worker up front, so a huge
+        # jobs value must not ask for more workers than there are cores;
+        # the stand-in records the request and maps in this process
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(corpus, "_CORPUS", None)
+        build = image_corpus(ImageCorpusConfig(n_instances=100, seed=5), image_pool)
+        build.write(tmp_path / "one.jsonl", jobs=1)
+        build.write(tmp_path / "many.jsonl", jobs=10_000)
+        assert len(requested) == 1
+        assert 1 <= requested[0] <= (os.cpu_count() or 1)
+        assert (tmp_path / "many.jsonl").read_bytes() == (
+            tmp_path / "one.jsonl"
+        ).read_bytes()
 
     def test_jobs_validation(self, image_pool):
         with pytest.raises(ConfigError, match="jobs"):

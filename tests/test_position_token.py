@@ -10,12 +10,10 @@ from seq2time import (
     DomainError,
     ErrorModel,
     IntervalUnit,
-    RelativePositionCode,
     TimeInterval,
     TokenParseError,
     code_from_string,
     code_to_index,
-    code_to_tokens,
     decode_relative,
     encode_ratio,
     encode_relative,
@@ -23,31 +21,30 @@ from seq2time import (
     quantization_error_report,
     render_code,
     to_timestamp,
-    tokens_to_code,
     vocabulary,
 )
-from seq2time.position_token import MAX_CODE, SCALE, split_token_string
+from seq2time.position_token import MAX_CODE, SCALE
 
 
 class TestEncode:
     def test_worked_example(self):
         code = encode_relative(7, 96)
-        assert code.digits == (0, 7, 2, 9)
+        assert code == 729
         assert render_code(code) == "<0><7><2><9>"
 
     def test_half_rounds_away_from_zero(self):
         # 1/32 = 0.03125 -> 0.0313, not banker's 0.0312
-        assert encode_relative(1, 32).as_int() == 313
+        assert encode_relative(1, 32) == 313
 
     def test_exact_fractions(self):
-        assert encode_relative(1, 16).as_int() == 625
-        assert encode_relative(48, 96).as_int() == 5000
-        assert encode_relative(1, 96).as_int() == 104
-        assert encode_relative(95, 96).as_int() == 9896
+        assert encode_relative(1, 16) == 625
+        assert encode_relative(48, 96) == 5000
+        assert encode_relative(1, 96) == 104
+        assert encode_relative(95, 96) == 9896
 
     def test_top_of_range_clamps(self):
-        assert encode_relative(96, 96).as_int() == MAX_CODE
-        assert encode_relative(1, 1).as_int() == MAX_CODE
+        assert encode_relative(96, 96) == MAX_CODE
+        assert encode_relative(1, 1) == MAX_CODE
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -58,9 +55,9 @@ class TestEncode:
             encode_relative(1, 0)
 
     def test_ratio_allows_zero_numerator(self):
-        assert encode_ratio(0, 96).as_int() == 0
-        assert encode_ratio(24, 96).as_int() == 2500
-        assert encode_ratio(96, 96).as_int() == MAX_CODE
+        assert encode_ratio(0, 96) == 0
+        assert encode_ratio(24, 96) == 2500
+        assert encode_ratio(96, 96) == MAX_CODE
         with pytest.raises(DomainError):
             encode_ratio(97, 96)
 
@@ -73,31 +70,37 @@ class TestTokens:
 
     def test_round_trip_tokens(self):
         code = encode_relative(7, 96)
-        tokens = code_to_tokens(code)
-        assert tokens == ["<0>", "<7>", "<2>", "<9>"]
-        assert tokens_to_code(tokens) == code
+        rendered = render_code(code)
+        assert rendered == "<0><7><2><9>"
+        assert code_from_string(rendered) == code
 
     def test_unknown_token_reports_position(self):
-        with pytest.raises(TokenParseError, match="token 2"):
-            tokens_to_code(["<1>", "<x>", "<2>", "<9>"])
+        # the second token starts at character 4
+        with pytest.raises(TokenParseError, match="character 4"):
+            code_from_string("<1><x><2><9>")
 
     def test_wrong_arity(self):
-        with pytest.raises(TokenParseError, match="4"):
-            tokens_to_code(["<1>", "<2>", "<3>"])
+        with pytest.raises(TokenParseError, match="got 3"):
+            code_from_string("<1><2><3>")
+        with pytest.raises(TokenParseError, match="got 5"):
+            code_from_string("<1><2><3><4><5>")
 
-    def test_split_token_string(self):
-        assert split_token_string("<0><7><2><9>") == ["<0>", "<7>", "<2>", "<9>"]
+    def test_bad_character_reports_position(self):
         with pytest.raises(TokenParseError, match="character 4"):
-            split_token_string("<0>x<2><9>")
+            code_from_string("<0>x<2><9>")
+        with pytest.raises(TokenParseError, match="character 1"):
+            code_from_string("<\u0665><0><0><0>")  # ARABIC-INDIC DIGIT FIVE
 
     def test_code_from_string(self):
-        assert code_from_string("<0><7><2><9>").as_int() == 729
+        assert code_from_string("<0><7><2><9>") == 729
 
     def test_digit_validation(self):
+        assert render_code(0) == "<0><0><0><0>"
+        assert render_code(MAX_CODE) == "<9><9><9><9>"
         with pytest.raises(DomainError):
-            RelativePositionCode((0, 7, 2, 10))
+            render_code(-1)
         with pytest.raises(DomainError):
-            RelativePositionCode.from_int(SCALE)
+            render_code(SCALE)
 
 
 class TestDecode:
@@ -147,7 +150,7 @@ class TestProperties:
     def test_monotone_in_index(self, length, data):
         i = data.draw(st.integers(min_value=1, max_value=length - 1))
         j = data.draw(st.integers(min_value=i + 1, max_value=length))
-        assert encode_relative(i, length).as_int() <= encode_relative(j, length).as_int()
+        assert encode_relative(i, length) <= encode_relative(j, length)
 
     @given(
         length=st.integers(min_value=1, max_value=5000),
