@@ -4,29 +4,22 @@ Sequence positions (image indices, clip frame spans) become relative
 position codes over a ten-token vocabulary; captioned images/clips become
 instruction records for time-sensitive training; predictions parse back
 into timed events for temporal F1, R@1 and lexical richness scoring.
+
+The package root exports the names the benchmark under ``perfbench/``
+imports, plus the exception classes; everything else is imported from
+its module (``seq2time.position_token``, ``seq2time.evaluation``, ...).
 """
 
 from .clip_sequence import (
-    CaptionedClip,
     ClipCorpusConfig,
-    ClipSequenceSample,
-    ClipTask,
-    EventAnnotation,
     apportion_frames,
     build_clip_corpus,
     compose_sequence,
-    derive_annotations,
-    gen_dvc,
-    gen_tvg,
 )
 from .dataset_io import (
-    CorpusStats,
-    InstructionRecord,
     corpus_stats,
     load_clip_captions,
     load_image_captions,
-    read_jsonl,
-    read_records,
     write_jsonl,
 )
 from .errors import (
@@ -38,127 +31,46 @@ from .errors import (
     TemplateError,
     TokenParseError,
 )
-from .evaluation import (
-    DEFAULT_F1_THRESHOLDS,
-    DEFAULT_R1_THRESHOLDS,
-    EventPrediction,
-    MetricsReport,
-    ParseResult,
-    RichnessResult,
-    TemporalF1Result,
-    aggregate_richness,
-    evaluate_run,
-    iou,
-    match_events,
-    parse_index_mentions,
-    parse_predictions,
-    recall_at_1,
-    richness,
-    temporal_f1,
-    tokenize,
-)
 from .image_sequence import (
     CaptionedImage,
-    Direction,
     ImageCorpusConfig,
-    ImageSequenceSample,
-    PretextTask,
     build_image_corpus,
-    gen_alr,
-    gen_iic,
-    gen_iig,
     sample_sequence,
 )
 from .position_token import (
-    ErrorModel,
-    IntervalUnit,
-    QuantizationErrorReport,
-    TimeInterval,
     TimeRepresentation,
     code_from_string,
-    code_to_index,
-    decode_relative,
-    encode_ratio,
     encode_relative,
-    format_seconds,
-    quantization_error_report,
     render_code,
-    to_timestamp,
-    vocabulary,
 )
 from .templates import TemplateBank, render_template
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaptionedClip",
     "CaptionedImage",
     "ClipCorpusConfig",
-    "ClipSequenceSample",
-    "ClipTask",
     "ConfigError",
     "CorpusFormatError",
-    "CorpusStats",
-    "DEFAULT_F1_THRESHOLDS",
-    "DEFAULT_R1_THRESHOLDS",
-    "Direction",
     "DomainError",
-    "ErrorModel",
-    "EventAnnotation",
-    "EventPrediction",
     "ImageCorpusConfig",
-    "ImageSequenceSample",
-    "InstructionRecord",
-    "IntervalUnit",
     "InvariantViolation",
-    "MetricsReport",
-    "ParseResult",
-    "PretextTask",
-    "QuantizationErrorReport",
-    "RichnessResult",
     "Seq2TimeError",
     "TemplateBank",
     "TemplateError",
-    "TemporalF1Result",
-    "TimeInterval",
     "TimeRepresentation",
     "TokenParseError",
-    "aggregate_richness",
     "apportion_frames",
     "build_clip_corpus",
     "build_image_corpus",
     "code_from_string",
-    "code_to_index",
     "compose_sequence",
     "corpus_stats",
-    "decode_relative",
-    "derive_annotations",
-    "encode_ratio",
     "encode_relative",
-    "evaluate_run",
-    "format_seconds",
-    "gen_alr",
-    "gen_dvc",
-    "gen_iic",
-    "gen_iig",
-    "gen_tvg",
-    "iou",
     "load_clip_captions",
     "load_image_captions",
-    "match_events",
-    "parse_index_mentions",
-    "parse_predictions",
-    "quantization_error_report",
-    "read_jsonl",
-    "read_records",
-    "recall_at_1",
     "render_code",
     "render_template",
-    "richness",
     "sample_sequence",
-    "temporal_f1",
-    "to_timestamp",
-    "tokenize",
-    "vocabulary",
     "write_jsonl",
 ]

@@ -2,10 +2,15 @@
 
 One binary, seven subcommands: two corpus builders, the codec helpers
 (tokenize/detokenize), the quantization analyzer, the evaluator
-(``eval-dvc``, also named ``eval-tvg``), and a corpus stats reader. The
-builders take ``--seed`` and read defaults from a JSON config file given
-via ``--config`` or the ``SEQ2TIME_CONFIG`` environment variable (config
-keys are the long flag names with underscores); flags override it.
+(``eval-dvc``, also named ``eval-tvg``), and a corpus stats reader.
+
+Both builders run ``_cmd_build``. Their parsers differ only in the
+options they add and in the ``load_pool`` and ``corpus`` functions they
+set, which read the caption source and turn the options into a corpus.
+Every build option is read once, from its flag or else from a JSON
+config file given via ``--config`` or the ``SEQ2TIME_CONFIG``
+environment variable (config keys are the long flag names with
+underscores); ``-v`` logs the options as read.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
 violations, 4 I/O and data-format errors.
@@ -22,12 +27,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .clip_sequence import ClipCorpusConfig, clip_corpus
-from .dataset_io import (
-    CorpusStats,
-    corpus_stats,
-    load_clip_captions,
-    load_image_captions,
-)
+from .corpus import Corpus
+from .dataset_io import corpus_stats, load_clip_captions, load_image_captions
 from .errors import (
     ConfigError,
     CorpusFormatError,
@@ -144,10 +145,6 @@ def _existing_path(value: str, what: str) -> Path:
     return p
 
 
-def _log_resolved(subcommand: str, resolved: dict) -> None:
-    log.info("%s resolved config: %s", subcommand, json.dumps(resolved, sort_keys=True))
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -155,97 +152,78 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _emit_build(args, output: str, seed: int, stats: CorpusStats) -> None:
-    summary = stats.to_dict()
-    _emit(
-        args,
-        {"records": stats.total, "output": str(output), "seed": seed, "stats": summary},
-        f"wrote {stats.total} records to {output} "
-        f"(tasks: {json.dumps(summary['task_counts'])})",
+# (key, kind, default, help) of the options only one build subcommand takes
+_IMAGE_OPTIONS = (
+    ("seq_len", int, 96, "images per sequence"),
+    ("max_targets", int, 5, "max targets per record"),
+)
+_CLIP_OPTIONS = (
+    ("total_frames", int, 96, "frame budget per video"),
+    ("clip_min", int, 2, "min clips (>= 2)"),
+    ("clip_max", int, 10, "max clips (<= 10)"),
+    ("rate_min", float, 0.5, "min rate factor"),
+    ("rate_max", float, 2.0, "max rate factor"),
+)
+
+
+def _image_corpus(options: dict, time_repr: TimeRepresentation, pool, bank) -> Corpus:
+    config = ImageCorpusConfig(
+        n_instances=options["n"],
+        seq_len=options["seq_len"],
+        max_targets=options["max_targets"],
+        seed=options["seed"],
+        time_repr=time_repr,
     )
+    return image_corpus(config, pool, bank)
 
 
-def _cmd_build_image_seq(args) -> int:
+def _clip_corpus(options: dict, time_repr: TimeRepresentation, pool, bank) -> Corpus:
+    config = ClipCorpusConfig(
+        n_instances=options["n"],
+        clip_range=(options["clip_min"], options["clip_max"]),
+        total_frames=options["total_frames"],
+        rate_range=(options["rate_min"], options["rate_max"]),
+        seed=options["seed"],
+        time_repr=time_repr,
+    )
+    return clip_corpus(config, pool, bank)
+
+
+def _cmd_build(args) -> int:
     config = _load_config_file(args.config)
-    source = _option(args, config, "source")
-    output = _option(args, config, "output")
-    n = _option(args, config, "n", int)
-    seq_len = _option(args, config, "seq_len", int, 96)
-    max_targets = _option(args, config, "max_targets", int, 5)
-    seed = _option(args, config, "seed", int, 0)
-    time_repr = _time_repr(_option(args, config, "time_repr", str, "rpt"))
-    jobs = _option(args, config, "jobs", int, os.cpu_count() or 1)
-    templates_path = _option(args, config, "templates", str, None)
+    options = {
+        "source": _option(args, config, "source"),
+        "output": _option(args, config, "output"),
+        "n": _option(args, config, "n", int),
+    }
+    for key, kind, default, _ in args.build_options:
+        options[key] = _option(args, config, key, kind, default)
+    options["seed"] = _option(args, config, "seed", int, 0)
+    options["time_repr"] = _option(args, config, "time_repr", str, "rpt")
+    time_repr = _time_repr(options["time_repr"])
+    options["jobs"] = _option(args, config, "jobs", int, os.cpu_count() or 1)
+    options["templates"] = _option(args, config, "templates", str, None)
+    max_targets = options.get("max_targets", 0)
     if max_targets > MAX_STANDARD_TARGETS and not args.allow_nonstandard:
         raise ConfigError(
             f"--max-targets {max_targets} exceeds the standard cap of "
             f"{MAX_STANDARD_TARGETS}; pass --allow-nonstandard to override"
         )
-    pool = load_image_captions(_existing_path(source, "source"))
-    bank = TemplateBank.load(templates_path)
-    corpus_config = ImageCorpusConfig(
-        n_instances=n,
-        seq_len=seq_len,
-        max_targets=max_targets,
-        seed=seed,
-        time_repr=time_repr,
+    pool = args.load_pool(_existing_path(options["source"], "source"))
+    bank = TemplateBank.load(options["templates"])
+    corpus = args.corpus(options, time_repr, pool, bank)
+    log.info(
+        "%s resolved config: %s", args.subcommand, json.dumps(options, sort_keys=True)
     )
-    resolved = {
-        "source": str(source),
-        "output": str(output),
-        "n": n,
-        "seq_len": seq_len,
-        "max_targets": max_targets,
-        "seed": seed,
-        "time_repr": time_repr.value,
-        "jobs": jobs,
-        "templates": templates_path,
-    }
-    _log_resolved("build-image-seq", resolved)
-    stats = image_corpus(corpus_config, pool, bank).write(output, jobs)
-    _emit_build(args, output, seed, stats)
-    return 0
-
-
-def _cmd_build_clip_seq(args) -> int:
-    config = _load_config_file(args.config)
-    source = _option(args, config, "source")
-    output = _option(args, config, "output")
-    n = _option(args, config, "n", int)
-    total_frames = _option(args, config, "total_frames", int, 96)
-    clip_min = _option(args, config, "clip_min", int, 2)
-    clip_max = _option(args, config, "clip_max", int, 10)
-    rate_min = _option(args, config, "rate_min", float, 0.5)
-    rate_max = _option(args, config, "rate_max", float, 2.0)
-    seed = _option(args, config, "seed", int, 0)
-    time_repr = _time_repr(_option(args, config, "time_repr", str, "rpt"))
-    jobs = _option(args, config, "jobs", int, os.cpu_count() or 1)
-    templates_path = _option(args, config, "templates", str, None)
-    pool = load_clip_captions(_existing_path(source, "source"))
-    bank = TemplateBank.load(templates_path)
-    corpus_config = ClipCorpusConfig(
-        n_instances=n,
-        clip_range=(clip_min, clip_max),
-        total_frames=total_frames,
-        rate_range=(rate_min, rate_max),
-        seed=seed,
-        time_repr=time_repr,
+    output, seed = options["output"], options["seed"]
+    stats = corpus.write(output, options["jobs"])
+    summary = stats.to_dict()
+    _emit(
+        args,
+        {"records": stats.total, "output": output, "seed": seed, "stats": summary},
+        f"wrote {stats.total} records to {output} "
+        f"(tasks: {json.dumps(summary['task_counts'])})",
     )
-    resolved = {
-        "source": str(source),
-        "output": str(output),
-        "n": n,
-        "total_frames": total_frames,
-        "clip_range": [clip_min, clip_max],
-        "rate_range": [rate_min, rate_max],
-        "seed": seed,
-        "time_repr": time_repr.value,
-        "jobs": jobs,
-        "templates": templates_path,
-    }
-    _log_resolved("build-clip-seq", resolved)
-    stats = clip_corpus(corpus_config, pool, bank).write(output, jobs)
-    _emit_build(args, output, seed, stats)
     return 0
 
 
@@ -346,7 +324,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_build_common(sub: argparse.ArgumentParser) -> None:
+def _add_build_common(sub: argparse.ArgumentParser, options: tuple) -> None:
     sub.add_argument("--config", help="JSON config file (or set SEQ2TIME_CONFIG)")
     sub.add_argument("--seed", type=int, help="run seed (default 0)")
     sub.add_argument("--source", help="caption corpus (JSON-lines)")
@@ -360,6 +338,9 @@ def _add_build_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
     sub.add_argument("--templates", help="custom template bank JSON")
+    for key, kind, _, text in options:
+        sub.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+    sub.set_defaults(func=_cmd_build, build_options=options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,32 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "build-image-seq", help="generate image-sequence pretext records"
     )
-    _add_build_common(p)
-    p.add_argument("--seq-len", dest="seq_len", type=int, help="images per sequence")
-    p.add_argument(
-        "--max-targets", dest="max_targets", type=int, help="max targets per record"
-    )
+    _add_build_common(p, _IMAGE_OPTIONS)
     p.add_argument(
         "--allow-nonstandard",
         action="store_true",
         help=f"permit settings beyond the standard cap of {MAX_STANDARD_TARGETS} targets",
     )
     _add_common(p)
-    p.set_defaults(func=_cmd_build_image_seq)
+    p.set_defaults(load_pool=load_image_captions, corpus=_image_corpus)
 
     p = subparsers.add_parser(
         "build-clip-seq", help="generate clip-sequence DVC/TVG records"
     )
-    _add_build_common(p)
-    p.add_argument(
-        "--total-frames", dest="total_frames", type=int, help="frame budget per video"
-    )
-    p.add_argument("--clip-min", dest="clip_min", type=int, help="min clips (>= 2)")
-    p.add_argument("--clip-max", dest="clip_max", type=int, help="max clips (<= 10)")
-    p.add_argument("--rate-min", dest="rate_min", type=float, help="min rate factor")
-    p.add_argument("--rate-max", dest="rate_max", type=float, help="max rate factor")
+    _add_build_common(p, _CLIP_OPTIONS)
     _add_common(p)
-    p.set_defaults(func=_cmd_build_clip_seq)
+    p.set_defaults(load_pool=load_clip_captions, corpus=_clip_corpus)
 
     p = subparsers.add_parser("tokenize", help="encode a position as digit tokens")
     p.add_argument("index", type=int, help="1-based position")

@@ -60,9 +60,9 @@ class CaptionedClip:
     def __post_init__(self) -> None:
         if not self.caption.strip():
             raise ConfigError(f"clip {self.id!r} has an empty caption")
-        if self.duration_s <= 0 or self.fps <= 0:
+        if not (0 < self.duration_s < math.inf and 0 < self.fps < math.inf):
             raise ConfigError(
-                f"clip {self.id!r} needs positive duration and fps, got "
+                f"clip {self.id!r} needs finite positive duration and fps, got "
                 f"({self.duration_s}, {self.fps})"
             )
 

@@ -71,6 +71,12 @@ class InstructionRecord:
         missing = [k for k in RECORD_KEY_ORDER if k not in obj]
         if missing:
             raise CorpusFormatError(f"record missing fields: {', '.join(missing)}")
+        kinds = {"media": list, "meta": dict}  # every other field is text
+        wrong = [k for k in RECORD_KEY_ORDER if not isinstance(obj[k], kinds.get(k, str))]
+        if "media" not in wrong and not all(isinstance(m, str) for m in obj["media"]):
+            wrong.append("media")
+        if wrong:
+            raise CorpusFormatError(f"record fields of wrong type: {', '.join(wrong)}")
         return cls(
             id=obj["id"],
             media=tuple(obj["media"]),
@@ -230,11 +236,6 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         yield obj
 
 
-def read_records(path: str | Path) -> Iterator[InstructionRecord]:
-    for obj in read_jsonl(path):
-        yield InstructionRecord.from_json_obj(obj)
-
-
 @dataclass(frozen=True)
 class CorpusStats:
     total: int
@@ -268,8 +269,11 @@ def corpus_stats(path: str | Path) -> CorpusStats:
     counts: dict[str, int] = {}
     q_chars = 0
     a_chars = 0
-    for obj in read_jsonl(path):
-        record = InstructionRecord.from_json_obj(obj)
+    for lineno, obj in iter_jsonl_with_lines(path):
+        try:
+            record = InstructionRecord.from_json_obj(obj)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
         counts[record.task] = counts.get(record.task, 0) + 1
         q_chars += len(record.question)
         a_chars += len(record.answer)

@@ -28,6 +28,7 @@ Metrics:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,6 +355,15 @@ class MetricsReport:
         }
 
 
+def _event_time(event: dict, key: str) -> float:
+    """A ground-truth event's ``start`` or ``end``, a finite number of seconds."""
+    value = event[key]
+    seconds = float(value)
+    if isinstance(value, bool) or not math.isfinite(seconds):
+        raise ValueError(f"{key} must be a finite number of seconds, got {value!r}")
+    return seconds
+
+
 def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
     """Ground truth JSONL: {"video_id", "events": [{start, end, caption}]}."""
     p = Path(path)
@@ -373,7 +383,9 @@ def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
                 parsed.append(
                     EventPrediction(
                         interval=TimeInterval(
-                            float(ev["start"]), float(ev["end"]), IntervalUnit.SECONDS
+                            _event_time(ev, "start"),
+                            _event_time(ev, "end"),
+                            IntervalUnit.SECONDS,
                         ),
                         caption=str(ev.get("caption", "")),
                     )

@@ -138,6 +138,31 @@ def _join_captions(captions: Sequence[str]) -> str:
     return '"' + '", "'.join(captions) + '"'
 
 
+def _record(
+    sample: ImageSequenceSample,
+    task: PretextTask,
+    question: str,
+    answer: str,
+    time_repr: TimeRepresentation,
+    targets: Sequence[int],
+    **meta,
+) -> InstructionRecord:
+    """A record of ``sample``; ``meta`` goes between targets and time_repr."""
+    return InstructionRecord(
+        id="",
+        media=tuple(img.image for img in sample.images),
+        task=task.name,
+        question=question,
+        answer=answer,
+        meta={
+            "seq_len": sample.seq_len,
+            "targets": list(targets),
+            **meta,
+            "time_repr": time_repr.value,
+        },
+    )
+
+
 def gen_iig(
     sample: ImageSequenceSample,
     templates: TemplateBank,
@@ -152,18 +177,7 @@ def gen_iig(
     answer = render_template(a_tpl, {"<INDEX>": ", ".join(rendered)})
     check_in_order(question, captions, "iig question")
     check_in_order(answer, rendered, "iig answer")
-    return InstructionRecord(
-        id="",
-        media=tuple(img.image for img in sample.images),
-        task=PretextTask.IIG.name,
-        question=question,
-        answer=answer,
-        meta={
-            "seq_len": sample.seq_len,
-            "targets": list(sample.targets),
-            "time_repr": time_repr.value,
-        },
-    )
+    return _record(sample, PretextTask.IIG, question, answer, time_repr, sample.targets)
 
 
 def gen_iic(
@@ -187,18 +201,7 @@ def gen_iic(
     check_in_order(question, rendered, "iic question")
     interleaved = [part for pair in zip(rendered, captions) for part in pair]
     check_in_order(answer, interleaved, "iic answer")
-    return InstructionRecord(
-        id="",
-        media=tuple(img.image for img in sample.images),
-        task=PretextTask.IIC.name,
-        question=question,
-        answer=answer,
-        meta={
-            "seq_len": sample.seq_len,
-            "targets": list(sample.targets),
-            "time_repr": time_repr.value,
-        },
-    )
+    return _record(sample, PretextTask.IIC, question, answer, time_repr, sample.targets)
 
 
 def gen_alr(
@@ -240,19 +243,9 @@ def gen_alr(
         raise InvariantViolation(
             f"alr neighbor {neighbor} not adjacent to anchor {anchor}"
         )
-    return InstructionRecord(
-        id="",
-        media=tuple(img.image for img in sample.images),
-        task=PretextTask.ALR.name,
-        question=question,
-        answer=answer,
-        meta={
-            "seq_len": seq_len,
-            "targets": [neighbor],
-            "anchor": anchor,
-            "direction": direction.value,
-            "time_repr": time_repr.value,
-        },
+    return _record(
+        sample, PretextTask.ALR, question, answer, time_repr, [neighbor],
+        anchor=anchor, direction=direction.value,
     )
 
 

@@ -80,18 +80,6 @@ class TimeInterval:
     def length(self) -> float:
         return self.end - self.start
 
-    def to_seconds(self, video_duration_s: float) -> "TimeInterval":
-        """Scale a relative interval onto a concrete video duration."""
-        if self.unit is IntervalUnit.SECONDS:
-            return self
-        if video_duration_s <= 0:
-            raise DomainError(f"duration must be positive, got {video_duration_s}")
-        return TimeInterval(
-            self.start * video_duration_s,
-            self.end * video_duration_s,
-            IntervalUnit.SECONDS,
-        )
-
 
 def vocabulary() -> tuple[str, ...]:
     """The full token vocabulary: exactly the ten strings "<0>".."<9>"."""

@@ -11,13 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from seq2time import (
-    CaptionedClip,
-    CaptionedImage,
-    TimeRepresentation,
-    write_jsonl,
-)
-from seq2time.position_token import MAX_RPT_LENGTH
+from seq2time.clip_sequence import CaptionedClip
+from seq2time.dataset_io import write_jsonl
+from seq2time.image_sequence import CaptionedImage
+from seq2time.position_token import MAX_RPT_LENGTH, TimeRepresentation
 
 _ADJECTIVES = ("amber", "rusty", "pale", "shiny", "crooked", "quiet", "vivid")
 _NOUNS = (

@@ -245,17 +245,18 @@ def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
     worst = 0.0
     for trial in range(200):
         sample = compose_sequence(clip_pool, rng.randint(2, 10), 96, (0.5, 2.0), rng)
+        duration = sample.pseudo_duration_s
         truth = [
-            a.interval.to_seconds(sample.pseudo_duration_s)
+            (a.interval.start * duration, a.interval.end * duration)
             for a in derive_annotations(sample)
         ]
         record = gen_dvc(sample, bank, RPT, rng)
         parsed = parse_predictions(record.answer, RPT, sample.pseudo_duration_s)
         assert len(parsed) == len(truth)
         budget = 1e-4 * sample.pseudo_duration_s + 1e-9
-        for event, true_interval in zip(parsed, truth):
-            start_err = abs(event.interval.start - true_interval.start)
-            end_err = abs(event.interval.end - true_interval.end)
+        for event, (true_start, true_end) in zip(parsed, truth):
+            start_err = abs(event.interval.start - true_start)
+            end_err = abs(event.interval.end - true_end)
             worst = max(worst, start_err, end_err)
             assert start_err <= budget and end_err <= budget
     report(

@@ -3,7 +3,8 @@
 perfbench/ imports names from seq2time and swaps functions on
 ``seq2time.evaluation`` by name, so an API change that drops one of them
 would only show when the benchmark runs. These tests read perfbench/*.py
-with ``ast``; they neither import nor run it.
+with ``ast``; they neither import nor run it. The package root exports
+exactly those names and the exception classes, and nothing more.
 """
 
 import ast
@@ -11,6 +12,9 @@ import importlib
 import importlib.util
 import types
 from pathlib import Path
+
+import seq2time
+import seq2time.errors
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -115,3 +119,20 @@ def test_swapped_evaluation_functions_exist():
                 )
                 swapped.append(name)
     assert "parse_predictions" in swapped
+
+
+def test_root_exports_only_what_perfbench_imports():
+    imported = {
+        alias.name
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "seq2time"
+        for alias in node.names
+        if not isinstance(_resolve("seq2time", alias.name), types.ModuleType)
+    }
+    errors = {
+        name
+        for name, value in vars(seq2time.errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert sorted(seq2time.__all__) == sorted(imported | errors)

@@ -671,6 +671,29 @@ class TestEvalCommands:
         assert code == 4
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            '{"start": 0.0, "end": Infinity}',
+            '{"start": 0.0, "end": 1e999}',
+            '{"start": true, "end": 8.0}',
+        ],
+    )
+    def test_gt_time_not_a_finite_number_is_data_error(self, capsys, tmp_path, event):
+        pred, gt = _write_eval_run(tmp_path)
+        gt.write_text(
+            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
+            f'{{"video_id": "v2", "events": [{event}]}}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt)
+        )
+        assert code == 4
+        assert out == ""
+        assert "line 2: bad event 0" in err
+        assert "finite number of seconds" in err
+
 
 class TestStats:
     def test_text_and_json(self, capsys, image_source, tmp_path):
@@ -692,6 +715,22 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", str(tmp_path / "gone.jsonl"))
         assert code == 2
         assert "corpus file not found" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("task", ["x"]), ("question", 5), ("media", 5)]
+    )
+    def test_wrong_typed_field_is_data_error(self, capsys, tmp_path, field, value):
+        record = {
+            "id": "r1", "media": ["a.jpg"], "task": "IIG",
+            "question": "q", "answer": "a", "meta": {},
+        }
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([record, {**record, field: value}], path)
+        code, out, err = run_cli(capsys, "stats", str(path))
+        assert code == 4
+        assert out == ""
+        assert f"{path}: line 2:" in err
+        assert f"wrong type: {field}" in err
 
 
 class TestParserBehavior:

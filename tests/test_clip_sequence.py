@@ -1,6 +1,7 @@
 """Clip concatenation, frame apportionment, and the two video tasks."""
 
 import json
+import math
 import random
 
 import pytest
@@ -255,6 +256,14 @@ class TestSampleValidation:
         with pytest.raises(ConfigError, match="positive duration"):
             make_clip(1, "fine caption", -1.0)
 
+    @pytest.mark.parametrize(
+        "duration_s, fps",
+        [(math.nan, 30.0), (math.inf, 30.0), (5.0, math.nan), (5.0, math.inf)],
+    )
+    def test_clip_rejects_nonfinite_duration_and_fps(self, duration_s, fps):
+        with pytest.raises(ConfigError, match="positive duration"):
+            CaptionedClip("c1", "clips/v1.mp4", "act1", "fine caption", duration_s, fps)
+
 
 class TestDeriveAnnotations:
     def test_two_clip_oracle(self):
@@ -262,8 +271,8 @@ class TestDeriveAnnotations:
         assert [
             (a.interval.start, a.interval.end) for a in annotations
         ] == [(0.0, 0.25), (0.25, 1.0)]
-        seconds = [a.interval.to_seconds(20.0) for a in annotations]
-        assert [(s.start, s.end) for s in seconds] == [(0.0, 5.0), (5.0, 20.0)]
+        seconds = [(a.interval.start * 20, a.interval.end * 20) for a in annotations]
+        assert seconds == [(0.0, 5.0), (5.0, 20.0)]
         assert annotations[0].clip_id == "c1"
 
     def test_quarters(self):

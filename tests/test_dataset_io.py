@@ -14,7 +14,6 @@ from seq2time.dataset_io import (
     load_clip_captions,
     load_image_captions,
     read_jsonl,
-    read_records,
     validate_ratios,
     write_jsonl,
 )
@@ -211,7 +210,7 @@ class TestWriteJsonl:
         path = tmp_path / "out.jsonl"
         records = self._records()
         assert write_jsonl(records, path) == 5
-        assert list(read_records(path)) == records
+        assert [InstructionRecord.from_json_obj(o) for o in read_jsonl(path)] == records
 
     def test_key_order_on_disk(self, tmp_path):
         path = tmp_path / "out.jsonl"

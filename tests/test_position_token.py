@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seq2time import (
-    DomainError,
+from seq2time.errors import DomainError, TokenParseError
+from seq2time.position_token import (
+    MAX_CODE,
+    SCALE,
     ErrorModel,
     IntervalUnit,
     TimeInterval,
-    TokenParseError,
     code_from_string,
     code_to_index,
     decode_relative,
@@ -23,7 +24,6 @@ from seq2time import (
     to_timestamp,
     vocabulary,
 )
-from seq2time.position_token import MAX_CODE, SCALE
 
 
 class TestEncode:
@@ -170,16 +170,6 @@ class TestTimeInterval:
             TimeInterval(-1.0, 2.0)
         with pytest.raises(DomainError):
             TimeInterval(0.5, 1.5, IntervalUnit.RELATIVE)
-
-    def test_to_seconds(self):
-        interval = TimeInterval(0.25, 0.75, IntervalUnit.RELATIVE).to_seconds(20.0)
-        assert interval.unit is IntervalUnit.SECONDS
-        assert interval.start == 5.0 and interval.end == 15.0
-        assert interval.length == 10.0
-
-    def test_seconds_passthrough(self):
-        interval = TimeInterval(1.0, 2.0)
-        assert interval.to_seconds(99.0) is interval
 
 
 class TestQuantizationAnalyzer:
