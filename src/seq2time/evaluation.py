@@ -20,6 +20,9 @@ Metrics:
   their harmonic mean. The reported F1 averages thresholds {0.3, 0.5,
   0.7, 0.9}, and run-level F1 averages videos. Absolute values depend on
   this protocol, so it is spelled out here and in the report metadata.
+  Each video's IoU table is computed once and matched highest threshold
+  first; every threshold still gets an exact maximum matching, so no
+  number changes.
 * ``recall_at_1`` scores aligned single-query grounding at IoU 0.5/0.7.
 * ``richness`` reports caption diversity: mean tokens per caption and
   type-token ratio, with tokens = lowercased maximal alphanumeric runs.
@@ -28,8 +31,8 @@ Metrics:
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -187,47 +190,66 @@ def recall_at_1(
     }
 
 
+def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
+    """``iou(p, g)`` for every pred×gt pair, bit for bit: same operations, same order."""
+    if preds and gts and len(units := {i.unit for i in (*preds, *gts)}) > 1:
+        raise DomainError(f"cannot compare intervals in {' and '.join(sorted(map(str, units)))}")
+    spans = [(g.start, g.end, g.end - g.start) for g in gts]
+    table = []
+    for p in preds:
+        start, end, length, row = p.start, p.end, p.end - p.start, []
+        for g_start, g_end, g_length in spans:
+            overlap = (g_end if g_end < end else end) - (g_start if g_start > start else start)
+            intersection = overlap if overlap > 0.0 else 0.0
+            union = length + g_length - intersection
+            row.append(0.0 if union <= 0.0 else intersection / union)
+        table.append(row)
+    return table
+
+
+def _matched_counts(
+    pred_events: Sequence, gt_events: Sequence, thresholds: Sequence[float]
+) -> dict[float, int]:
+    """Maximum matching size per distinct threshold, from one IoU table: a
+    lower threshold only adds edges, so one augmenting search per pred left
+    unmatched above makes the kept matching maximum (Kuhn 1955; Berge 1957)."""
+    table = _iou_table([_interval(e) for e in pred_events], [_interval(e) for e in gt_events])
+    owner, matches, counts = [-1] * len(gt_events), 0, {}
+    for th in sorted({float(t) for t in thresholds}, reverse=True):
+        adjacency = [[j for j, v in enumerate(row) if v >= th] for row in table]
+        for root in sorted(set(range(len(table))) - set(owner)):
+            # depth-first search for an augmenting path, on an explicit stack so
+            # long chains cannot hit the recursion limit; path[k] is the gt tried
+            # from stack[k], owned by the pred of stack[k + 1] or else free
+            seen = [False] * len(owner)
+            stack = [(root, iter(adjacency[root]))]
+            path: list[int] = []
+            while stack:
+                for v in stack[-1][1]:
+                    if not seen[v]:
+                        seen[v] = True
+                        break
+                else:
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(v)
+                if owner[v] < 0:
+                    for (u, _), gt in zip(stack, path):
+                        owner[gt] = u
+                    matches += 1
+                    break
+                stack.append((owner[v], iter(adjacency[owner[v]])))
+        counts[th] = matches
+    return counts
+
+
 def match_events(
     pred_events: Sequence, gt_events: Sequence, threshold: float
 ) -> int:
-    """Size of the largest one-to-one matching with IoU >= threshold.
-
-    Exact maximum-cardinality bipartite matching via augmenting paths;
-    event lists at this granularity are small, so exactness is cheap.
-    """
-    preds = [_interval(e) for e in pred_events]
-    gts = [_interval(e) for e in gt_events]
-    adjacency = [
-        [j for j, gt in enumerate(gts) if iou(pred, gt) >= threshold]
-        for pred in preds
-    ]
-    owner = [-1] * len(gts)
-    matches = 0
-    for root in range(len(preds)):
-        # depth-first search for an augmenting path, on an explicit stack so
-        # long chains cannot hit the recursion limit; path[k] is the gt tried
-        # from stack[k], owned by the pred of stack[k + 1] or else free
-        seen = [False] * len(gts)
-        stack = [(root, iter(adjacency[root]))]
-        path: list[int] = []
-        while stack:
-            for v in stack[-1][1]:
-                if not seen[v]:
-                    seen[v] = True
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            path.append(v)
-            if owner[v] < 0:
-                for (u, _), gt in zip(stack, path):
-                    owner[gt] = u
-                matches += 1
-                break
-            stack.append((owner[v], iter(adjacency[owner[v]])))
-    return matches
+    """Size of the largest one-to-one matching with IoU >= threshold (exact)."""
+    return _matched_counts(pred_events, gt_events, (threshold,))[float(threshold)]
 
 
 @dataclass(frozen=True)
@@ -251,9 +273,10 @@ def temporal_f1(
     """One video's event-level F1, averaged over IoU thresholds."""
     if not thresholds:
         raise DomainError("at least one IoU threshold is required")
+    counts = _matched_counts(pred_events, gt_events, thresholds)
     per_threshold: dict[float, ThresholdScore] = {}
     for th in thresholds:
-        matched = match_events(pred_events, gt_events, th)
+        matched = counts[float(th)]
         precision = matched / len(pred_events) if pred_events else 0.0
         recall = matched / len(gt_events) if gt_events else 0.0
         f1 = (
@@ -356,12 +379,11 @@ class MetricsReport:
 
 
 def _event_time(event: dict, key: str) -> float:
-    """A ground-truth event's ``start`` or ``end``, a finite number of seconds."""
+    """A ground-truth event's ``start`` or ``end``: a JSON number, finite."""
     value = event[key]
-    seconds = float(value)
-    if isinstance(value, bool) or not math.isfinite(seconds):
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be a finite number of seconds, got {value!r}")
-    return seconds
+    return float(value)
 
 
 def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
@@ -380,20 +402,17 @@ def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
         parsed = []
         for k, ev in enumerate(events):
             try:
-                parsed.append(
-                    EventPrediction(
-                        interval=TimeInterval(
-                            _event_time(ev, "start"),
-                            _event_time(ev, "end"),
-                            IntervalUnit.SECONDS,
-                        ),
-                        caption=str(ev.get("caption", "")),
-                    )
+                interval = TimeInterval(
+                    _event_time(ev, "start"), _event_time(ev, "end"), IntervalUnit.SECONDS
                 )
+                caption = ev.get("caption", "")
+                if not isinstance(caption, str):
+                    raise TypeError(f"caption must be a string, got {caption!r}")
             except (KeyError, TypeError, ValueError, DomainError) as exc:
                 raise CorpusFormatError(
                     f"{p}: line {lineno}: bad event {k}: {exc}"
                 ) from exc
+            parsed.append(EventPrediction(interval=interval, caption=caption))
         videos[video_id] = parsed
     return videos
 

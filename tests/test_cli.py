@@ -616,6 +616,32 @@ class TestEvalCommands:
         assert "f1@0.5 0.500000" in out
         assert "r@1(iou=0.9) 0.666667" in out
 
+    @pytest.mark.parametrize("thresholds", ["0.9,0.3,0.5", "0.5,0.5"])
+    def test_thresholds_scored_as_if_alone(self, capsys, tmp_path, thresholds):
+        # one video whose three predictions reach IoU 0.6, 0.4 and 0.95
+        pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        output = "0 - 6 seconds, a\n10 - 14 seconds, b\n20 - 29.5 seconds, c"
+        write_jsonl([{"video_id": "v1", "output": output, "duration_s": 30.0}], pred)
+        events = [{"start": s, "end": s + 10.0, "caption": "x"}
+                  for s in (0.0, 10.0, 20.0)]
+        write_jsonl([{"video_id": "v1", "events": events}], gt)
+
+        def report(ths):
+            argv = ["eval-dvc", "--pred", str(pred), "--gt", str(gt), "--json"]
+            code, out, _ = run_cli(capsys, *argv, "--thresholds", ths)
+            assert code == 0
+            return json.loads(out)
+
+        combined = report(thresholds)
+        alone = {th: report(th) for th in dict.fromkeys(thresholds.split(","))}
+        for th, single in alone.items():
+            for metric in ("f1", "precision", "recall"):
+                key = f"{metric}_per_threshold"
+                assert combined[key][th] == single[key][th]
+        assert combined["temporal_f1"] == pytest.approx(
+            sum(single["temporal_f1"] for single in alone.values()) / len(alone)
+        )
+
     def test_bad_thresholds(self, capsys, tmp_path):
         pred, gt = _write_eval_run(tmp_path)
         code, _, err = run_cli(
@@ -677,6 +703,11 @@ class TestEvalCommands:
             '{"start": 0.0, "end": Infinity}',
             '{"start": 0.0, "end": 1e999}',
             '{"start": true, "end": 8.0}',
+            '{"start": "0", "end": 8.0}',
+            '{"start": 0.0, "end": " 5.0 "}',
+            pytest.param(
+                '{"start": 0, "end": 1' + "0" * 400 + "}", id="int-beyond-float"
+            ),
         ],
     )
     def test_gt_time_not_a_finite_number_is_data_error(self, capsys, tmp_path, event):
@@ -693,6 +724,22 @@ class TestEvalCommands:
         assert out == ""
         assert "line 2: bad event 0" in err
         assert "finite number of seconds" in err
+
+    @pytest.mark.parametrize("caption", ["7", "null", '["a"]'])
+    def test_gt_caption_not_a_string_is_data_error(self, capsys, tmp_path, caption):
+        pred, gt = _write_eval_run(tmp_path)
+        gt.write_text(
+            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
+            '{"video_id": "v2", "events": '
+            f'[{{"start": 0.0, "end": 8.0, "caption": {caption}}}]}}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt)
+        )
+        assert code == 4
+        assert out == ""
+        assert "line 2: bad event 0: caption must be a string" in err
 
 
 class TestStats:

@@ -5,11 +5,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seq2time.errors import CorpusFormatError, DomainError
 from seq2time.evaluation import (
     DEFAULT_F1_THRESHOLDS,
+    _iou_table,
     EventPrediction,
     MetricsReport,
     RichnessResult,
@@ -219,6 +220,11 @@ class TestRecallAt1:
             recall_at_1([], [])
 
 
+_INTERVALS = st.tuples(
+    st.integers(0, 12) | st.floats(0, 12), st.integers(0, 12) | st.floats(0, 12)
+).map(lambda ends: sec(min(ends), max(ends)))
+
+
 def brute_force_matching(preds, gts, threshold):
     """Max one-to-one matching size by trying every injective assignment."""
     if len(preds) > len(gts):
@@ -315,6 +321,37 @@ class TestTemporalF1:
         with pytest.raises(DomainError, match="at least one"):
             temporal_f1([ev(0, 1)], [ev(0, 1)], thresholds=())
 
+    def test_mixed_units_rejected(self):
+        rel = TimeInterval(0.1, 0.5, IntervalUnit.RELATIVE)
+        with pytest.raises(DomainError, match="cannot compare"):
+            temporal_f1([sec(1, 5)], [rel])
+
+    # integer endpoints and thresholds such as 0.5 or 1/3 put IoU values
+    # exactly on a threshold, where >= must still hold
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_INTERVALS, max_size=6),
+        st.lists(_INTERVALS, max_size=6),
+        st.lists(
+            st.sampled_from((1 / 3, 0.5, 0.6, 1.0)) | st.floats(0, 1, exclude_min=True),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_warm_start_matches_brute_force_at_each_threshold(
+        self, preds, gts, thresholds
+    ):
+        assert _iou_table(preds, gts) == [[iou(p, g) for g in gts] for p in preds]
+        result = temporal_f1(preds, gts, thresholds)
+        assert list(result.per_threshold) == list(dict.fromkeys(thresholds))
+        for th in thresholds:
+            matched = brute_force_matching(preds, gts, th)
+            score = result.per_threshold[th]
+            assert score.precision == (matched / len(preds) if preds else 0.0)
+            assert score.recall == (matched / len(gts) if gts else 0.0)
+        f1s = [s.f1 for s in result.per_threshold.values()]
+        assert result.f1 == sum(f1s) / len(f1s)
+
 
 class TestTokenize:
     def test_lowercases_and_splits_punctuation(self):
@@ -378,6 +415,7 @@ class TestLoaders:
                     "events": [
                         {"start": 0.0, "end": 5.0, "caption": "a"},
                         {"start": 5.0, "end": 9.0, "caption": "b"},
+                        {"start": 9, "end": 12},
                     ],
                 }
             ],
@@ -387,6 +425,7 @@ class TestLoaders:
         assert list(gts) == ["v1"]
         assert gts["v1"][1].interval == sec(5.0, 9.0)
         assert gts["v1"][1].caption == "b"
+        assert gts["v1"][2] == ev(9.0, 12.0, caption="")
 
     def test_ground_truth_bad_event_names_index(self, tmp_path):
         path = tmp_path / "gt.jsonl"
