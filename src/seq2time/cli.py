@@ -80,7 +80,7 @@ def _load_config_file(explicit: str | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(
             f"config file {p} is not valid JSON (only JSON configs are supported): {exc}"
         ) from exc
@@ -269,7 +269,6 @@ def _cmd_analyze_quantization(args) -> int:
         video_duration_s=args.duration,
         fps=args.fps,
         sampled_frames=args.frames,
-        grid_points=args.grid_points,
     )
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -395,13 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_MODELS),
         default="rounding-only",
         help="error model",
-    )
-    p.add_argument(
-        "--grid-points",
-        dest="grid_points",
-        type=int,
-        default=1_000_000,
-        help="grid density for the rounding-only sweep",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_analyze_quantization)

@@ -101,16 +101,21 @@ def iter_jsonl_with_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) for every non-blank line of a JSONL file."""
     p = Path(path)
     with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{p}: line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{p}: line {lineno}: expected an object")
-            yield lineno, obj
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(
+                        f"{p}: line {lineno}: invalid JSON: {exc.msg}"
+                    ) from exc
+                if not isinstance(obj, dict):
+                    raise CorpusFormatError(f"{p}: line {lineno}: expected an object")
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{p}: not UTF-8 text: {exc}") from exc
 
 
 def _require(obj: dict, lineno: int, field_name: str, path: Path) -> object:

@@ -301,6 +301,10 @@ def image_corpus(
     templates: TemplateBank | None = None,
 ) -> Corpus:
     """The build ``config`` describes, ready to run or write."""
+    if len(pool) < config.seq_len:
+        raise ConfigError(
+            f"pool of {len(pool)} images cannot fill a sequence of {config.seq_len}"
+        )
     if templates is None:
         templates = TemplateBank.load()
     return Corpus(generate_image_record, config, tuple(pool), templates)

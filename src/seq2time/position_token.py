@@ -16,14 +16,15 @@ of the usual half quantum. Rounding is half-away-from-zero on the 4th
 decimal and is done in exact integer arithmetic, so results never depend
 on binary float representation of ``i/L``.
 
-``quantization_error_report`` measures the temporal error of the
-representation under two explicit models, because "the" error of a finite
-code depends on what is being approximated:
+``quantization_error_report`` computes, in closed form and without a
+sampling grid, the temporal error of the representation under two
+explicit models, because "the" error of a finite code depends on what is
+being approximated:
 
 * ``ROUNDING_ONLY`` -- pure 4-decimal rounding of a continuous target time.
-  This is the precision of the code itself (mean ~0.0025% of the duration)
-  and is independent of frame rate. The single boundary clamp is excluded
-  here; it is a property of the token rendering, not of the rounding.
+  This is the precision of the code itself (mean exactly 0.0025% of the
+  duration, max 0.005%) and is independent of frame rate. The boundary
+  clamp is excluded: it belongs to the token rendering, not the rounding.
 * ``FRAME_SAMPLING`` -- every source-frame time of a real video must be
   expressed through one of the uniformly sampled frames carried by the
   codec, so the error is dominated by the sampling stride, not the code.
@@ -210,59 +211,64 @@ def quantization_error_report(
     video_duration_s: float,
     fps: float,
     sampled_frames: int,
-    grid_points: int = 1_000_000,
 ) -> QuantizationErrorReport:
-    """Measure codec temporal error for a video configuration.
+    """Measure codec temporal error for a video configuration, exactly.
 
-    ROUNDING_ONLY sweeps a dense uniform grid of target times over the
-    whole duration and quantizes each normalized time to 4 decimals; the
-    result depends only on the duration (mean ~= quantum/4 = 0.0025% of
-    it). FRAME_SAMPLING takes every source-frame time (duration * fps of
-    them) as a target and measures the distance to the nearest
-    reconstruction among the ``sampled_frames`` codec-carried frame
-    positions; here the sampling stride dominates.
+    ROUNDING_ONLY rounds a continuous target time, as a fraction of the
+    duration, to 4 decimals. Over whole quanta ``|x - round(x, 4)|`` is
+    uniform on [0, quantum/2], so the mean is a quarter quantum (0.0025%
+    of the duration) and the max half a quantum, whatever the frame rate.
+    FRAME_SAMPLING takes every source-frame time ``i / fps``, for ``i <
+    max(1, round(duration * fps))``, as a target and measures the
+    distance to the nearest reconstruction among the ``sampled_frames``
+    codec-carried frame positions; here the sampling stride dominates.
+    It sums per reconstruction, in O(sampled_frames) steps.
     """
-    import numpy as np  # only this report needs it
-
     finite = 0 < video_duration_s < math.inf and 0 < fps < math.inf
     if not finite or sampled_frames < 1:
         raise DomainError(
             "duration, fps and sampled_frames must all be positive and finite, got "
             f"({video_duration_s}, {fps}, {sampled_frames})"
         )
-    duration = float(video_duration_s)
+    duration, fps = float(video_duration_s), float(fps)
     if model is ErrorModel.ROUNDING_ONLY:
-        if grid_points < 2:
-            raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-        targets = np.linspace(0.0, duration, grid_points)
-        quantized = np.floor(targets / duration * SCALE + 0.5) / SCALE
-        errors = np.abs(targets - quantized * duration)
+        mean_abs, max_abs = duration / (4 * SCALE), duration / (2 * SCALE)
     elif model is ErrorModel.FRAME_SAMPLING:
-        n_source = max(1, int(round(duration * fps)))
-        targets = np.arange(n_source, dtype=np.float64) / fps
-        reconstructed = np.array(
-            [
+        if duration * fps > 2**53:  # past this, frame indices are not exact floats
+            raise DomainError(f"duration * fps exceeds 2**53 frames: {duration * fps:g}")
+        n_source = max(1, round(duration * fps))
+        reconstructed = sorted(
+            {
                 to_timestamp(decode_relative(encode_relative(i, sampled_frames)), duration)
                 for i in range(1, sampled_frames + 1)
-            ]
+            }
         )
-        reconstructed = np.unique(reconstructed)
-        slot = np.clip(np.searchsorted(reconstructed, targets), 1, len(reconstructed) - 1)
-        if len(reconstructed) == 1:
-            errors = np.abs(targets - reconstructed[0])
-        else:
-            left = np.abs(targets - reconstructed[slot - 1])
-            right = np.abs(targets - reconstructed[slot])
-            errors = np.minimum(left, right)
+        # the frames nearest reconstruction r run from lo to hi - 1, between
+        # the midpoints with its neighbours; the farthest is at one end
+        ends = [
+            min(n_source, math.floor((r + r_next) / 2 * fps) + 1)
+            for r, r_next in zip(reconstructed, reconstructed[1:])
+        ]
+        total = max_abs = 0.0
+        for lo, hi, r in zip([0] + ends, ends + [n_source], reconstructed):
+            if lo == hi:
+                continue
+            # frames lo..split-1 lie before r and split..hi-1 at or after
+            # it; each side's distances grow by 1/fps away from r
+            split = min(hi, max(lo, math.ceil(r * fps)))
+            below, above = split - lo, hi - split
+            total += below * (r - (split - 1) / fps) + above * (split / fps - r)
+            total += (below * (below - 1) + above * (above - 1)) // 2 / fps
+            max_abs = max(max_abs, abs(lo / fps - r), abs((hi - 1) / fps - r))
+        mean_abs = total / n_source
     else:
         raise DomainError(f"unknown error model {model!r}")
-    mean_abs = float(errors.mean())
     return QuantizationErrorReport(
         model=model,
         video_duration_s=duration,
-        fps=float(fps),
+        fps=fps,
         sampled_frames=int(sampled_frames),
         mean_abs_error_s=mean_abs,
         mean_relative_error_pct=100.0 * mean_abs / duration,
-        max_abs_error_s=float(errors.max()),
+        max_abs_error_s=max_abs,
     )

@@ -95,24 +95,29 @@ class TemplateBank:
     ) -> "TemplateBank":
         """Read a bank from ``path`` or fall back to the packaged default."""
         if path is None:
-            text = (
-                resources.files("seq2time").joinpath("data/template_bank.json")
-            ).read_text(encoding="utf-8")
+            source = resources.files("seq2time").joinpath("data/template_bank.json")
         else:
-            text = Path(path).read_text(encoding="utf-8")
+            source = Path(path)
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TemplateError(f"template bank is not valid JSON: {exc}") from exc
+            data = json.loads(source.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise TemplateError(
+                f"template bank {source} is not valid JSON: {exc}"
+            ) from exc
         return cls(data, min_variants=min_variants)
 
     def _validate(self) -> None:
         if not isinstance(self._data, dict):
             raise TemplateError("template bank root must be an object")
         for (task, arity), (q_slots, a_slots) in REQUIRED_SLOTS.items():
-            entry = self._data.get(task, {}).get(arity)
+            arities = self._data.get(task, {})
+            if not isinstance(arities, dict):
+                raise TemplateError(f"{task} must map arities to objects")
+            entry = arities.get(arity)
             if entry is None:
                 continue  # tasks may omit arities they do not support
+            if not isinstance(entry, dict):
+                raise TemplateError(f"{task}/{arity} must be an object")
             for kind, slots in (("questions", q_slots), ("answers", a_slots)):
                 variants = entry.get(kind)
                 if not isinstance(variants, list) or len(variants) < self.min_variants:
@@ -120,6 +125,10 @@ class TemplateBank:
                         f"{task}/{arity}/{kind} needs >= {self.min_variants} variants"
                     )
                 for tpl in variants:
+                    if not isinstance(tpl, str):
+                        raise TemplateError(
+                            f"{task}/{arity}/{kind} variant is not text: {tpl!r}"
+                        )
                     for slot in slots:
                         if slot not in tpl:
                             raise TemplateError(

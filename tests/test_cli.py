@@ -18,7 +18,7 @@ from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import ImageCorpusConfig, build_image_corpus
 
-from conftest import write_clip_source
+from conftest import write_clip_source, write_image_source
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -90,13 +90,35 @@ class TestAnalyzeQuantization:
             capsys,
             "analyze-quantization",
             "--duration", "60",
-            "--grid-points", "200000",
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["model"] == "rounding_only"
         assert 0.002 <= payload["mean_relative_error_pct"] <= 0.003
         assert payload["max_abs_error_s"] <= 0.003 + 1e-9
+        # exact closed form, not a grid estimate
+        assert payload["mean_abs_error_s"] == 0.0015
+        assert payload["max_abs_error_s"] == 0.003
+        assert payload["mean_relative_error_pct"] == 0.0025
+
+    def test_grid_points_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze-quantization", "--duration", "60", "--grid-points", "10"])
+        assert excinfo.value.code == 2
+        assert "--grid-points" in capsys.readouterr().err
+
+    def test_long_video_frame_sampling(self, capsys):
+        # 3e13 source frames: summed per reconstruction, not per frame
+        code, out, _ = run_cli(
+            capsys,
+            "analyze-quantization",
+            "--duration", "1e12",
+            "--model", "frame-sampling",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["max_abs_error_s"] == pytest.approx(1.04e10)
+        assert 0.2 < payload["mean_relative_error_pct"] < 0.3
 
     def test_frame_sampling_report(self, capsys):
         code, out, _ = run_cli(
@@ -254,6 +276,22 @@ class TestBuildImageSeq:
         )
         assert code == 4
         assert "missing field" in err
+
+    def test_wrong_shaped_template_bank_is_config_error(
+        self, capsys, image_source, tmp_path
+    ):
+        bank = tmp_path / "bank.json"
+        bank.write_text('{"iig": {"single": "x"}}', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(image_source),
+            "--output", str(tmp_path / "out.jsonl"),
+            "--n", "1",
+            "--templates", str(bank),
+        )
+        assert (code, out) == (2, "")
+        assert "iig/single must be an object" in err
 
     def test_rpt_seq_len_limit(self, capsys, tmp_path):
         # above 5000 positions, four-digit codes stop decoding back to
@@ -431,6 +469,26 @@ class TestCorpusWriter:
         assert "cannot fill" in err
         assert out_path.read_bytes() == b"previous corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clips.jsonl", "corpus.jsonl"]
+
+    @pytest.mark.parametrize("n", ["0", "20"])
+    def test_small_image_pool_keeps_existing_output(
+        self, capsys, image_pool, tmp_path, n
+    ):
+        source = write_image_source(image_pool[:200], tmp_path / "images.jsonl")
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        code, _, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", n,
+            "--seq-len", "300",
+        )
+        assert code == 2
+        assert "pool of 200 images cannot fill a sequence of 300" in err
+        assert out_path.read_bytes() == b"previous corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
 
 
 class TestConfigFile:
@@ -780,6 +838,66 @@ class TestStats:
         assert f"wrong type: {field}" in err
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 names itself and exits 2 or 4, not 1."""
+
+    def _latin1(self, path, text):
+        path.write_bytes(text.encode("latin-1"))
+        return str(path)
+
+    def test_config_file(self, capsys, tmp_path):
+        cfg = self._latin1(tmp_path / "run.json", '{"n": 5, "note": "caf\xe9"}')
+        code, out, err = run_cli(capsys, "build-image-seq", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert f"config file {cfg} is not valid JSON" in err
+
+    def test_caption_source(self, capsys, tmp_path):
+        source = self._latin1(
+            tmp_path / "images.jsonl",
+            '{"id": "a", "image": "a.jpg", "caption": "caf\xe9"}\n',
+        )
+        code, out, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", source,
+            "--output", str(tmp_path / "out.jsonl"),
+            "--n", "1",
+        )
+        assert (code, out) == (4, "")
+        assert f"{source}: not UTF-8 text" in err
+
+    def test_template_bank(self, capsys, image_source, tmp_path):
+        bank = tmp_path / "bank.json"
+        bank.write_bytes(b'{"iig": "\xff"}')
+        code, out, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(image_source),
+            "--output", str(tmp_path / "out.jsonl"),
+            "--n", "1",
+            "--templates", str(bank),
+        )
+        assert (code, out) == (2, "")
+        assert f"template bank {bank} is not valid JSON" in err
+
+    def test_eval_predictions(self, capsys, tmp_path):
+        _, gt = _write_eval_run(tmp_path)
+        pred = self._latin1(
+            tmp_path / "bad_pred.jsonl",
+            '{"video_id": "v1", "output": "caf\xe9", "duration_s": 20.0}\n',
+        )
+        code, out, err = run_cli(capsys, "eval-dvc", "--pred", pred, "--gt", str(gt))
+        assert (code, out) == (4, "")
+        assert f"{pred}: not UTF-8 text" in err
+
+    def test_stats_corpus(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"id": "r\xff"}\n')
+        code, out, err = run_cli(capsys, "stats", str(corpus))
+        assert (code, out) == (4, "")
+        assert f"{corpus}: not UTF-8 text" in err
+
+
 class TestParserBehavior:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -827,8 +945,9 @@ class TestParserBehavior:
         assert "invariant violation" in err
 
     def test_import_stays_light(self):
-        # the CLI imports numpy, requests and the process pool only where
-        # a subcommand needs them, which keeps every start-up cheap
+        # the package has no runtime dependencies, and the CLI imports the
+        # process pool only when a build fans out, so start-up stays cheap;
+        # numpy (a test-only extra) must not come back in through the CLI
         probe = (
             "import sys, seq2time.cli, seq2time\n"
             "heavy = {'numpy', 'requests', 'concurrent.futures.process'}\n"

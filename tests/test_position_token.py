@@ -1,5 +1,6 @@
 """Codec and quantization analyzer unit tests."""
 
+import bisect
 import math
 
 import pytest
@@ -174,16 +175,18 @@ class TestTimeInterval:
 
 class TestQuantizationAnalyzer:
     def test_rounding_only_matches_analytic_scale(self):
-        report = quantization_error_report(
-            ErrorModel.ROUNDING_ONLY, 60.0, 30.0, 96, grid_points=400_001
-        )
-        # mean |x - round(x)| over a uniform grid is a quarter quantum
+        report = quantization_error_report(ErrorModel.ROUNDING_ONLY, 60.0, 30.0, 96)
+        # mean |x - round(x)| over whole quanta is a quarter quantum
         expected_mean_s = 1e-4 * 60.0 / 4.0
         assert report.mean_abs_error_s == pytest.approx(expected_mean_s, rel=0.02)
         assert report.mean_relative_error_pct == pytest.approx(0.0025, rel=0.02)
         # the exact supremum is half a quantum (0.003 s); allow float dust
         assert report.max_abs_error_s <= 0.003 + 1e-9
         assert report.mean_abs_error_s <= report.max_abs_error_s
+        # and the closed form hits the exact values
+        assert report.mean_abs_error_s == 0.0015
+        assert report.max_abs_error_s == 0.003
+        assert report.mean_relative_error_pct == 0.0025
 
     def test_frame_sampling_dominated_by_stride(self):
         report = quantization_error_report(ErrorModel.FRAME_SAMPLING, 60.0, 30.0, 96)
@@ -196,9 +199,7 @@ class TestQuantizationAnalyzer:
         assert report.mean_relative_error_pct > 0.13  # larger than rounding alone
 
     def test_report_dict_shape(self):
-        report = quantization_error_report(
-            ErrorModel.ROUNDING_ONLY, 10.0, 24.0, 8, grid_points=10_001
-        )
+        report = quantization_error_report(ErrorModel.ROUNDING_ONLY, 10.0, 24.0, 8)
         payload = report.to_dict()
         assert payload["model"] == "rounding_only"
         assert payload["video_duration_s"] == 10.0
@@ -212,7 +213,34 @@ class TestQuantizationAnalyzer:
             quantization_error_report(ErrorModel.ROUNDING_ONLY, 0.0, 30.0, 96)
         with pytest.raises(DomainError):
             quantization_error_report(ErrorModel.FRAME_SAMPLING, 60.0, -1.0, 96)
-        with pytest.raises(DomainError):
-            quantization_error_report(
-                ErrorModel.ROUNDING_ONLY, 60.0, 30.0, 96, grid_points=1
-            )
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            quantization_error_report(ErrorModel.FRAME_SAMPLING, 1e300, 1e10, 96)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fps=st.floats(min_value=1e-3, max_value=1e4),
+        frames=st.integers(min_value=1, max_value=5000),
+        sampled_frames=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+    )
+    def test_frame_sampling_against_brute_force(self, fps, frames, sampled_frames, data):
+        # any duration with at most ``frames`` source frames at this rate
+        duration = data.draw(st.floats(min_value=1e-6, max_value=frames / fps))
+        report = quantization_error_report(
+            ErrorModel.FRAME_SAMPLING, duration, fps, sampled_frames
+        )
+        ordered = sorted(
+            {
+                encode_relative(i, sampled_frames) / SCALE * duration
+                for i in range(1, sampled_frames + 1)
+            }
+        )
+        errors = []
+        for i in range(max(1, round(duration * fps))):
+            t = i / fps
+            k = bisect.bisect_left(ordered, t)
+            errors.append(min(abs(t - r) for r in ordered[max(0, k - 1) : k + 1]))
+        assert math.isclose(
+            report.mean_abs_error_s, sum(errors) / len(errors), rel_tol=1e-9
+        )
+        assert math.isclose(report.max_abs_error_s, max(errors), rel_tol=1e-9)

@@ -132,6 +132,33 @@ class TestValidation:
         with pytest.raises(TemplateError, match="root must be an object"):
             TemplateBank(["not", "a", "dict"])
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"iig": []}, "iig must map arities to objects"),
+            ({"iig": {"single": "x"}}, "iig/single must be an object"),
+            (
+                {"tvg": {"single": {"questions": [1], "answers": ["<INTERVAL>"]}}},
+                "tvg/single/questions variant is not text: 1",
+            ),
+            (
+                {"tvg": {"single": {"questions": ["<CAPTION>"], "answers": [None]}}},
+                "tvg/single/answers variant is not text: None",
+            ),
+        ],
+        ids=["task-list", "arity-string", "question-int", "answer-null"],
+    )
+    def test_wrong_shape_names_the_entry(self, data, where):
+        with pytest.raises(TemplateError) as excinfo:
+            TemplateBank(data, min_variants=1)
+        assert where in str(excinfo.value)
+
+    def test_load_rejects_non_utf8(self, tmp_path):
+        bad = tmp_path / "bank.json"
+        bad.write_bytes(b'{"iig": "caf\xe9"}')
+        with pytest.raises(TemplateError, match="not valid JSON"):
+            TemplateBank.load(bad)
+
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "bank.json"
         bad.write_text("{not json", encoding="utf-8")
