@@ -135,6 +135,11 @@ def _thresholds(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad threshold list {text!r}") from exc
     if not values or any(not 0 < v <= 1 for v in values):
         raise ConfigError(f"thresholds must lie in (0, 1], got {text!r}")
+    keys: dict[str, float] = {}  # the report names each threshold f"{v:g}"
+    for v in values:
+        first = keys.setdefault(f"{v:g}", v)
+        if first != v:
+            raise ConfigError(f"thresholds {first!r} and {v!r} both report as {v:g}")
     return values
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, check_task_mix, draw_task, stamp, uniform_mix
+from .corpus import Corpus, draw_task, stamp
 from .dataset_io import InstructionRecord, derive_record_seed
 from .errors import ConfigError, InvariantViolation
 from .position_token import (
@@ -347,7 +347,6 @@ class ClipCorpusConfig:
     clip_range: tuple[int, int] = (MIN_CLIPS, MAX_CLIPS)
     total_frames: int = 96
     rate_range: tuple[float, float] = (0.5, 2.0)
-    task_mix: dict[str, float] = field(default_factory=lambda: uniform_mix(ClipTask))
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
 
@@ -366,7 +365,6 @@ class ClipCorpusConfig:
         rlo, rhi = self.rate_range
         if not 0 < rlo <= rhi < math.inf:
             raise ConfigError(f"invalid rate_range {self.rate_range}")
-        check_task_mix(self.task_mix, ClipTask)
 
 
 def generate_clip_record(
@@ -377,7 +375,7 @@ def generate_clip_record(
 ) -> InstructionRecord:
     """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
     rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="clip-seq"))
-    task = draw_task(config.task_mix, ClipTask, rng)
+    task = draw_task(ClipTask, rng)
     n_clips = rng.randint(*config.clip_range)
     sample = compose_sequence(pool, n_clips, config.total_frames, config.rate_range, rng)
     if task is ClipTask.DVC:
@@ -409,5 +407,5 @@ def build_clip_corpus(
     templates: TemplateBank | None = None,
     jobs: int = 1,
 ) -> Iterator[InstructionRecord]:
-    """Emit exactly ``n_instances`` records, task drawn i.i.d. per the mix."""
+    """Emit exactly ``n_instances`` records, each with a uniformly drawn task."""
     yield from clip_corpus(config, pool, templates).records(jobs)

@@ -1,4 +1,4 @@
-"""The corpus runner and task-mix helpers both builders share.
+"""The corpus runner and task draw both builders share.
 
 Record i of a build depends only on (config, seed, i), so the ordinals
 split into contiguous ranges that can run anywhere: in the parent, one
@@ -18,34 +18,15 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from .dataset_io import (
-    CorpusStats,
-    InstructionRecord,
-    encode_line,
-    open_replacing,
-    validate_ratios,
-)
+from .dataset_io import CorpusStats, InstructionRecord, encode_line, open_replacing
 from .errors import ConfigError
 from .templates import TemplateBank
 
 
-def uniform_mix(tasks: type[Enum]) -> dict[str, float]:
-    """The default task mix: every task at the same rate."""
-    return {t.value: 1.0 / len(tasks) for t in tasks}
-
-
-def check_task_mix(mix: dict[str, float], tasks: type[Enum]) -> None:
-    """Rates must form a distribution over task values of ``tasks``."""
-    validate_ratios(mix)
-    unknown = set(mix) - {t.value for t in tasks}
-    if unknown:
-        raise ConfigError(f"unknown tasks in mix: {sorted(unknown)}")
-
-
-def draw_task(mix: dict[str, float], tasks: type[Enum], rng: random.Random) -> Any:
-    """One member of ``tasks``, drawn per the mix; zero-rate tasks never are."""
-    names = sorted(n for n in mix if mix[n] > 0)
-    return tasks(rng.choices(names, weights=[mix[n] for n in names])[0])
+def draw_task(tasks: type[Enum], rng: random.Random) -> Any:
+    """One member of ``tasks``, each at the same rate."""
+    names = sorted(t.value for t in tasks)
+    return tasks(rng.choices(names, weights=[1.0 / len(names)] * len(names))[0])
 
 
 def stamp(

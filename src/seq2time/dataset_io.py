@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .errors import ConfigError, CorpusFormatError
+from .errors import CorpusFormatError
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .clip_sequence import CaptionedClip
@@ -85,16 +85,6 @@ class InstructionRecord:
             answer=obj["answer"],
             meta=obj["meta"],
         )
-
-
-def validate_ratios(ratios: dict[str, float]) -> None:
-    if not ratios:
-        raise ConfigError("at least one mix ratio is required")
-    if any(r < 0 for r in ratios.values()):
-        raise ConfigError(f"ratios must be >= 0, got {ratios}")
-    total = sum(ratios.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1 within 1e-9, got {total!r}")
 
 
 def iter_jsonl_with_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -233,12 +223,6 @@ def write_jsonl(records: Iterable, path: str | Path) -> int:
             fh.write(encode_line(record))
             count += 1
     return count
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Stream raw objects back from a JSON-lines file."""
-    for _, obj in iter_jsonl_with_lines(path):
-        yield obj
 
 
 @dataclass(frozen=True)

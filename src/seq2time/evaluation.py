@@ -24,8 +24,9 @@ Metrics:
   first; every threshold still gets an exact maximum matching, so no
   number changes.
 * ``recall_at_1`` scores aligned single-query grounding at IoU 0.5/0.7.
-* ``richness`` reports caption diversity: mean tokens per caption and
-  type-token ratio, with tokens = lowercased maximal alphanumeric runs.
+* ``aggregate_richness`` reports caption diversity: mean tokens per
+  caption, pooled, and type-token ratio, averaged over videos, with
+  tokens = lowercased maximal alphanumeric runs.
   TTR is tokenizer-sensitive; the rule is embedded in the report.
 """
 
@@ -35,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dataset_io import is_positive_number, iter_jsonl_with_lines
 from .errors import CorpusFormatError, DomainError
@@ -75,12 +76,6 @@ class ParseResult:
 
     events: tuple[EventPrediction, ...]
     skipped_lines: int
-
-    def __iter__(self) -> Iterator[EventPrediction]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def parse_predictions(
@@ -297,24 +292,6 @@ def tokenize(text: str) -> list[str]:
 class RichnessResult:
     l_avg: float  # mean tokens per caption
     ttr: float    # distinct tokens / total tokens
-
-
-def richness(captions: Sequence[str]) -> RichnessResult:
-    """Lexical richness of one video's captions.
-
-    Raises :class:`DomainError` when there are no captions or no tokens
-    at all; a type-token ratio of an empty bag is undefined.
-    """
-    if not captions:
-        raise DomainError("richness is undefined for an empty caption list")
-    tokens: list[str] = []
-    for caption in captions:
-        tokens.extend(tokenize(caption))
-    if not tokens:
-        raise DomainError("richness is undefined when captions have no tokens")
-    return RichnessResult(
-        l_avg=len(tokens) / len(captions), ttr=len(set(tokens)) / len(tokens)
-    )
 
 
 def aggregate_richness(

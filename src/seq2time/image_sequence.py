@@ -26,11 +26,12 @@ records with an empty id; a corpus run names record i ``is-{seed}-{i:08d}``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, check_task_mix, draw_task, stamp, uniform_mix
+from .corpus import Corpus, draw_task, stamp
 from .dataset_io import InstructionRecord, derive_record_seed
 from .errors import ConfigError, InvariantViolation
 from .position_token import (
@@ -254,7 +255,6 @@ class ImageCorpusConfig:
     n_instances: int
     seq_len: int = 96
     max_targets: int = 5
-    task_mix: dict[str, float] = field(default_factory=lambda: uniform_mix(PretextTask))
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
 
@@ -272,7 +272,6 @@ class ImageCorpusConfig:
             raise ConfigError(
                 f"max_targets must be in 1..{self.seq_len}, got {self.max_targets}"
             )
-        check_task_mix(self.task_mix, PretextTask)
 
 
 def generate_image_record(
@@ -283,7 +282,7 @@ def generate_image_record(
 ) -> InstructionRecord:
     """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
     rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="image-seq"))
-    task = draw_task(config.task_mix, PretextTask, rng)
+    task = draw_task(PretextTask, rng)
     sample = sample_sequence(pool, config.seq_len, rng, max_targets=config.max_targets)
     if task is PretextTask.IIG:
         record = gen_iig(sample, templates, config.time_repr, rng)
@@ -300,10 +299,28 @@ def image_corpus(
     pool: Sequence[CaptionedImage],
     templates: TemplateBank | None = None,
 ) -> Corpus:
-    """The build ``config`` describes, ready to run or write."""
+    """The build ``config`` describes, ready to run or write.
+
+    A caption that reads as a position under the build's time rendering
+    (any integer in free form, a rendered code in rpt) is rejected, since
+    answers would no longer parse back to their targets.
+    """
+    from .evaluation import parse_index_mentions  # kept out of `import seq2time`
+
     if len(pool) < config.seq_len:
         raise ConfigError(
             f"pool of {len(pool)} images cannot fill a sequence of {config.seq_len}"
+        )
+    # no position grammar spans a line break, so one pass over the joined
+    # captions tells whether any caption mentions a position
+    mentions = partial(
+        parse_index_mentions, time_repr=config.time_repr, seq_len=config.seq_len
+    )
+    if mentions("\n".join(image.caption for image in pool)):
+        image = next(image for image in pool if mentions(image.caption))
+        raise ConfigError(
+            f"image {image.id!r} has a caption that reads as a position in "
+            f"{config.time_repr.value} answers: {image.caption!r}"
         )
     if templates is None:
         templates = TemplateBank.load()
@@ -316,7 +333,7 @@ def build_image_corpus(
     templates: TemplateBank | None = None,
     jobs: int = 1,
 ) -> Iterator[InstructionRecord]:
-    """Emit exactly ``n_instances`` records, task drawn i.i.d. per the mix.
+    """Emit exactly ``n_instances`` records, each with a uniformly drawn task.
 
     ``jobs`` > 1 fans records out across processes; output order (and
     bytes) match the sequential run because each record depends only on

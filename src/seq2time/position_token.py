@@ -45,8 +45,9 @@ MAX_RPT_LENGTH = SCALE // 2
 
 _TOKENS = tuple(f"<{d}>" for d in range(10))
 # one rendered code, ASCII digits only: ``\d`` would also match digits
-# such as Arabic-Indic ones, which no code renders and code_from_string rejects
-CODE_PATTERN = r"(?:<[0-9]>){4}"
+# such as Arabic-Indic ones, which no code renders and code_from_string rejects;
+# spelled out, not a repeated group, so a search can skip ahead to each "<"
+CODE_PATTERN = "<[0-9]>" * 4
 
 
 class TimeRepresentation(Enum):
@@ -222,7 +223,7 @@ def quantization_error_report(
     max(1, round(duration * fps))``, as a target and measures the
     distance to the nearest reconstruction among the ``sampled_frames``
     codec-carried frame positions; here the sampling stride dominates.
-    It sums per reconstruction, in O(sampled_frames) steps.
+    It sums per reconstruction, in O(min(sampled_frames, 10**4)) steps.
     """
     finite = 0 < video_duration_s < math.inf and 0 < fps < math.inf
     if not finite or sampled_frames < 1:
@@ -237,12 +238,14 @@ def quantization_error_report(
         if duration * fps > 2**53:  # past this, frame indices are not exact floats
             raise DomainError(f"duration * fps exceeds 2**53 frames: {duration * fps:g}")
         n_source = max(1, round(duration * fps))
-        reconstructed = sorted(
-            {
-                to_timestamp(decode_relative(encode_relative(i, sampled_frames)), duration)
-                for i in range(1, sampled_frames + 1)
-            }
+        # from SCALE positions on, consecutive codes differ by at most one
+        # (SCALE / sampled_frames <= 1), so every code from position 1's up occurs
+        codes = (
+            range(encode_ratio(1, sampled_frames), SCALE)
+            if sampled_frames >= SCALE
+            else (encode_relative(i, sampled_frames) for i in range(1, sampled_frames + 1))
         )
+        reconstructed = sorted({to_timestamp(decode_relative(c), duration) for c in codes})
         # the frames nearest reconstruction r run from lo to hi - 1, between
         # the midpoints with its neighbours; the farthest is at one end
         ends = [

@@ -38,7 +38,7 @@ REQUIRED_SLOTS: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] =
     ("tvg", "single"): (("<CAPTION>",), ("<INTERVAL>",)),
 }
 
-DEFAULT_MIN_VARIANTS = 10
+MIN_VARIANTS = 10
 
 
 def find_missing_in_order(text: str, needles: Iterable[str]) -> str | None:
@@ -84,15 +84,12 @@ def render_template(template: str, values: dict[str, str]) -> str:
 class TemplateBank:
     """Validated question/answer phrasings, drawn uniformly per record."""
 
-    def __init__(self, data: dict, min_variants: int = DEFAULT_MIN_VARIANTS):
+    def __init__(self, data: dict):
         self._data = data
-        self.min_variants = min_variants
         self._validate()
 
     @classmethod
-    def load(
-        cls, path: str | Path | None = None, min_variants: int = DEFAULT_MIN_VARIANTS
-    ) -> "TemplateBank":
+    def load(cls, path: str | Path | None = None) -> "TemplateBank":
         """Read a bank from ``path`` or fall back to the packaged default."""
         if path is None:
             source = resources.files("seq2time").joinpath("data/template_bank.json")
@@ -104,7 +101,7 @@ class TemplateBank:
             raise TemplateError(
                 f"template bank {source} is not valid JSON: {exc}"
             ) from exc
-        return cls(data, min_variants=min_variants)
+        return cls(data)
 
     def _validate(self) -> None:
         if not isinstance(self._data, dict):
@@ -120,9 +117,9 @@ class TemplateBank:
                 raise TemplateError(f"{task}/{arity} must be an object")
             for kind, slots in (("questions", q_slots), ("answers", a_slots)):
                 variants = entry.get(kind)
-                if not isinstance(variants, list) or len(variants) < self.min_variants:
+                if not isinstance(variants, list) or len(variants) < MIN_VARIANTS:
                     raise TemplateError(
-                        f"{task}/{arity}/{kind} needs >= {self.min_variants} variants"
+                        f"{task}/{arity}/{kind} needs >= {MIN_VARIANTS} variants"
                     )
                 for tpl in variants:
                     if not isinstance(tpl, str):

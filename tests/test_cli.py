@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, config files, exit codes, output text."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -400,6 +401,60 @@ BUILDS = {
 }
 
 
+# every flag that feeds a build's config, each at a value other than its default
+NON_DEFAULT_FLAGS = {
+    "image": ["--seq-len", "8", "--max-targets", "3"],
+    "clip": [
+        "--total-frames", "50",
+        "--clip-min", "3",
+        "--clip-max", "4",
+        "--rate-min", "0.7",
+        "--rate-max", "1.5",
+    ],
+}
+
+
+class TestBuildFlags:
+    """Every build config field is reachable from the command line."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_every_config_field_has_a_flag(
+        self, capsys, request, tmp_path, monkeypatch, kind
+    ):
+        # a config field that no flag moves off its default is a setting
+        # only library callers can reach
+        subcommand, make_config, _ = BUILDS[kind]
+        configs = []
+        corpus = getattr(cli, f"{kind}_corpus")
+
+        def spy(config, pool, bank):
+            configs.append(config)
+            return corpus(config, pool, bank)
+
+        monkeypatch.setattr(cli, f"{kind}_corpus", spy)
+        code, _, _ = run_cli(
+            capsys,
+            subcommand,
+            "--source", str(request.getfixturevalue(f"{kind}_source")),
+            "--output", str(tmp_path / "corpus.jsonl"),
+            "--n", "5",
+            "--seed", "4",
+            "--time-repr", "free-form",
+            "--jobs", "1",
+            *NON_DEFAULT_FLAGS[kind],
+        )
+        assert code == 0
+        (config,) = configs
+        for field in dataclasses.fields(make_config):
+            if field.default_factory is not dataclasses.MISSING:
+                default = field.default_factory()
+            elif field.default is not dataclasses.MISSING:
+                default = field.default
+            else:
+                continue  # required, so every run sets it
+            assert getattr(config, field.name) != default, field.name
+
+
 class TestCorpusWriter:
     """The CLI writes what the record-yielding library path would write."""
 
@@ -487,6 +542,33 @@ class TestCorpusWriter:
         )
         assert code == 2
         assert "pool of 200 images cannot fill a sequence of 300" in err
+        assert out_path.read_bytes() == b"previous corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
+
+    @pytest.mark.parametrize(
+        "time_repr, caption",
+        [("free-form", "3 dogs playing"), ("rpt", "a sign reading <1><2><3><4>")],
+    )
+    def test_caption_reading_as_a_position_keeps_existing_output(
+        self, capsys, image_pool, tmp_path, time_repr, caption
+    ):
+        # such a caption would parse back as a position of its own answer
+        rows = [{"id": c.id, "image": c.image, "caption": c.caption} for c in image_pool]
+        rows[321]["caption"] = caption
+        source = tmp_path / "images.jsonl"
+        write_jsonl(rows, source)
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        code, _, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--time-repr", time_repr,
+        )
+        assert code == 2
+        assert f"image {image_pool[321].id!r}" in err
         assert out_path.read_bytes() == b"previous corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
 
@@ -711,6 +793,21 @@ class TestEvalCommands:
         )
         assert code == 2
         assert "thresholds" in err
+
+    @pytest.mark.parametrize("flag", ["--thresholds", "--iou"])
+    def test_thresholds_with_one_report_key(self, capsys, tmp_path, flag):
+        # 0.8 and 0.8000001 both print as f1@0.8 and share one JSON key
+        pred, gt = _write_eval_run(tmp_path)
+        code, out, err = run_cli(
+            capsys,
+            "eval-dvc",
+            "--pred", str(pred),
+            "--gt", str(gt),
+            flag, "0.5,0.8,0.8000001",
+        )
+        assert code == 2
+        assert out == ""
+        assert "thresholds 0.8 and 0.8000001 both report as 0.8" in err
 
     def test_missing_pred_file(self, capsys, tmp_path):
         _, gt = _write_eval_run(tmp_path)

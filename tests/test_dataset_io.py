@@ -1,4 +1,4 @@
-"""Corpus loading, ratio validation and serialization."""
+"""Corpus loading and serialization."""
 
 import hashlib
 import json
@@ -11,13 +11,12 @@ from seq2time.dataset_io import (
     InstructionRecord,
     corpus_stats,
     derive_record_seed,
+    iter_jsonl_with_lines,
     load_clip_captions,
     load_image_captions,
-    read_jsonl,
-    validate_ratios,
     write_jsonl,
 )
-from seq2time.errors import ConfigError, CorpusFormatError
+from seq2time.errors import CorpusFormatError
 
 from conftest import write_clip_source, write_image_source
 
@@ -210,7 +209,9 @@ class TestWriteJsonl:
         path = tmp_path / "out.jsonl"
         records = self._records()
         assert write_jsonl(records, path) == 5
-        assert [InstructionRecord.from_json_obj(o) for o in read_jsonl(path)] == records
+        assert [
+            InstructionRecord.from_json_obj(o) for _, o in iter_jsonl_with_lines(path)
+        ] == records
 
     def test_key_order_on_disk(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -256,17 +257,7 @@ class TestWriteJsonl:
     def test_plain_dicts_accepted(self, tmp_path):
         path = tmp_path / "out.jsonl"
         assert write_jsonl([{"k": 1}], path) == 1
-        assert list(read_jsonl(path)) == [{"k": 1}]
-
-
-class TestValidateRatios:
-    def test_ratio_validation(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            validate_ratios({"a": 0.5, "b": 0.4})
-        with pytest.raises(ConfigError, match=">= 0"):
-            validate_ratios({"a": 1.5, "b": -0.5})
-        with pytest.raises(ConfigError, match="at least one"):
-            validate_ratios({})
+        assert list(iter_jsonl_with_lines(path)) == [(1, {"k": 1})]
 
 
 class TestCorpusStats:

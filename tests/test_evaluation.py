@@ -23,7 +23,6 @@ from seq2time.evaluation import (
     parse_index_mentions,
     parse_predictions,
     recall_at_1,
-    richness,
     temporal_f1,
     tokenize,
 )
@@ -48,17 +47,17 @@ class TestParseFreeForm:
             "0.0 - 5.0 seconds, a person is kneading dough", FREE
         )
         assert result.skipped_lines == 0
-        (event,) = result
+        (event,) = result.events
         assert event.interval == sec(0.0, 5.0)
         assert event.caption == "a person is kneading dough"
 
     def test_integer_times_and_colon(self):
-        (event,) = parse_predictions("2.5-5 second: mixing the dough", FREE)
+        (event,) = parse_predictions("2.5-5 second: mixing the dough", FREE).events
         assert event.interval == sec(2.5, 5.0)
         assert event.caption == "mixing the dough"
 
     def test_whitespace_and_case_tolerant(self):
-        (event,) = parse_predictions("  2.5  -  5  SECONDS   mixing  ", FREE)
+        (event,) = parse_predictions("  2.5  -  5  SECONDS   mixing  ", FREE).events
         assert event.interval == sec(2.5, 5.0)
         assert event.caption == "mixing"
 
@@ -66,50 +65,50 @@ class TestParseFreeForm:
         result = parse_predictions(
             "0 - 5 seconds, first\n5 - 20 seconds, second", FREE
         )
-        assert [e.caption for e in result] == ["first", "second"]
+        assert [e.caption for e in result.events] == ["first", "second"]
 
     def test_garbage_lines_counted_not_fatal(self):
         result = parse_predictions(
             "Detected events:\n0 - 5 seconds, first\nno timestamps here", FREE
         )
-        assert len(result) == 1
+        assert len(result.events) == 1
         assert result.skipped_lines == 2
 
     def test_blank_lines_not_counted(self):
         result = parse_predictions("\n\n0 - 5 seconds, first\n\n", FREE)
-        assert len(result) == 1
+        assert len(result.events) == 1
         assert result.skipped_lines == 0
 
     def test_inverted_interval_swapped(self):
-        (event,) = parse_predictions("9.0 - 3.0 seconds, backwards", FREE)
+        (event,) = parse_predictions("9.0 - 3.0 seconds, backwards", FREE).events
         assert event.interval == sec(3.0, 9.0)
 
     def test_negative_start_does_not_match(self):
         result = parse_predictions("-1 - 5 seconds, below zero", FREE)
-        assert len(result) == 0
+        assert len(result.events) == 0
         assert result.skipped_lines == 1
 
     def test_duration_not_required(self):
-        assert len(parse_predictions("0 - 1 seconds, x", FREE)) == 1
+        assert len(parse_predictions("0 - 1 seconds, x", FREE).events) == 1
 
 
 class TestParseRPT:
     def test_reference_line(self):
         (event,) = parse_predictions(
             "<2><5><0><0><5><0><0><0> mixing", RPT, video_duration_s=10.0
-        )
+        ).events
         assert event.interval == sec(2.5, 5.0)
         assert event.caption == "mixing"
 
     def test_inverted_codes_swapped(self):
         (event,) = parse_predictions(
             "<5><0><0><0><2><5><0><0> mixing", RPT, video_duration_s=10.0
-        )
+        ).events
         assert event.interval == sec(2.5, 5.0)
 
     def test_single_code_line_skipped(self):
         result = parse_predictions("<2><5><0><0> mixing", RPT, video_duration_s=10.0)
-        assert len(result) == 0
+        assert len(result.events) == 0
         assert result.skipped_lines == 1
 
     def test_non_ascii_digit_line_skipped(self):
@@ -120,7 +119,7 @@ class TestParseRPT:
             "<0><0><0><0><5><0><0><0> y"
         )
         result = parse_predictions(text, RPT, video_duration_s=10.0)
-        assert [e.caption for e in result] == ["y"]
+        assert [e.caption for e in result.events] == ["y"]
         assert result.skipped_lines == 1
 
     def test_duration_required(self):
@@ -132,7 +131,7 @@ class TestParseRPT:
     def test_caption_may_be_empty(self):
         (event,) = parse_predictions(
             "<0><0><0><0><9><9><9><9>", RPT, video_duration_s=10.0
-        )
+        ).events
         assert event.caption == ""
         assert event.interval == sec(0.0, 9.999)
 
@@ -371,24 +370,24 @@ class TestTokenize:
 
 class TestRichness:
     def test_single_video_oracles(self):
-        assert richness(["a a a a a"]) == RichnessResult(l_avg=5.0, ttr=0.2)
-        assert richness(["a b c a b"]) == RichnessResult(l_avg=5.0, ttr=0.6)
+        assert aggregate_richness([["a a a a a"]]) == RichnessResult(l_avg=5.0, ttr=0.2)
+        assert aggregate_richness([["a b c a b"]]) == RichnessResult(l_avg=5.0, ttr=0.6)
 
     def test_multiple_captions_pool_tokens(self):
-        result = richness(["one two three", "one"])
+        result = aggregate_richness([["one two three", "one"]])
         assert result.l_avg == 2.0
         assert result.ttr == pytest.approx(3 / 4)
 
     def test_single_token_ttr_is_one(self):
-        assert richness(["Hello"]) == RichnessResult(l_avg=1.0, ttr=1.0)
+        assert aggregate_richness([["Hello"]]) == RichnessResult(l_avg=1.0, ttr=1.0)
 
     def test_empty_caption_list_undefined(self):
-        with pytest.raises(DomainError, match="empty caption list"):
-            richness([])
+        with pytest.raises(DomainError, match="no video has caption tokens"):
+            aggregate_richness([[]])
 
     def test_tokenless_captions_undefined(self):
-        with pytest.raises(DomainError, match="no tokens"):
-            richness(["!!!", "..."])
+        with pytest.raises(DomainError, match="no video has caption tokens"):
+            aggregate_richness([["!!!", "..."]])
 
     def test_aggregate_averages_ttr_pools_length(self):
         result = aggregate_richness([["a a a a a"], ["a b c a b"]])

@@ -52,7 +52,8 @@ class ScriptedRandom(random.Random):
 
 
 def canonical_bank():
-    """One canonical phrasing per task/arity so outputs are pinned exactly."""
+    """One canonical phrasing per task/arity, repeated to the ten a bank needs,
+    so outputs are pinned exactly."""
     return TemplateBank(
         {
             "iig": {
@@ -60,25 +61,25 @@ def canonical_bank():
                     "questions": [
                         "Which image matches the description: <CAPTION>?"
                         " Please output the image index."
-                    ],
-                    "answers": ["The image index is <INDEX>."],
+                    ] * 10,
+                    "answers": ["The image index is <INDEX>."] * 10,
                 },
                 "multi": {
                     "questions": [
                         "Which images match the descriptions: <CAPTION>?"
                         " Please output the image indices."
-                    ],
-                    "answers": ["The image indices are <INDEX>."],
+                    ] * 10,
+                    "answers": ["The image indices are <INDEX>."] * 10,
                 },
             },
             "iic": {
                 "single": {
-                    "questions": ["Please describe the image with index <INDEX>."],
-                    "answers": ["The image with index <INDEX> describes <CAPTION>."],
+                    "questions": ["Please describe the image with index <INDEX>."] * 10,
+                    "answers": ["The image with index <INDEX> describes <CAPTION>."] * 10,
                 },
                 "multi": {
-                    "questions": ["Please describe the images with indices <INDEX>."],
-                    "answers": ["The image with index <INDEX> describes <CAPTION>."],
+                    "questions": ["Please describe the images with indices <INDEX>."] * 10,
+                    "answers": ["The image with index <INDEX> describes <CAPTION>."] * 10,
                 },
             },
             "alr": {
@@ -87,12 +88,11 @@ def canonical_bank():
                         "What is the image right <DIRECTION> the image described"
                         " as <CAPTION1>? Please provide the index and describe"
                         " this image."
-                    ],
-                    "answers": ["The image index is <INDEX>. It describes <CAPTION2>."],
+                    ] * 10,
+                    "answers": ["The image index is <INDEX>. It describes <CAPTION2>."] * 10,
                 },
             },
-        },
-        min_variants=1,
+        }
     )
 
 
@@ -347,11 +347,18 @@ class TestOutputInvariants:
             n_instances=2,
             seq_len=seq_len,
             max_targets=data.draw(st.integers(1, seq_len), label="max_targets"),
-            task_mix={t.value: float(t is task) for t in PretextTask},
-            seed=data.draw(st.integers(0, 2**32), label="seed"),
             time_repr=time_repr,
         )
-        for record in build_image_corpus(config, large_image_pool):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        templates = TemplateBank.load()
+        for _ in range(config.n_instances):
+            sample = sample_sequence(large_image_pool, seq_len, rng, config.max_targets)
+            if task is PretextTask.ALR:
+                direction = rng.choice(list(Direction))
+                record = gen_alr(sample, templates, direction, time_repr, rng)
+            else:
+                generate = gen_iig if task is PretextTask.IIG else gen_iic
+                record = generate(sample, templates, time_repr, rng)
             parsed = parse_index_mentions(record.answer, time_repr, seq_len)
             assert parsed == record.meta["targets"], record.answer
 
@@ -375,7 +382,6 @@ class TestImageCorpusConfig:
         assert config.seq_len == 96
         assert config.max_targets == 5
         assert config.time_repr is TimeRepresentation.RPT
-        assert sum(config.task_mix.values()) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="n_instances"):
@@ -384,10 +390,6 @@ class TestImageCorpusConfig:
             ImageCorpusConfig(n_instances=1, seq_len=1)
         with pytest.raises(ConfigError, match="max_targets"):
             ImageCorpusConfig(n_instances=1, seq_len=4, max_targets=5)
-        with pytest.raises(ConfigError, match="unknown tasks"):
-            ImageCorpusConfig(n_instances=1, task_mix={"dvc": 1.0})
-        with pytest.raises(ConfigError, match="sum to 1"):
-            ImageCorpusConfig(n_instances=1, task_mix={"iig": 0.5})
 
     def test_rpt_seq_len_limit(self):
         ImageCorpusConfig(n_instances=1, seq_len=MAX_RPT_LENGTH)
@@ -406,6 +408,30 @@ class TestImageCorpusConfig:
 
 
 class TestBuildImageCorpus:
+    @pytest.mark.parametrize(
+        "time_repr, caption, rejected",
+        [
+            (TimeRepresentation.FREE_FORM, "3 dogs playing", True),
+            (TimeRepresentation.FREE_FORM, "a dog with \u0663 legs", True),
+            (TimeRepresentation.RPT, "a sign reading <1><2><3><4>", True),
+            (TimeRepresentation.RPT, "3 dogs playing", False),
+            (TimeRepresentation.RPT, "a sign reading <1><2><3>", False),
+        ],
+    )
+    def test_captions_must_not_read_as_positions(
+        self, image_pool, time_repr, caption, rejected
+    ):
+        pool = list(image_pool)
+        pool[77] = CaptionedImage("odd-one", "odd.jpg", caption)
+        config = ImageCorpusConfig(n_instances=50, seq_len=24, time_repr=time_repr)
+        if rejected:
+            with pytest.raises(ConfigError, match="image 'odd-one'"):
+                image_corpus(config, pool)
+            return
+        for record in image_corpus(config, pool).records():
+            parsed = parse_index_mentions(record.answer, time_repr, 24)
+            assert parsed == record.meta["targets"], record.answer
+
     def test_record_ids_and_meta(self, image_pool):
         config = ImageCorpusConfig(n_instances=4, seed=5)
         records = list(build_image_corpus(config, image_pool))
@@ -489,13 +515,6 @@ class TestBuildImageCorpus:
         for task, count in counts.items():
             assert abs(count - 200) <= 35, counts
 
-    def test_single_task_mix(self, image_pool):
-        config = ImageCorpusConfig(
-            n_instances=30, task_mix={"iig": 1.0, "iic": 0.0, "alr": 0.0}
-        )
-        records = list(build_image_corpus(config, image_pool))
-        assert {r.task for r in records} == {"IIG"}
-
     def test_record_seed_matches_derivation(self, image_pool):
         # the per-record draw chain starts at the derived seed
         config = ImageCorpusConfig(n_instances=1, seed=4)
@@ -503,20 +522,17 @@ class TestBuildImageCorpus:
         record = generate_image_record(config, image_pool, templates, 0)
         rseed = derive_record_seed(4, 0, namespace="image-seq")
         rng = random.Random(rseed)
-        names = sorted(config.task_mix)
-        expected_task = rng.choices(
-            names, weights=[config.task_mix[n] for n in names]
-        )[0]
+        names = sorted(t.value for t in PretextTask)
+        expected_task = rng.choices(names, weights=[1 / 3] * 3)[0]
         assert record.task == PretextTask(expected_task).name
 
     def test_template_coverage_single_target(self, image_pool):
         # with one canonical slot value per record the template is
-        # recoverable; 500 draws must exercise all ten phrasings
+        # recoverable; about 500 IIG draws must exercise all ten phrasings
         config = ImageCorpusConfig(
-            n_instances=500,
+            n_instances=1500,
             seq_len=24,
             max_targets=1,
-            task_mix={"iig": 1.0, "iic": 0.0, "alr": 0.0},
             time_repr=TimeRepresentation.FREE_FORM,
         )
         templates = TemplateBank.load()
@@ -524,6 +540,8 @@ class TestBuildImageCorpus:
         caption_by_path = {img.image: img.caption for img in image_pool}
         seen_q, seen_a = set(), set()
         for record in build_image_corpus(config, image_pool, templates):
+            if record.task != "IIG":
+                continue
             (target,) = record.meta["targets"]
             caption = caption_by_path[record.media[target - 1]]
             seen_q.add(record.question.replace(caption, "<CAPTION>"))

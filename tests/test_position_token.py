@@ -229,18 +229,38 @@ class TestQuantizationAnalyzer:
         report = quantization_error_report(
             ErrorModel.FRAME_SAMPLING, duration, fps, sampled_frames
         )
-        ordered = sorted(
-            {
-                encode_relative(i, sampled_frames) / SCALE * duration
-                for i in range(1, sampled_frames + 1)
-            }
-        )
-        errors = []
-        for i in range(max(1, round(duration * fps))):
-            t = i / fps
-            k = bisect.bisect_left(ordered, t)
-            errors.append(min(abs(t - r) for r in ordered[max(0, k - 1) : k + 1]))
+        errors = _nearest_reconstruction_errors(duration, fps, sampled_frames)
         assert math.isclose(
             report.mean_abs_error_s, sum(errors) / len(errors), rel_tol=1e-9
         )
         assert math.isclose(report.max_abs_error_s, max(errors), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("sampled_frames", [9_999, 10_000, 10_001, 25_000])
+    def test_frame_sampling_past_ten_thousand_positions(self, sampled_frames):
+        # from 10^4 positions on the report takes its codes as one range
+        # instead of encoding each position; the oracle encodes every one.
+        # 50,000 source frames put about five near each reconstruction
+        report = quantization_error_report(
+            ErrorModel.FRAME_SAMPLING, 100.0, 500.0, sampled_frames
+        )
+        errors = _nearest_reconstruction_errors(100.0, 500.0, sampled_frames)
+        assert math.isclose(
+            report.mean_abs_error_s, sum(errors) / len(errors), rel_tol=1e-12
+        )
+        assert report.max_abs_error_s == max(errors)
+
+
+def _nearest_reconstruction_errors(duration, fps, sampled_frames):
+    """Per source frame, the distance to the nearest reconstructed position."""
+    ordered = sorted(
+        {
+            encode_relative(i, sampled_frames) / SCALE * duration
+            for i in range(1, sampled_frames + 1)
+        }
+    )
+    errors = []
+    for i in range(max(1, round(duration * fps))):
+        t = i / fps
+        k = bisect.bisect_left(ordered, t)
+        errors.append(min(abs(t - r) for r in ordered[max(0, k - 1) : k + 1]))
+    return errors

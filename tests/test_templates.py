@@ -7,7 +7,7 @@ import pytest
 
 from seq2time.errors import InvariantViolation, TemplateError
 from seq2time.templates import (
-    DEFAULT_MIN_VARIANTS,
+    MIN_VARIANTS,
     REQUIRED_SLOTS,
     TemplateBank,
     check_in_order,
@@ -24,13 +24,12 @@ def bank():
 class TestPackagedBank:
     def test_loads_and_validates(self, bank):
         assert isinstance(bank, TemplateBank)
-        assert bank.min_variants == DEFAULT_MIN_VARIANTS
 
     def test_every_required_pair_present(self, bank):
         for task, arity in REQUIRED_SLOTS:
             questions, answers = bank.variants(task, arity)
-            assert len(questions) >= 10
-            assert len(answers) >= 10
+            assert len(questions) >= MIN_VARIANTS
+            assert len(answers) >= MIN_VARIANTS
 
     def test_no_duplicate_variants(self, bank):
         for task, arity in REQUIRED_SLOTS:
@@ -88,23 +87,23 @@ class TestPackagedBank:
 
 
 class TestValidation:
-    def _bank(self, task, arity, questions, answers, min_variants=1):
+    def _bank(self, task, arity, questions, answers, copies=MIN_VARIANTS):
+        """A one-entry bank holding each given phrasing ``copies`` times."""
         return TemplateBank(
-            {task: {arity: {"questions": questions, "answers": answers}}},
-            min_variants=min_variants,
+            {task: {arity: {"questions": questions * copies, "answers": answers * copies}}}
         )
 
     def test_min_variants_enforced(self):
-        with pytest.raises(TemplateError, match="needs >= 2"):
+        with pytest.raises(TemplateError, match="needs >= 10"):
             self._bank(
                 "tvg",
                 "single",
                 ["When is <CAPTION>?"],
                 ["<INTERVAL>"],
-                min_variants=2,
+                copies=MIN_VARIANTS - 1,
             )
 
-    def test_min_variants_override_allows_small_bank(self):
+    def test_repeated_phrasings_meet_the_minimum(self):
         small = self._bank(
             "tvg", "single", ["When is <CAPTION>?"], ["<INTERVAL>"]
         )
@@ -138,11 +137,11 @@ class TestValidation:
             ({"iig": []}, "iig must map arities to objects"),
             ({"iig": {"single": "x"}}, "iig/single must be an object"),
             (
-                {"tvg": {"single": {"questions": [1], "answers": ["<INTERVAL>"]}}},
+                {"tvg": {"single": {"questions": [1] * 10, "answers": ["<INTERVAL>"] * 10}}},
                 "tvg/single/questions variant is not text: 1",
             ),
             (
-                {"tvg": {"single": {"questions": ["<CAPTION>"], "answers": [None]}}},
+                {"tvg": {"single": {"questions": ["<CAPTION>"] * 10, "answers": [None] * 10}}},
                 "tvg/single/answers variant is not text: None",
             ),
         ],
@@ -150,7 +149,7 @@ class TestValidation:
     )
     def test_wrong_shape_names_the_entry(self, data, where):
         with pytest.raises(TemplateError) as excinfo:
-            TemplateBank(data, min_variants=1)
+            TemplateBank(data)
         assert where in str(excinfo.value)
 
     def test_load_rejects_non_utf8(self, tmp_path):
