@@ -17,6 +17,7 @@ from .clip_sequence import (
     compose_sequence,
 )
 from .dataset_io import (
+    CaptionedImage,
     corpus_stats,
     load_clip_captions,
     load_image_captions,
@@ -32,7 +33,6 @@ from .errors import (
     TokenParseError,
 )
 from .image_sequence import (
-    CaptionedImage,
     ImageCorpusConfig,
     build_image_corpus,
     sample_sequence,

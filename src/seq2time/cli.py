@@ -5,20 +5,23 @@ One binary, seven subcommands: two corpus builders, the codec helpers
 (``eval-dvc``, also named ``eval-tvg``), and a corpus stats reader.
 
 Both builders run ``_cmd_build``. Their parsers differ only in the
-options they add and in the ``load_pool`` and ``corpus`` functions they
-set, which read the caption source and turn the options into a corpus.
-Every build option is read once, from its flag or else from a JSON
-config file given via ``--config`` or the ``SEQ2TIME_CONFIG``
-environment variable (config keys are the long flag names with
-underscores); ``-v`` logs the options as read.
+config class they fill, the options they add (each a field of that
+class, which gives its type and default), and the ``load_pool`` and
+``corpus`` functions they set, which read the caption source and turn
+the config into a corpus. Every build option is read once, from its
+flag or else from a JSON config file given via ``--config`` or the
+``SEQ2TIME_CONFIG`` environment variable (config keys are the long flag
+names with underscores); ``-v`` logs the options as read.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
-violations, 4 I/O and data-format errors.
+violations, 4 I/O and data-format errors, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -27,7 +30,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .clip_sequence import ClipCorpusConfig, clip_corpus
-from .corpus import Corpus
 from .dataset_io import corpus_stats, load_clip_captions, load_image_captions
 from .errors import (
     ConfigError,
@@ -36,11 +38,6 @@ from .errors import (
     InvariantViolation,
     TemplateError,
     TokenParseError,
-)
-from .evaluation import (
-    DEFAULT_F1_THRESHOLDS,
-    DEFAULT_R1_THRESHOLDS,
-    evaluate_run,
 )
 from .image_sequence import ImageCorpusConfig, image_corpus
 from .position_token import (
@@ -128,7 +125,9 @@ def _time_repr(text: str) -> TimeRepresentation:
         ) from None
 
 
-def _thresholds(text: str) -> tuple[float, ...]:
+def _thresholds(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
+    if text is None:
+        return default
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
@@ -157,41 +156,19 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-# (key, kind, default, help) of the options only one build subcommand takes
-_IMAGE_OPTIONS = (
-    ("seq_len", int, 96, "images per sequence"),
-    ("max_targets", int, 5, "max targets per record"),
-)
-_CLIP_OPTIONS = (
-    ("total_frames", int, 96, "frame budget per video"),
-    ("clip_min", int, 2, "min clips (>= 2)"),
-    ("clip_max", int, 10, "max clips (<= 10)"),
-    ("rate_min", float, 0.5, "min rate factor"),
-    ("rate_max", float, 2.0, "max rate factor"),
-)
-
-
-def _image_corpus(options: dict, time_repr: TimeRepresentation, pool, bank) -> Corpus:
-    config = ImageCorpusConfig(
-        n_instances=options["n"],
-        seq_len=options["seq_len"],
-        max_targets=options["max_targets"],
-        seed=options["seed"],
-        time_repr=time_repr,
-    )
-    return image_corpus(config, pool, bank)
-
-
-def _clip_corpus(options: dict, time_repr: TimeRepresentation, pool, bank) -> Corpus:
-    config = ClipCorpusConfig(
-        n_instances=options["n"],
-        clip_range=(options["clip_min"], options["clip_max"]),
-        total_frames=options["total_frames"],
-        rate_range=(options["rate_min"], options["rate_max"]),
-        seed=options["seed"],
-        time_repr=time_repr,
-    )
-    return clip_corpus(config, pool, bank)
+# help text of the options only one build subcommand takes; each is the
+# config field of that name, which gives its type and default
+_IMAGE_OPTIONS = {
+    "seq_len": "images per sequence",
+    "max_targets": "max targets per record",
+}
+_CLIP_OPTIONS = {
+    "total_frames": "frame budget per video",
+    "clip_min": "min clips (>= 2)",
+    "clip_max": "max clips (<= 10)",
+    "rate_min": "min rate factor",
+    "rate_max": "max rate factor",
+}
 
 
 def _cmd_build(args) -> int:
@@ -201,8 +178,12 @@ def _cmd_build(args) -> int:
         "output": _option(args, config, "output"),
         "n": _option(args, config, "n", int),
     }
-    for key, kind, default, _ in args.build_options:
-        options[key] = _option(args, config, key, kind, default)
+    build_options = {
+        f.name: _option(args, config, f.name, type(f.default), f.default)
+        for f in dataclasses.fields(args.config_type)
+        if f.name in args.build_options
+    }
+    options.update(build_options)
     options["seed"] = _option(args, config, "seed", int, 0)
     options["time_repr"] = _option(args, config, "time_repr", str, "rpt")
     time_repr = _time_repr(options["time_repr"])
@@ -216,7 +197,10 @@ def _cmd_build(args) -> int:
         )
     pool = args.load_pool(_existing_path(options["source"], "source"))
     bank = TemplateBank.load(options["templates"])
-    corpus = args.corpus(options, time_repr, pool, bank)
+    build = args.config_type(
+        n_instances=options["n"], seed=options["seed"], time_repr=time_repr, **build_options
+    )
+    corpus = args.corpus(build, pool, bank)
     log.info(
         "%s resolved config: %s", args.subcommand, json.dumps(options, sort_keys=True)
     )
@@ -265,12 +249,8 @@ def _cmd_detokenize(args) -> int:
 
 
 def _cmd_analyze_quantization(args) -> int:
-    try:
-        model = _MODELS[args.model]
-    except KeyError:
-        raise ConfigError(f"unknown model {args.model!r}") from None
     report = quantization_error_report(
-        model,
+        _MODELS[args.model],
         video_duration_s=args.duration,
         fps=args.fps,
         sampled_frames=args.frames,
@@ -280,11 +260,14 @@ def _cmd_analyze_quantization(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # only scoring needs the scorer, so builds start without importing it
+    from .evaluation import DEFAULT_F1_THRESHOLDS, DEFAULT_R1_THRESHOLDS, evaluate_run
+
     pred = _existing_path(args.pred, "prediction")
     gt = _existing_path(args.gt, "ground truth")
     time_repr = _time_repr(args.time_repr)
-    thresholds = _thresholds(args.thresholds)
-    r1 = _thresholds(args.iou)
+    thresholds = _thresholds(args.thresholds, DEFAULT_F1_THRESHOLDS)
+    r1 = _thresholds(args.iou, DEFAULT_R1_THRESHOLDS)
     report = evaluate_run(pred, gt, time_repr, thresholds, r1)
     payload = report.to_dict()
     if args.json:
@@ -328,7 +311,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_build_common(sub: argparse.ArgumentParser, options: tuple) -> None:
+def _add_build_common(sub: argparse.ArgumentParser, config_type: type, options: dict) -> None:
     sub.add_argument("--config", help="JSON config file (or set SEQ2TIME_CONFIG)")
     sub.add_argument("--seed", type=int, help="run seed (default 0)")
     sub.add_argument("--source", help="caption corpus (JSON-lines)")
@@ -342,9 +325,10 @@ def _add_build_common(sub: argparse.ArgumentParser, options: tuple) -> None:
     )
     sub.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
     sub.add_argument("--templates", help="custom template bank JSON")
-    for key, kind, _, text in options:
-        sub.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
-    sub.set_defaults(func=_cmd_build, build_options=options)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(config_type)}
+    for key, text in options.items():
+        sub.add_argument("--" + key.replace("_", "-"), type=kinds[key], help=text)
+    sub.set_defaults(func=_cmd_build, config_type=config_type, build_options=options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,21 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "build-image-seq", help="generate image-sequence pretext records"
     )
-    _add_build_common(p, _IMAGE_OPTIONS)
+    _add_build_common(p, ImageCorpusConfig, _IMAGE_OPTIONS)
     p.add_argument(
         "--allow-nonstandard",
         action="store_true",
         help=f"permit settings beyond the standard cap of {MAX_STANDARD_TARGETS} targets",
     )
     _add_common(p)
-    p.set_defaults(load_pool=load_image_captions, corpus=_image_corpus)
+    p.set_defaults(load_pool=load_image_captions, corpus=image_corpus)
 
     p = subparsers.add_parser(
         "build-clip-seq", help="generate clip-sequence DVC/TVG records"
     )
-    _add_build_common(p, _CLIP_OPTIONS)
+    _add_build_common(p, ClipCorpusConfig, _CLIP_OPTIONS)
     _add_common(p)
-    p.set_defaults(load_pool=load_clip_captions, corpus=_clip_corpus)
+    p.set_defaults(load_pool=load_clip_captions, corpus=clip_corpus)
 
     p = subparsers.add_parser("tokenize", help="encode a position as digit tokens")
     p.add_argument("index", type=int, help="1-based position")
@@ -417,16 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="free-form",
         help="how predictions render time",
     )
-    p.add_argument(
-        "--thresholds",
-        default=",".join(str(t) for t in DEFAULT_F1_THRESHOLDS),
-        help="F1 IoU thresholds, comma-separated",
-    )
-    p.add_argument(
-        "--iou",
-        default=",".join(str(t) for t in DEFAULT_R1_THRESHOLDS),
-        help="R@1 IoU thresholds, comma-separated",
-    )
+    p.add_argument("--thresholds", help="F1 IoU thresholds, comma-separated")
+    p.add_argument("--iou", help="R@1 IoU thresholds, comma-separated")
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -447,7 +423,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away, as `| head` does: exit as SIGPIPE would, and
+        # point stdout at /dev/null so the interpreter's final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, DomainError, TemplateError, TokenParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,10 +26,9 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .corpus import Corpus, draw_task, stamp
-from .dataset_io import InstructionRecord, derive_record_seed
+from .dataset_io import CaptionedClip, InstructionRecord, derive_record_seed
 from .errors import ConfigError, InvariantViolation
 from .position_token import (
-    IntervalUnit,
     TimeInterval,
     TimeRepresentation,
     decode_relative,
@@ -46,25 +45,6 @@ MAX_CLIPS = 10
 class ClipTask(Enum):
     DVC = "dvc"
     TVG = "tvg"
-
-
-@dataclass(frozen=True)
-class CaptionedClip:
-    id: str
-    video: str
-    label: str
-    caption: str
-    duration_s: float
-    fps: float
-
-    def __post_init__(self) -> None:
-        if not self.caption.strip():
-            raise ConfigError(f"clip {self.id!r} has an empty caption")
-        if not (0 < self.duration_s < math.inf and 0 < self.fps < math.inf):
-            raise ConfigError(
-                f"clip {self.id!r} needs finite positive duration and fps, got "
-                f"({self.duration_s}, {self.fps})"
-            )
 
 
 @dataclass(frozen=True)
@@ -96,15 +76,6 @@ class ClipSequenceSample:
             raise InvariantViolation(
                 f"pseudo duration {self.pseudo_duration_s} != clip total {expected}"
             )
-
-
-@dataclass(frozen=True)
-class EventAnnotation:
-    """One clip's span on the synthetic timeline, in relative units."""
-
-    interval: TimeInterval
-    caption: str
-    clip_id: str
 
 
 def apportion_frames(weights: Sequence[float], total: int) -> tuple[int, ...]:
@@ -166,7 +137,7 @@ def compose_sequence(
     pool: Sequence[CaptionedClip],
     n_clips: int,
     total_frames: int,
-    rate_range: tuple[float, float],
+    rate_bounds: tuple[float, float],
     rng: random.Random,
 ) -> ClipSequenceSample:
     """Draw clips without replacement and split the frame budget among them.
@@ -174,7 +145,7 @@ def compose_sequence(
     Distinct action labels are preferred; when the drawn window cannot
     supply enough distinct labels, repeats are allowed but arranged so
     equal labels never sit next to each other (when avoidable). Rate
-    factors are uniform on ``rate_range``, so a clip's share of frames is
+    factors are uniform on ``rate_bounds``, so a clip's share of frames is
     proportional to duration times its rate factor.
     """
     if not MIN_CLIPS <= n_clips <= MAX_CLIPS:
@@ -185,9 +156,9 @@ def compose_sequence(
         raise ConfigError(
             f"total_frames {total_frames} below one frame per clip ({n_clips})"
         )
-    lo, hi = rate_range
+    lo, hi = rate_bounds
     if not 0 < lo <= hi < math.inf:
-        raise ConfigError(f"rate_range must satisfy 0 < lo <= hi, got {rate_range}")
+        raise ConfigError(f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}")
     window_size = min(len(pool), max(8 * n_clips, n_clips))
     window = [pool[i] for i in rng.sample(range(len(pool)), window_size)]
     taken: list[CaptionedClip] = []
@@ -219,24 +190,18 @@ def compose_sequence(
     )
 
 
-def derive_annotations(sample: ClipSequenceSample) -> list[EventAnnotation]:
-    """Each clip's relative interval: its frame span over the frame budget.
-
-    Intervals are contiguous, ordered, and tile [0, 1] exactly.
+def derive_annotations(sample: ClipSequenceSample) -> list[TimeInterval]:
+    """Each clip's interval in seconds: its share of the frame budget times
+    the pseudo duration, as ``_spans`` renders it. Intervals are contiguous,
+    ordered, and tile [0, pseudo_duration_s] exactly.
     """
-    annotations: list[EventAnnotation] = []
+    annotations: list[TimeInterval] = []
+    total, duration = sample.total_frames, sample.pseudo_duration_s
     cumulative = 0
-    for clip, count in zip(sample.clips, sample.frame_counts):
-        start = cumulative / sample.total_frames
+    for count in sample.frame_counts:
+        start = cumulative / total * duration
         cumulative += count
-        end = cumulative / sample.total_frames
-        annotations.append(
-            EventAnnotation(
-                interval=TimeInterval(start, end, IntervalUnit.RELATIVE),
-                caption=clip.caption,
-                clip_id=clip.id,
-            )
-        )
+        annotations.append(TimeInterval(start, cumulative / total * duration))
     if cumulative != sample.total_frames:
         raise InvariantViolation(
             f"frame spans cover {cumulative} of {sample.total_frames} frames"
@@ -344,27 +309,31 @@ def gen_tvg(
 @dataclass(frozen=True)
 class ClipCorpusConfig:
     n_instances: int
-    clip_range: tuple[int, int] = (MIN_CLIPS, MAX_CLIPS)
+    clip_min: int = MIN_CLIPS
+    clip_max: int = MAX_CLIPS
     total_frames: int = 96
-    rate_range: tuple[float, float] = (0.5, 2.0)
+    rate_min: float = 0.5
+    rate_max: float = 2.0
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
 
     def __post_init__(self) -> None:
         if self.n_instances < 0:
             raise ConfigError(f"n_instances must be >= 0, got {self.n_instances}")
-        lo, hi = self.clip_range
-        if not MIN_CLIPS <= lo <= hi <= MAX_CLIPS:
+        if not MIN_CLIPS <= self.clip_min <= self.clip_max <= MAX_CLIPS:
             raise ConfigError(
-                f"clip_range must lie within {MIN_CLIPS}..{MAX_CLIPS}, got {self.clip_range}"
+                f"clip_min and clip_max must satisfy {MIN_CLIPS} <= clip_min <= "
+                f"clip_max <= {MAX_CLIPS}, got {self.clip_min} and {self.clip_max}"
             )
-        if self.total_frames < hi:
+        if self.total_frames < self.clip_max:
             raise ConfigError(
-                f"total_frames {self.total_frames} below one frame per clip ({hi})"
+                f"total_frames {self.total_frames} below one frame per clip ({self.clip_max})"
             )
-        rlo, rhi = self.rate_range
-        if not 0 < rlo <= rhi < math.inf:
-            raise ConfigError(f"invalid rate_range {self.rate_range}")
+        if not 0 < self.rate_min <= self.rate_max < math.inf:
+            raise ConfigError(
+                "rate_min and rate_max must satisfy 0 < rate_min <= rate_max, got "
+                f"{self.rate_min} and {self.rate_max}"
+            )
 
 
 def generate_clip_record(
@@ -376,8 +345,10 @@ def generate_clip_record(
     """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
     rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="clip-seq"))
     task = draw_task(ClipTask, rng)
-    n_clips = rng.randint(*config.clip_range)
-    sample = compose_sequence(pool, n_clips, config.total_frames, config.rate_range, rng)
+    n_clips = rng.randint(config.clip_min, config.clip_max)
+    sample = compose_sequence(
+        pool, n_clips, config.total_frames, (config.rate_min, config.rate_max), rng
+    )
     if task is ClipTask.DVC:
         record = gen_dvc(sample, templates, config.time_repr, rng)
     else:
@@ -390,12 +361,20 @@ def clip_corpus(
     pool: Sequence[CaptionedClip],
     templates: TemplateBank | None = None,
 ) -> Corpus:
-    """The build ``config`` describes, ready to run or write."""
-    if len(pool) < config.clip_range[1]:
+    """The build ``config`` describes, ready to run or write.
+
+    A caption with a line break is rejected: DVC answers hold one event
+    per line, so it would split its event and not parse back.
+    """
+    if len(pool) < config.clip_max:
         raise ConfigError(
-            f"pool of {len(pool)} clips cannot fill sequences of up to "
-            f"{config.clip_range[1]}"
+            f"pool of {len(pool)} clips cannot fill sequences of up to {config.clip_max}"
         )
+    for clip in pool:
+        if clip.caption.splitlines() != [clip.caption]:
+            raise ConfigError(
+                f"clip {clip.id!r} has a caption with a line break: {clip.caption!r}"
+            )
     if templates is None:
         templates = TemplateBank.load()
     return Corpus(generate_clip_record, config, tuple(pool), templates)

@@ -1,29 +1,29 @@
 """Corpus ingestion and instruction-record serialization.
 
 Input corpora are JSON-lines. Image rows carry ``{"id", "image",
-"caption"}``; clip rows carry ``{"id", "video", "label", "caption",
-"duration_s", "fps"}``. Output instruction records are JSON-lines with a
-fixed key order (id, media, task, question, answer, meta) and no float
-re-formatting, so equal inputs produce byte-identical files and builds can
-be regression-tested by hash.
+"caption"}`` and load as :class:`CaptionedImage`; clip rows carry
+``{"id", "video", "label", "caption", "duration_s", "fps"}`` and load as
+:class:`CaptionedClip`. These readers and the evaluation ones take their
+rows through :func:`unique_rows`, the one row-id rule. Output
+instruction records are JSON-lines with a fixed key order (id, media,
+task, question, answer, meta) and no float re-formatting, so equal
+inputs produce byte-identical files and builds can be regression-tested
+by hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
-from .errors import CorpusFormatError
-
-if TYPE_CHECKING:  # only for annotations; avoids an import cycle
-    from .clip_sequence import CaptionedClip
-    from .image_sequence import CaptionedImage
+from .errors import ConfigError, CorpusFormatError
 
 RECORD_KEY_ORDER = ("id", "media", "task", "question", "answer", "meta")
 
@@ -137,38 +137,70 @@ def _require_positive(obj: dict, lineno: int, field_name: str, path: Path) -> fl
     return float(value)
 
 
-def _unique_rows(path: str | Path) -> Iterator[tuple[Path, int, dict, str]]:
-    """(path, line number, object, id) per row; a repeated id is an error."""
+def unique_rows(
+    path: str | Path, key: str = "id"
+) -> Iterator[tuple[Path, int, dict, str]]:
+    """(path, line number, object, row id) per row of a JSONL file.
+
+    The row id is the ``key`` field: non-blank text, never repeated; a
+    repeat names both lines.
+    """
     p = Path(path)
     seen: dict[str, int] = {}
     for lineno, obj in iter_jsonl_with_lines(p):
-        row_id = _require_text(obj, lineno, "id", p)
+        row_id = _require_text(obj, lineno, key, p)
         if row_id in seen:
             raise CorpusFormatError(
-                f"{p}: duplicate id {row_id!r} at lines {seen[row_id]} and {lineno}"
+                f"{p}: duplicate {key} {row_id!r} at lines {seen[row_id]} and {lineno}"
             )
         seen[row_id] = lineno
         yield p, lineno, obj, row_id
 
 
-def load_image_captions(path: str | Path) -> list["CaptionedImage"]:
-    """Load an image-caption corpus, rejecting malformed rows by line number."""
-    from .image_sequence import CaptionedImage
+@dataclass(frozen=True)
+class CaptionedImage:
+    id: str
+    image: str
+    caption: str
 
+    def __post_init__(self) -> None:
+        if not self.caption.strip():
+            raise ConfigError(f"image {self.id!r} has an empty caption")
+
+
+@dataclass(frozen=True)
+class CaptionedClip:
+    id: str
+    video: str
+    label: str
+    caption: str
+    duration_s: float
+    fps: float
+
+    def __post_init__(self) -> None:
+        if not self.caption.strip():
+            raise ConfigError(f"clip {self.id!r} has an empty caption")
+        if not (0 < self.duration_s < math.inf and 0 < self.fps < math.inf):
+            raise ConfigError(
+                f"clip {self.id!r} needs finite positive duration and fps, got "
+                f"({self.duration_s}, {self.fps})"
+            )
+
+
+def load_image_captions(path: str | Path) -> list[CaptionedImage]:
+    """Load an image-caption corpus, rejecting malformed rows by line number."""
     return [
         CaptionedImage(
             id=row_id,
             image=_require_text(obj, lineno, "image", p),
             caption=_require_text(obj, lineno, "caption", p),
         )
-        for p, lineno, obj, row_id in _unique_rows(path)
+        for p, lineno, obj, row_id in unique_rows(path)
     ]
 
 
-def load_clip_captions(path: str | Path) -> list["CaptionedClip"]:
+def load_clip_captions(path: str | Path) -> list[CaptionedClip]:
     """Load a clip-caption corpus, rejecting malformed rows by line number."""
-    from .clip_sequence import CaptionedClip
-
     return [
         CaptionedClip(
             id=row_id,
@@ -178,7 +210,7 @@ def load_clip_captions(path: str | Path) -> list["CaptionedClip"]:
             duration_s=_require_positive(obj, lineno, "duration_s", p),
             fps=_require_positive(obj, lineno, "fps", p),
         )
-        for p, lineno, obj, row_id in _unique_rows(path)
+        for p, lineno, obj, row_id in unique_rows(path)
     ]
 
 
@@ -245,12 +277,7 @@ class CorpusStats:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "task_counts": dict(sorted(self.task_counts.items())),
-            "mean_question_chars": self.mean_question_chars,
-            "mean_answer_chars": self.mean_answer_chars,
-        }
+        return {**asdict(self), "task_counts": dict(sorted(self.task_counts.items()))}
 
 
 def corpus_stats(path: str | Path) -> CorpusStats:

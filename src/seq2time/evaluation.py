@@ -9,7 +9,14 @@ matching how the generators render answers:
   codes decode to fractions and scale by the video duration.
 
 Non-blank lines matching neither grammar are skipped and counted, never
-fatal: real model outputs are noisy.
+fatal: real model outputs are noisy. (Image answers mention positions,
+not intervals; their parser sits beside their renderer, in
+``seq2time.image_sequence``.)
+
+Intervals are in seconds, and IoU has one formula, ``_iou_table``;
+``iou`` is its one-pair case. Prediction and ground-truth files are read
+under the package's one row-id rule (``dataset_io.unique_rows``), keyed
+on ``video_id``.
 
 Metrics:
 
@@ -38,15 +45,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset_io import is_positive_number, iter_jsonl_with_lines
+from .dataset_io import is_positive_number, unique_rows
 from .errors import CorpusFormatError, DomainError
 from .position_token import (
     CODE_PATTERN,
-    IntervalUnit,
     TimeInterval,
     TimeRepresentation,
     code_from_string,
-    code_to_index,
     decode_relative,
     to_timestamp,
 )
@@ -60,7 +65,6 @@ _FREE_FORM_LINE = re.compile(
     re.IGNORECASE,
 )
 _RPT_LINE = re.compile(rf"^\s*({CODE_PATTERN})({CODE_PATTERN})\s*(.*?)\s*$")
-_TOKEN_GROUP = re.compile(CODE_PATTERN)
 _WORD = re.compile(r"[^\W_]+")
 
 
@@ -118,41 +122,13 @@ def parse_predictions(
             start, end = float(start_text), float(end_text)
         if start > end:
             start, end = end, start
-        events.append(
-            EventPrediction(
-                interval=TimeInterval(start, end, IntervalUnit.SECONDS),
-                caption=caption,
-            )
-        )
+        events.append(EventPrediction(TimeInterval(start, end), caption))
     return ParseResult(events=tuple(events), skipped_lines=skipped)
-
-
-def parse_index_mentions(
-    text: str, time_repr: TimeRepresentation, seq_len: int
-) -> list[int]:
-    """All sequence positions mentioned in an image-task answer, in order.
-
-    Free form reads every integer literal (so captions must be digit-free
-    for the parse to be a faithful inverse); position tokens read every
-    4-token code and map it to the nearest position of ``seq_len``.
-    """
-    if time_repr is TimeRepresentation.RPT:
-        return [
-            code_to_index(code_from_string(m.group(0)), seq_len)
-            for m in _TOKEN_GROUP.finditer(text)
-        ]
-    return [int(m.group(0)) for m in re.finditer(r"\d+", text)]
 
 
 def iou(a: TimeInterval, b: TimeInterval) -> float:
     """Intersection over union; 0 when the union has zero length."""
-    if a.unit is not b.unit:
-        raise DomainError(f"cannot compare intervals in {a.unit} and {b.unit}")
-    intersection = max(0.0, min(a.end, b.end) - max(a.start, b.start))
-    union = a.length + b.length - intersection
-    if union <= 0.0:
-        return 0.0
-    return intersection / union
+    return _iou_table([a], [b])[0][0]
 
 
 def _interval(event: EventPrediction | TimeInterval) -> TimeInterval:
@@ -186,9 +162,7 @@ def recall_at_1(
 
 
 def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
-    """``iou(p, g)`` for every pred×gt pair, bit for bit: same operations, same order."""
-    if preds and gts and len(units := {i.unit for i in (*preds, *gts)}) > 1:
-        raise DomainError(f"cannot compare intervals in {' and '.join(sorted(map(str, units)))}")
+    """``iou(p, g)`` for every pred×gt pair of intervals."""
     spans = [(g.start, g.end, g.end - g.start) for g in gts]
     table = []
     for p in preds:
@@ -365,23 +339,15 @@ def _event_time(event: dict, key: str) -> float:
 
 def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
     """Ground truth JSONL: {"video_id", "events": [{start, end, caption}]}."""
-    p = Path(path)
     videos: dict[str, list[EventPrediction]] = {}
-    for lineno, obj in iter_jsonl_with_lines(p):
-        video_id = obj.get("video_id")
+    for p, lineno, obj, video_id in unique_rows(path, "video_id"):
         events = obj.get("events")
-        if not isinstance(video_id, str) or not isinstance(events, list):
-            raise CorpusFormatError(
-                f"{p}: line {lineno}: expected video_id and events fields"
-            )
-        if video_id in videos:
-            raise CorpusFormatError(f"{p}: line {lineno}: duplicate video {video_id!r}")
+        if not isinstance(events, list):
+            raise CorpusFormatError(f"{p}: line {lineno}: expected an events list")
         parsed = []
         for k, ev in enumerate(events):
             try:
-                interval = TimeInterval(
-                    _event_time(ev, "start"), _event_time(ev, "end"), IntervalUnit.SECONDS
-                )
+                interval = TimeInterval(_event_time(ev, "start"), _event_time(ev, "end"))
                 caption = ev.get("caption", "")
                 if not isinstance(caption, str):
                     raise TypeError(f"caption must be a string, got {caption!r}")
@@ -396,22 +362,14 @@ def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
 
 def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
     """Prediction JSONL: {"video_id", "output", "duration_s"}."""
-    p = Path(path)
     videos: dict[str, tuple[str, float]] = {}
-    for lineno, obj in iter_jsonl_with_lines(p):
-        video_id = obj.get("video_id")
+    for p, lineno, obj, video_id in unique_rows(path, "video_id"):
         output = obj.get("output")
         duration = obj.get("duration_s")
-        if (
-            not isinstance(video_id, str)
-            or not isinstance(output, str)
-            or not is_positive_number(duration)
-        ):
+        if not isinstance(output, str) or not is_positive_number(duration):
             raise CorpusFormatError(
-                f"{p}: line {lineno}: expected video_id, output and positive duration_s"
+                f"{p}: line {lineno}: expected output and positive duration_s"
             )
-        if video_id in videos:
-            raise CorpusFormatError(f"{p}: line {lineno}: duplicate video {video_id!r}")
         videos[video_id] = (output, float(duration))
     return videos
 

@@ -12,10 +12,12 @@ ill-posed). Three record generators operate on a sample:
   the immediate neighbor. Boundary anchors are re-drawn, never emitted.
 
 Indices render per the active time representation: four digit position
-tokens, or the bare integer. Every generator re-checks its own output
+tokens, or the bare integer (``render_index``), and parse back with
+``parse_index_mentions``. Every generator re-checks its own output
 (rendered indices and captions must appear in the emitted text, in order)
 and raises :class:`InvariantViolation` rather than emit an inconsistent
-record.
+record. A build refuses, at setup, any caption or answer-template text
+that would itself read as a position.
 
 Corpus building is pure per record ordinal: record i of a run is a
 function of (config, seed, i) only, so generation can fan out across
@@ -26,21 +28,25 @@ records with an empty id; a corpus run names record i ``is-{seed}-{i:08d}``.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Iterator, Sequence
 
 from .corpus import Corpus, draw_task, stamp
-from .dataset_io import InstructionRecord, derive_record_seed
-from .errors import ConfigError, InvariantViolation
+from .dataset_io import CaptionedImage, InstructionRecord, derive_record_seed
+from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
+    CODE_PATTERN,
     MAX_RPT_LENGTH,
     TimeRepresentation,
+    code_from_string,
+    code_to_index,
     encode_relative,
     render_code,
 )
-from .templates import TemplateBank, check_in_order, render_template
+from .templates import TemplateBank, check_in_order, render_template, strip_slots
 
 
 class PretextTask(Enum):
@@ -52,17 +58,6 @@ class PretextTask(Enum):
 class Direction(Enum):
     BEFORE = "before"
     AFTER = "after"
-
-
-@dataclass(frozen=True)
-class CaptionedImage:
-    id: str
-    image: str
-    caption: str
-
-    def __post_init__(self) -> None:
-        if not self.caption.strip():
-            raise ConfigError(f"image {self.id!r} has an empty caption")
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,27 @@ def render_index(index: int, seq_len: int, time_repr: TimeRepresentation) -> str
     if time_repr is TimeRepresentation.RPT:
         return render_code(encode_relative(index, seq_len))
     return str(index)
+
+
+_CODE = re.compile(CODE_PATTERN)
+
+
+def parse_index_mentions(
+    text: str, time_repr: TimeRepresentation, seq_len: int
+) -> list[int]:
+    """All sequence positions mentioned in an image-task answer, in order.
+
+    The inverse of :func:`render_index`. Free form reads every integer
+    literal (so captions must be digit-free for the parse to be a faithful
+    inverse); position tokens read every 4-token code and map it to the
+    nearest position of ``seq_len``.
+    """
+    if time_repr is TimeRepresentation.RPT:
+        return [
+            code_to_index(code_from_string(m.group(0)), seq_len)
+            for m in _CODE.finditer(text)
+        ]
+    return [int(m.group(0)) for m in re.finditer(r"\d+", text)]
 
 
 def _arity(targets: Sequence[int]) -> str:
@@ -301,12 +317,11 @@ def image_corpus(
 ) -> Corpus:
     """The build ``config`` describes, ready to run or write.
 
-    A caption that reads as a position under the build's time rendering
-    (any integer in free form, a rendered code in rpt) is rejected, since
-    answers would no longer parse back to their targets.
+    A caption, or the fixed text of an answer template, that reads as a
+    position under the build's time rendering (any integer in free form, a
+    rendered code in rpt) is rejected, since answers would no longer parse
+    back to their targets.
     """
-    from .evaluation import parse_index_mentions  # kept out of `import seq2time`
-
     if len(pool) < config.seq_len:
         raise ConfigError(
             f"pool of {len(pool)} images cannot fill a sequence of {config.seq_len}"
@@ -324,6 +339,13 @@ def image_corpus(
         )
     if templates is None:
         templates = TemplateBank.load()
+    for task in PretextTask:
+        for template in templates.answers(task.value):
+            if mentions(strip_slots(template)):
+                raise TemplateError(
+                    f"{task.value} answer template reads as a position in "
+                    f"{config.time_repr.value} answers: {template!r}"
+                )
     return Corpus(generate_image_record, config, tuple(pool), templates)
 
 

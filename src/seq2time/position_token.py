@@ -33,7 +33,7 @@ being approximated:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import DomainError, TokenParseError
@@ -57,14 +57,15 @@ class TimeRepresentation(Enum):
     FREE_FORM = "free_form"  # seconds like "12.3", or a bare integer index
 
 
+# intervals are in seconds; this enum and TimeInterval.unit remain only because
+# perfbench/check.py passes IntervalUnit.SECONDS (a benchmark change can drop both)
 class IntervalUnit(Enum):
-    RELATIVE = "relative"
     SECONDS = "seconds"
 
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """A start/end pair, either in seconds or as fractions of a duration."""
+    """A start/end pair in seconds."""
 
     start: float
     end: float
@@ -75,12 +76,6 @@ class TimeInterval:
             raise DomainError(
                 f"interval requires 0 <= start <= end, got ({self.start}, {self.end})"
             )
-        if self.unit is IntervalUnit.RELATIVE and self.end > 1.0:
-            raise DomainError(f"relative interval end {self.end} exceeds 1.0")
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
 
 def vocabulary() -> tuple[str, ...]:
@@ -196,15 +191,7 @@ class QuantizationErrorReport:
     max_abs_error_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.value,
-            "video_duration_s": self.video_duration_s,
-            "fps": self.fps,
-            "sampled_frames": self.sampled_frames,
-            "mean_abs_error_s": self.mean_abs_error_s,
-            "mean_relative_error_pct": self.mean_relative_error_pct,
-            "max_abs_error_s": self.max_abs_error_s,
-        }
+        return {**asdict(self), "model": self.model.value}
 
 
 def quantization_error_report(

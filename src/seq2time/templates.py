@@ -10,7 +10,8 @@ the canonical wording, the rest are paraphrases. Slots are uppercase
 angle-bracket markers (``<CAPTION>``, ``<INDEX>``, ``<CAPTION1>``,
 ``<CAPTION2>``, ``<DIRECTION>``, ``<EVENTS>``, ``<INTERVAL>``); they never
 collide with digit position tokens, which are single digits. The bank
-validates on load that every template carries all slots its task needs.
+validates on load that every template carries all slots its task needs,
+in an order and place its answers parse back from.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from typing import Iterable
 from .errors import InvariantViolation, TemplateError
 
 _SLOT_RE = re.compile(r"<(?:CAPTION[12]?|INDEX|DIRECTION|EVENTS|INTERVAL)>")
+
+# the DVC and TVG parsers read one event per line, from the start of the
+# line, so these answer slots have a placement rule: slot -> (a misplaced
+# occurrence, the rule)
+_LINE_SLOTS = {
+    "<EVENTS>": (re.compile(r"[^\n]<EVENTS>|<EVENTS>[^\n]"), "fill whole lines"),
+    "<INTERVAL>": (re.compile(r"[^\n]<INTERVAL>"), "start a line"),
+}
 
 # (task, arity) -> (slots every question needs, slots every answer needs)
 REQUIRED_SLOTS: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -64,21 +73,25 @@ def check_in_order(text: str, needles: Iterable[str], what: str) -> None:
 
 
 def render_template(template: str, values: dict[str, str]) -> str:
-    """Fill every slot of ``template`` from ``values``.
+    """Fill every slot of ``template`` from ``values``, in one pass.
 
+    Values are inserted verbatim, even one that holds a slot marker.
     Raises :class:`TemplateError` if the template contains a slot with no
-    value, or leaves any known slot marker unfilled.
+    value.
     """
-    out = template
-    for slot in _SLOT_RE.findall(template):
+
+    def fill(match: re.Match) -> str:
+        slot = match.group(0)
         if slot not in values:
             raise TemplateError(f"no value provided for slot {slot} in {template!r}")
-    for slot, value in values.items():
-        out = out.replace(slot, value)
-    leftover = _SLOT_RE.search(out)
-    if leftover is not None:
-        raise TemplateError(f"slot {leftover.group(0)} left unfilled in {out!r}")
-    return out
+        return values[slot]
+
+    return _SLOT_RE.sub(fill, template)
+
+
+def strip_slots(template: str) -> str:
+    """The template's fixed text: every slot marker removed."""
+    return _SLOT_RE.sub("", template)
 
 
 class TemplateBank:
@@ -131,6 +144,11 @@ class TemplateBank:
                             raise TemplateError(
                                 f"{task}/{arity}/{kind} template missing {slot}: {tpl!r}"
                             )
+                    for slot, (misplaced, rule) in _LINE_SLOTS.items():
+                        if slot in slots and misplaced.search(tpl):
+                            raise TemplateError(
+                                f"{task}/{arity}/{kind} template: {slot} must {rule}: {tpl!r}"
+                            )
                     # answers pairing an index with a caption must put the
                     # index first; parse-back association depends on it
                     if kind == "answers" and "<INDEX>" in slots:
@@ -151,6 +169,15 @@ class TemplateBank:
         if entry is None:
             raise TemplateError(f"no templates for task {task!r} arity {arity!r}")
         return list(entry["questions"]), list(entry["answers"])
+
+    def answers(self, task: str) -> list[str]:
+        """Every answer template of ``task``, over the arities the bank has."""
+        return [
+            tpl
+            for arity, entry in self._data.get(task, {}).items()
+            if (task, arity) in REQUIRED_SLOTS
+            for tpl in entry["answers"]
+        ]
 
     def sample(self, task: str, arity: str, rng: random.Random) -> tuple[str, str]:
         """One uniformly drawn question template and answer template."""

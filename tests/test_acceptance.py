@@ -28,7 +28,6 @@ from seq2time.evaluation import (
     evaluate_run,
     iou,
     match_events,
-    parse_index_mentions,
     parse_predictions,
     recall_at_1,
     temporal_f1,
@@ -38,6 +37,7 @@ from seq2time.image_sequence import (
     ImageCorpusConfig,
     build_image_corpus,
     gen_alr,
+    parse_index_mentions,
     sample_sequence,
 )
 from seq2time.position_token import (
@@ -223,11 +223,11 @@ def test_criterion_07_frame_partition_tiles_unit_interval(clip_pool):
         assert 2 <= len(sample.clips) <= 10
         assert sum(sample.frame_counts) == total_frames
         annotations = derive_annotations(sample)
-        assert annotations[0].interval.start == 0.0
-        assert annotations[-1].interval.end == 1.0
+        assert annotations[0].start == 0.0
+        assert annotations[-1].end == sample.pseudo_duration_s
         for left, right in zip(annotations, annotations[1:]):
-            assert left.interval.end == right.interval.start
-    report(7, "10000 compositions: frame counts partition, spans tile [0, 1]")
+            assert left.end == right.start
+    report(7, "10000 compositions: frame counts partition, spans tile [0, D]")
 
 
 def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
@@ -249,11 +249,7 @@ def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
     worst = 0.0
     for trial in range(200):
         sample = compose_sequence(clip_pool, rng.randint(2, 10), 96, (0.5, 2.0), rng)
-        duration = sample.pseudo_duration_s
-        truth = [
-            (a.interval.start * duration, a.interval.end * duration)
-            for a in derive_annotations(sample)
-        ]
+        truth = [(a.start, a.end) for a in derive_annotations(sample)]
         record = gen_dvc(sample, bank, RPT, rng)
         parsed = parse_predictions(record.answer, RPT, sample.pseudo_duration_s)
         assert len(parsed.events) == len(truth)

@@ -361,7 +361,7 @@ class TestBuildClipSeq:
             "--clip-min", "1",
         )
         assert code == 2
-        assert "clip_range" in err
+        assert "clip_min and clip_max" in err
 
     def test_infinite_rate_is_config_error(self, capsys, clip_source, tmp_path):
         output = tmp_path / "out.jsonl"
@@ -374,7 +374,7 @@ class TestBuildClipSeq:
             "--rate-max", "inf",
         )
         assert code == 2
-        assert "rate_range" in err
+        assert "rate_min and rate_max" in err
         assert not output.exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -571,6 +571,104 @@ class TestCorpusWriter:
         assert f"image {image_pool[321].id!r}" in err
         assert out_path.read_bytes() == b"previous corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
+
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\u2028"], ids=["lf", "crlf", "ls"])
+    def test_clip_caption_with_line_break_keeps_existing_output(
+        self, capsys, clip_pool, tmp_path, brk
+    ):
+        # DVC answers hold one event per line, so such a caption would
+        # split its event and the answer would not parse back
+        pool = list(clip_pool)
+        pool[7] = dataclasses.replace(pool[7], caption=f"a person is{brk}juggling")
+        source = write_clip_source(pool, tmp_path / "clips.jsonl")
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        code, _, err = run_cli(
+            capsys,
+            "build-clip-seq",
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--time-repr", "free-form",
+        )
+        assert code == 2
+        assert f"clip {pool[7].id!r} has a caption with a line break" in err
+        assert out_path.read_bytes() == b"previous corpus\n"
+
+    def test_caption_holding_a_slot_marker_is_kept_verbatim(
+        self, capsys, image_pool, tmp_path
+    ):
+        rows = [{"id": c.id, "image": c.image, "caption": c.caption} for c in image_pool]
+        for row in rows:
+            row["caption"] += " by <INDEX>"
+        source = tmp_path / "images.jsonl"
+        write_jsonl(rows, source)
+        out_path = tmp_path / "corpus.jsonl"
+        code, _, _ = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--time-repr", "free-form",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert all(" by <INDEX>" in r["question"] + r["answer"] for r in records)
+
+
+def _bank_with(tmp_path, task, arity, answer):
+    """The packaged bank with every ``task``/``arity`` answer set to ``answer``."""
+    data = json.loads((SRC / "seq2time" / "data" / "template_bank.json").read_text())
+    data[task][arity]["answers"] = [answer] * 10
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestCustomTemplateBanks:
+    """A bank whose records could not parse back is refused (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "task, answer, message",
+        [
+            ("dvc", "Events: <EVENTS>", "dvc/single/answers template: <EVENTS> must fill"),
+            ("tvg", "The span is <INTERVAL>.", "tvg/single/answers template: <INTERVAL> must"),
+        ],
+        ids=["dvc", "tvg"],
+    )
+    def test_event_slot_off_its_line(self, capsys, clip_source, tmp_path, task, answer, message):
+        out_path = tmp_path / "corpus.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "build-clip-seq",
+            "--source", str(clip_source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--templates", str(_bank_with(tmp_path, task, "single", answer)),
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not out_path.exists()
+
+    def test_image_answer_reading_as_a_position(self, capsys, image_source, tmp_path):
+        # "96" is a position in free form, but not a code in rpt
+        bank = _bank_with(tmp_path, "iig", "single", "Out of 96 images, the index is <INDEX>.")
+        out_path = tmp_path / "corpus.jsonl"
+        args = [
+            "build-image-seq",
+            "--source", str(image_source),
+            "--output", str(out_path),
+            "--n", "20",
+            "--templates", str(bank),
+        ]
+        code, _, err = run_cli(capsys, *args, "--time-repr", "free-form")
+        assert code == 2
+        assert "iig answer template reads as a position in free_form answers" in err
+        assert not out_path.exists()
+        code, _, _ = run_cli(capsys, *args, "--time-repr", "rpt")
+        assert code == 0
 
 
 class TestConfigFile:
@@ -880,6 +978,17 @@ class TestEvalCommands:
         assert "line 2: bad event 0" in err
         assert "finite number of seconds" in err
 
+    @pytest.mark.parametrize("which", ["pred", "gt"])
+    def test_blank_video_id_is_data_error(self, capsys, tmp_path, which):
+        pred, gt = _write_eval_run(tmp_path)
+        path = {"pred": pred, "gt": gt}[which]
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1]["video_id"] = " "
+        write_jsonl(rows, path)
+        code, out, err = run_cli(capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt))
+        assert (code, out) == (4, "")
+        assert "line 2: field video_id must be non-empty text" in err
+
     @pytest.mark.parametrize("caption", ["7", "null", '["a"]'])
     def test_gt_caption_not_a_string_is_data_error(self, capsys, tmp_path, caption):
         pred, gt = _write_eval_run(tmp_path)
@@ -1043,11 +1152,12 @@ class TestParserBehavior:
 
     def test_import_stays_light(self):
         # the package has no runtime dependencies, and the CLI imports the
-        # process pool only when a build fans out, so start-up stays cheap;
-        # numpy (a test-only extra) must not come back in through the CLI
+        # process pool only when a build fans out and the scorer only when
+        # it scores, so start-up stays cheap; numpy (a test-only extra)
+        # must not come back in through the CLI
         probe = (
-            "import sys, seq2time.cli, seq2time\n"
-            "heavy = {'numpy', 'requests', 'concurrent.futures.process'}\n"
+            "import sys, seq2time, seq2time.cli\n"
+            "heavy = {'numpy', 'requests', 'concurrent.futures.process', 'seq2time.evaluation'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
             "print([n for n in seq2time.__all__ if not hasattr(seq2time, n)])\n"
         )
@@ -1059,6 +1169,27 @@ class TestParserBehavior:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_like_sigpipe(self, buffered):
+        # a reader that stops early (`| head`) is not a data error
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "seq2time.cli", "tokenize", "7", "96"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_console_script_installed(self):
         exe = shutil.which("seq2time")

@@ -23,11 +23,7 @@ from seq2time.clip_sequence import (
 )
 from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import parse_predictions
-from seq2time.position_token import (
-    IntervalUnit,
-    TimeInterval,
-    TimeRepresentation,
-)
+from seq2time.position_token import TimeInterval, TimeRepresentation
 from seq2time.templates import TemplateBank
 
 
@@ -195,9 +191,9 @@ class TestComposeSequence:
             compose_sequence(clip_pool[:3], 4, 96, (0.5, 2.0), random.Random(0))
         with pytest.raises(ConfigError, match="below one frame"):
             compose_sequence(clip_pool, 5, 4, (0.5, 2.0), random.Random(0))
-        with pytest.raises(ConfigError, match="rate_range"):
+        with pytest.raises(ConfigError, match="rate_bounds"):
             compose_sequence(clip_pool, 5, 96, (2.0, 0.5), random.Random(0))
-        with pytest.raises(ConfigError, match="rate_range"):
+        with pytest.raises(ConfigError, match="rate_bounds"):
             compose_sequence(clip_pool, 5, 96, (0.5, float("inf")), random.Random(0))
 
 
@@ -266,13 +262,10 @@ class TestSampleValidation:
 
 class TestDeriveAnnotations:
     def test_two_clip_oracle(self):
-        annotations = derive_annotations(two_clip_sample())
-        assert [
-            (a.interval.start, a.interval.end) for a in annotations
-        ] == [(0.0, 0.25), (0.25, 1.0)]
-        seconds = [(a.interval.start * 20, a.interval.end * 20) for a in annotations]
-        assert seconds == [(0.0, 5.0), (5.0, 20.0)]
-        assert annotations[0].clip_id == "c1"
+        sample = two_clip_sample()
+        annotations = derive_annotations(sample)
+        assert annotations == [TimeInterval(0.0, 5.0), TimeInterval(5.0, 20.0)]
+        assert sample.clips[0].id == "c1"
 
     def test_quarters(self):
         clips = tuple(
@@ -286,11 +279,11 @@ class TestDeriveAnnotations:
             pseudo_duration_s=20.0,
         )
         annotations = derive_annotations(sample)
-        assert [
-            (a.interval.start, a.interval.end) for a in annotations
-        ] == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+        assert [(a.start, a.end) for a in annotations] == [
+            (0.0, 5.0), (5.0, 10.0), (10.0, 15.0), (15.0, 20.0)
+        ]
 
-    def test_tiles_unit_interval(self, clip_pool):
+    def test_tiles_pseudo_duration(self, clip_pool):
         for seed in range(30):
             sample = compose_sequence(
                 clip_pool,
@@ -300,11 +293,10 @@ class TestDeriveAnnotations:
                 random.Random(seed),
             )
             annotations = derive_annotations(sample)
-            assert annotations[0].interval.start == 0.0
-            assert annotations[-1].interval.end == 1.0
+            assert annotations[0].start == 0.0
+            assert annotations[-1].end == sample.pseudo_duration_s
             for left, right in zip(annotations, annotations[1:]):
-                assert left.interval.end == right.interval.start
-            assert all(a.interval.unit is IntervalUnit.RELATIVE for a in annotations)
+                assert left.end == right.start
 
 
 class TestGenDVC:
@@ -376,13 +368,14 @@ class TestGenerateParseIdentity:
     @given(time_repr=st.sampled_from(list(TimeRepresentation)), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_parse_recovers_meta(self, clip_pool, time_repr, data):
-        # every accepted (clip_range, total_frames, time_repr) renders
+        # every accepted (clip_min, clip_max, total_frames, time_repr) renders
         # answers that parse back to the meta intervals bit for bit
         lo = data.draw(st.integers(MIN_CLIPS, MAX_CLIPS), label="clip_min")
         hi = data.draw(st.integers(lo, MAX_CLIPS), label="clip_max")
         config = ClipCorpusConfig(
             n_instances=4,
-            clip_range=(lo, hi),
+            clip_min=lo,
+            clip_max=hi,
             total_frames=data.draw(st.integers(hi, 20_000), label="total_frames"),
             seed=data.draw(st.integers(0, 2**32), label="seed"),
             time_repr=time_repr,
@@ -439,22 +432,26 @@ class TestGenTVG:
 class TestClipCorpusConfig:
     def test_defaults(self):
         config = ClipCorpusConfig(n_instances=1)
-        assert config.clip_range == (2, 10)
+        assert (config.clip_min, config.clip_max) == (2, 10)
         assert config.total_frames == 96
-        assert config.rate_range == (0.5, 2.0)
+        assert (config.rate_min, config.rate_max) == (0.5, 2.0)
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="clip_range"):
-            ClipCorpusConfig(n_instances=1, clip_range=(1, 10))
-        with pytest.raises(ConfigError, match="clip_range"):
-            ClipCorpusConfig(n_instances=1, clip_range=(5, 3))
+        with pytest.raises(ConfigError, match="clip_min and clip_max"):
+            ClipCorpusConfig(n_instances=1, clip_min=1)
+        with pytest.raises(ConfigError, match="clip_min and clip_max"):
+            ClipCorpusConfig(n_instances=1, clip_min=5, clip_max=3)
+        with pytest.raises(ConfigError, match="clip_min and clip_max"):
+            ClipCorpusConfig(n_instances=1, clip_max=11)
         with pytest.raises(ConfigError, match="below one frame"):
             ClipCorpusConfig(n_instances=1, total_frames=8)
-        with pytest.raises(ConfigError, match="rate_range"):
-            ClipCorpusConfig(n_instances=1, rate_range=(0.0, 1.0))
+        with pytest.raises(ConfigError, match="rate_min and rate_max"):
+            ClipCorpusConfig(n_instances=1, rate_min=0.0, rate_max=1.0)
+        with pytest.raises(ConfigError, match="rate_min and rate_max"):
+            ClipCorpusConfig(n_instances=1, rate_min=1.5, rate_max=1.0)
         for bad in (float("inf"), float("nan")):
-            with pytest.raises(ConfigError, match="rate_range"):
-                ClipCorpusConfig(n_instances=1, rate_range=(0.5, bad))
+            with pytest.raises(ConfigError, match="rate_min and rate_max"):
+                ClipCorpusConfig(n_instances=1, rate_max=bad)
 
 
 class TestBuildClipCorpus:
@@ -497,7 +494,7 @@ class TestBuildClipCorpus:
         assert abs(count_dvc - 200) <= 30
 
     def test_clip_counts_respect_range(self, clip_pool):
-        config = ClipCorpusConfig(n_instances=50, clip_range=(3, 4), seed=5)
+        config = ClipCorpusConfig(n_instances=50, clip_min=3, clip_max=4, seed=5)
         for record in build_clip_corpus(config, clip_pool):
             assert 3 <= len(record.media) <= 4
 

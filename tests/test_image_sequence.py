@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from seq2time import corpus
 from seq2time.dataset_io import derive_record_seed
 from seq2time.errors import ConfigError
-from seq2time.evaluation import parse_index_mentions
 from seq2time.image_sequence import (
     CaptionedImage,
     Direction,
@@ -24,6 +23,7 @@ from seq2time.image_sequence import (
     gen_iig,
     generate_image_record,
     image_corpus,
+    parse_index_mentions,
     render_index,
     sample_sequence,
 )

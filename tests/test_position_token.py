@@ -12,7 +12,6 @@ from seq2time.position_token import (
     MAX_CODE,
     SCALE,
     ErrorModel,
-    IntervalUnit,
     TimeInterval,
     code_from_string,
     code_to_index,
@@ -169,8 +168,6 @@ class TestTimeInterval:
             TimeInterval(3.0, 2.0)
         with pytest.raises(DomainError):
             TimeInterval(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            TimeInterval(0.5, 1.5, IntervalUnit.RELATIVE)
 
 
 class TestQuantizationAnalyzer:

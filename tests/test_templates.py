@@ -127,6 +127,28 @@ class TestValidation:
                 ["<CAPTION> is what image <INDEX> shows."],
             )
 
+    @pytest.mark.parametrize(
+        "task, answer, accepted",
+        [
+            ("dvc", "<EVENTS>", True),
+            ("dvc", "Events:\n<EVENTS>\nThat is all.", True),
+            ("dvc", "Events: <EVENTS>", False),
+            ("dvc", "<EVENTS> in order", False),
+            ("dvc", "Events:\n<EVENTS>\n<EVENTS>.", False),
+            ("tvg", "<INTERVAL>, the span.", True),
+            ("tvg", "Span:\n<INTERVAL>", True),
+            ("tvg", "The span is <INTERVAL>.", False),
+        ],
+    )
+    def test_line_slots_keep_their_lines(self, task, answer, accepted):
+        # the DVC and TVG parsers read each event from the start of its line
+        question = "When is <CAPTION>?" if task == "tvg" else "List the events."
+        if accepted:
+            self._bank(task, "single", [question], [answer])
+            return
+        with pytest.raises(TemplateError, match=f"{task}/single/answers template: <"):
+            self._bank(task, "single", [question], [answer])
+
     def test_root_must_be_object(self):
         with pytest.raises(TemplateError, match="root must be an object"):
             TemplateBank(["not", "a", "dict"])
@@ -196,11 +218,11 @@ class TestRenderTemplate:
         with pytest.raises(TemplateError, match="no value provided for slot <INDEX>"):
             render_template("index <INDEX>", {"<CAPTION>": "x"})
 
-    def test_value_injecting_a_slot_raises(self):
-        # a caption that happens to contain a slot marker must not
-        # silently survive into the rendered record
-        with pytest.raises(TemplateError, match="left unfilled"):
-            render_template("see <CAPTION>", {"<CAPTION>": "oops <INDEX>"})
+    def test_value_holding_a_slot_is_inserted_verbatim(self):
+        # slots are filled in one pass over the template, so a value is
+        # never searched for slots of its own
+        out = render_template("see <CAPTION>", {"<CAPTION>": "oops <INDEX>"})
+        assert out == "see oops <INDEX>"
 
 
 class TestFindMissingInOrder:
