@@ -27,16 +27,15 @@ from typing import Iterator, Sequence
 
 from .corpus import Corpus, draw_task, stamp
 from .dataset_io import CaptionedClip, InstructionRecord, derive_record_seed
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
-    TimeInterval,
     TimeRepresentation,
     decode_relative,
     encode_ratio,
     format_seconds,
     render_code,
 )
-from .templates import TemplateBank, check_in_order, render_template
+from .templates import TemplateBank, render_template
 
 MIN_CLIPS = 2
 MAX_CLIPS = 10
@@ -190,25 +189,6 @@ def compose_sequence(
     )
 
 
-def derive_annotations(sample: ClipSequenceSample) -> list[TimeInterval]:
-    """Each clip's interval in seconds: its share of the frame budget times
-    the pseudo duration, as ``_spans`` renders it. Intervals are contiguous,
-    ordered, and tile [0, pseudo_duration_s] exactly.
-    """
-    annotations: list[TimeInterval] = []
-    total, duration = sample.total_frames, sample.pseudo_duration_s
-    cumulative = 0
-    for count in sample.frame_counts:
-        start = cumulative / total * duration
-        cumulative += count
-        annotations.append(TimeInterval(start, cumulative / total * duration))
-    if cumulative != sample.total_frames:
-        raise InvariantViolation(
-            f"frame spans cover {cumulative} of {sample.total_frames} frames"
-        )
-    return annotations
-
-
 def _spans(
     sample: ClipSequenceSample, time_repr: TimeRepresentation
 ) -> list[tuple[str, list[float]]]:
@@ -237,6 +217,21 @@ def _spans(
             seconds = [float(start_s), float(end_s)]
         spans.append((text, seconds))
     return spans
+
+
+def _answer(
+    task: ClipTask,
+    template: str,
+    spans: Sequence[tuple[str, list[float]]],
+    captions: Sequence[str],
+    time_repr: TimeRepresentation,
+) -> str:
+    """A DVC answer: one line per (span, caption); a TVG answer: its one span."""
+    if task is ClipTask.TVG:
+        return render_template(template, {"<INTERVAL>": spans[0][0]})
+    sep = " " if time_repr is TimeRepresentation.RPT else ", "
+    lines = [f"{text}{sep}{caption}" for (text, _), caption in zip(spans, captions)]
+    return render_template(template, {"<EVENTS>": "\n".join(lines)})
 
 
 def _record(
@@ -272,12 +267,9 @@ def gen_dvc(
     """All events with their time spans, one line per clip, in order."""
     spans = _spans(sample, time_repr)
     captions = [clip.caption for clip in sample.clips]
-    sep = " " if time_repr is TimeRepresentation.RPT else ", "
-    lines = [f"{text}{sep}{caption}" for (text, _), caption in zip(spans, captions)]
     q_tpl, a_tpl = templates.sample(ClipTask.DVC.value, "single", rng)
     question = render_template(q_tpl, {})
-    answer = render_template(a_tpl, {"<EVENTS>": "\n".join(lines)})
-    check_in_order(answer, captions, "dvc answer")
+    answer = _answer(ClipTask.DVC, a_tpl, spans, captions, time_repr)
     intervals = [seconds for _, seconds in spans]
     return _record(
         sample, ClipTask.DVC, question, answer, time_repr,
@@ -294,15 +286,13 @@ def gen_tvg(
     """One uniformly chosen clip: caption in the question, span in the answer."""
     pick = rng.randrange(len(sample.clips))
     clip = sample.clips[pick]
-    interval_text, seconds = _spans(sample, time_repr)[pick]
+    span = _spans(sample, time_repr)[pick]
     q_tpl, a_tpl = templates.sample(ClipTask.TVG.value, "single", rng)
     question = render_template(q_tpl, {"<CAPTION>": clip.caption})
-    answer = render_template(a_tpl, {"<INTERVAL>": interval_text})
-    check_in_order(question, [clip.caption], "tvg question")
-    check_in_order(answer, [interval_text], "tvg answer")
+    answer = _answer(ClipTask.TVG, a_tpl, [span], [clip.caption], time_repr)
     return _record(
         sample, ClipTask.TVG, question, answer, time_repr,
-        intervals=[seconds], captions=[clip.caption], target_clip=clip.id,
+        intervals=[span[1]], captions=[clip.caption], target_clip=clip.id,
     )
 
 
@@ -356,6 +346,44 @@ def generate_clip_record(
     return stamp(record, "cs", config.seed, ordinal)
 
 
+# the fixed sample every DVC and TVG answer template is probed with
+_PROBE = ClipSequenceSample(
+    clips=(
+        CaptionedClip("probe-1", "", "juggling", "a person is juggling", 4.0, 1.0),
+        CaptionedClip("probe-2", "", "barking", "a dog is barking", 6.0, 1.0),
+    ),
+    rate_factors=(1.0, 1.0),
+    frame_counts=(2, 3),
+    total_frames=5,
+    pseudo_duration_s=10.0,
+)
+
+
+def _probe_answers(time_repr: TimeRepresentation, templates: TemplateBank) -> None:
+    """Refuse a DVC or TVG answer template unless ``parse_predictions`` reads
+    back exactly the intervals, and for DVC the captions, that ``_answer``
+    renders for ``_PROBE``. TVG is probed with the first clip: it starts at
+    zero, so fixed text that merges into its start changes its end.
+    """
+    from .evaluation import parse_predictions  # keeps the scorer out of `import seq2time`
+
+    spans = _spans(_PROBE, time_repr)
+    captions = [clip.caption for clip in _PROBE.clips]
+    for task in ClipTask:
+        shown = spans if task is ClipTask.DVC else spans[:1]
+        for template in templates.variants(task.value, "single")[1]:
+            answer = _answer(task, template, shown, captions, time_repr)
+            events = parse_predictions(answer, time_repr, _PROBE.pseudo_duration_s).events
+            intervals = [[event.interval.start, event.interval.end] for event in events]
+            if intervals != [seconds for _, seconds in shown] or (
+                task is ClipTask.DVC and [event.caption for event in events] != captions
+            ):
+                raise TemplateError(
+                    f"{task.value}/single answer template does not parse back in "
+                    f"{time_repr.value} answers: {template!r} renders {answer!r}"
+                )
+
+
 def clip_corpus(
     config: ClipCorpusConfig,
     pool: Sequence[CaptionedClip],
@@ -364,7 +392,8 @@ def clip_corpus(
     """The build ``config`` describes, ready to run or write.
 
     A caption with a line break is rejected: DVC answers hold one event
-    per line, so it would split its event and not parse back.
+    per line, so it would split its event and not parse back. So is an
+    answer template that fails the parse-back probe (``_probe_answers``).
     """
     if len(pool) < config.clip_max:
         raise ConfigError(
@@ -377,6 +406,7 @@ def clip_corpus(
             )
     if templates is None:
         templates = TemplateBank.load()
+    _probe_answers(config.time_repr, templates)
     return Corpus(generate_clip_record, config, tuple(pool), templates)
 
 

@@ -13,11 +13,9 @@ ill-posed). Three record generators operate on a sample:
 
 Indices render per the active time representation: four digit position
 tokens, or the bare integer (``render_index``), and parse back with
-``parse_index_mentions``. Every generator re-checks its own output
-(rendered indices and captions must appear in the emitted text, in order)
-and raises :class:`InvariantViolation` rather than emit an inconsistent
-record. A build refuses, at setup, any caption or answer-template text
-that would itself read as a position.
+``parse_index_mentions``. A build refuses, at setup, any caption that
+would itself read as a position, and any answer template whose answers
+would not parse back to their own targets and captions.
 
 Corpus building is pure per record ordinal: record i of a run is a
 function of (config, seed, i) only, so generation can fan out across
@@ -32,11 +30,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import product
 from typing import Iterator, Sequence
 
 from .corpus import Corpus, draw_task, stamp
 from .dataset_io import CaptionedImage, InstructionRecord, derive_record_seed
-from .errors import ConfigError, InvariantViolation, TemplateError
+from .errors import ConfigError, TemplateError
 from .position_token import (
     CODE_PATTERN,
     MAX_RPT_LENGTH,
@@ -46,7 +45,12 @@ from .position_token import (
     encode_relative,
     render_code,
 )
-from .templates import TemplateBank, check_in_order, render_template, strip_slots
+from .templates import (
+    REQUIRED_SLOTS,
+    TemplateBank,
+    find_missing_in_order,
+    render_template,
+)
 
 
 class PretextTask(Enum):
@@ -155,6 +159,21 @@ def _join_captions(captions: Sequence[str]) -> str:
     return '"' + '", "'.join(captions) + '"'
 
 
+def _answer(
+    task: PretextTask, template: str, indices: Sequence[str], captions: Sequence[str]
+) -> str:
+    """The answer naming the rendered target ``indices`` and their ``captions``."""
+    if task is PretextTask.IIG:
+        return render_template(template, {"<INDEX>": ", ".join(indices)})
+    # an IIC or ALR answer template is one (index, caption) sentence;
+    # multi-target answers repeat it per target in question order
+    slot = "<CAPTION2>" if task is PretextTask.ALR else "<CAPTION>"
+    return " ".join(
+        render_template(template, {"<INDEX>": index, slot: caption})
+        for index, caption in zip(indices, captions)
+    )
+
+
 def _record(
     sample: ImageSequenceSample,
     task: PretextTask,
@@ -191,9 +210,7 @@ def gen_iig(
     rendered = [render_index(i, sample.seq_len, time_repr) for i in sample.targets]
     q_tpl, a_tpl = templates.sample(PretextTask.IIG.value, _arity(sample.targets), rng)
     question = render_template(q_tpl, {"<CAPTION>": _join_captions(captions)})
-    answer = render_template(a_tpl, {"<INDEX>": ", ".join(rendered)})
-    check_in_order(question, captions, "iig question")
-    check_in_order(answer, rendered, "iig answer")
+    answer = _answer(PretextTask.IIG, a_tpl, rendered, captions)
     return _record(sample, PretextTask.IIG, question, answer, time_repr, sample.targets)
 
 
@@ -209,15 +226,7 @@ def gen_iic(
     arity = _arity(sample.targets)
     q_tpl, a_tpl = templates.sample(PretextTask.IIC.value, arity, rng)
     question = render_template(q_tpl, {"<INDEX>": ", ".join(rendered)})
-    # the answer template is one (index, caption) sentence; multi-target
-    # answers repeat it per target in question order
-    answer = " ".join(
-        render_template(a_tpl, {"<INDEX>": idx, "<CAPTION>": cap})
-        for idx, cap in zip(rendered, captions)
-    )
-    check_in_order(question, rendered, "iic question")
-    interleaved = [part for pair in zip(rendered, captions) for part in pair]
-    check_in_order(answer, interleaved, "iic answer")
+    answer = _answer(PretextTask.IIC, a_tpl, rendered, captions)
     return _record(sample, PretextTask.IIC, question, answer, time_repr, sample.targets)
 
 
@@ -251,15 +260,7 @@ def gen_alr(
     question = render_template(
         q_tpl, {"<CAPTION1>": anchor_caption, "<DIRECTION>": direction.value}
     )
-    answer = render_template(
-        a_tpl, {"<INDEX>": rendered, "<CAPTION2>": neighbor_caption}
-    )
-    check_in_order(question, [anchor_caption], "alr question")
-    check_in_order(answer, [rendered, neighbor_caption], "alr answer")
-    if abs(neighbor - anchor) != 1:
-        raise InvariantViolation(
-            f"alr neighbor {neighbor} not adjacent to anchor {anchor}"
-        )
+    answer = _answer(PretextTask.ALR, a_tpl, [rendered], [neighbor_caption])
     return _record(
         sample, PretextTask.ALR, question, answer, time_repr, [neighbor],
         anchor=anchor, direction=direction.value,
@@ -310,6 +311,37 @@ def generate_image_record(
     return stamp(record, "is", config.seed, ordinal)
 
 
+def _probe_answers(config: ImageCorpusConfig, templates: TemplateBank) -> None:
+    """Refuse an answer template the build can draw unless, rendered by
+    ``_answer``, ``parse_index_mentions`` reads back exactly the probe
+    targets, each probe caption after its index. Fixed code tokens can merge
+    with the code after them, so each first target takes its least and its
+    greatest value.
+    """
+    n, time_repr = config.seq_len, config.time_repr
+    probes = {"single": [(1,), (n,)], "multi": [(1, n), (n - 1, n)]}
+    arities = ["single", "multi"] if config.max_targets > 1 else ["single"]
+    for task, arity in product(PretextTask, arities):
+        if (task.value, arity) not in REQUIRED_SLOTS:
+            continue  # ALR always has one target
+        answers = templates.variants(task.value, arity)[1]
+        for template, targets in product(answers, probes[arity]):
+            indices = [render_index(t, n, time_repr) for t in targets]
+            captions = ["a red kite", "a blue kettle"][: len(targets)]
+            answer = _answer(task, template, indices, captions)
+            # each caption must follow its index; IIG answers hold no captions
+            pairs = [] if task is PretextTask.IIG else zip(indices, captions)
+            in_order = [part for pair in pairs for part in pair]
+            if (
+                parse_index_mentions(answer, time_repr, n) != list(targets)
+                or find_missing_in_order(answer, in_order) is not None
+            ):
+                raise TemplateError(
+                    f"{task.value}/{arity} answer template does not parse back in "
+                    f"{time_repr.value} answers: {template!r} renders {answer!r}"
+                )
+
+
 def image_corpus(
     config: ImageCorpusConfig,
     pool: Sequence[CaptionedImage],
@@ -317,10 +349,10 @@ def image_corpus(
 ) -> Corpus:
     """The build ``config`` describes, ready to run or write.
 
-    A caption, or the fixed text of an answer template, that reads as a
-    position under the build's time rendering (any integer in free form, a
-    rendered code in rpt) is rejected, since answers would no longer parse
-    back to their targets.
+    A caption that reads as a position under the build's time rendering
+    (any integer in free form, a rendered code in rpt) is rejected, since
+    answers would no longer parse back to their targets; so is an answer
+    template that fails the parse-back probe (``_probe_answers``).
     """
     if len(pool) < config.seq_len:
         raise ConfigError(
@@ -339,13 +371,7 @@ def image_corpus(
         )
     if templates is None:
         templates = TemplateBank.load()
-    for task in PretextTask:
-        for template in templates.answers(task.value):
-            if mentions(strip_slots(template)):
-                raise TemplateError(
-                    f"{task.value} answer template reads as a position in "
-                    f"{config.time_repr.value} answers: {template!r}"
-                )
+    _probe_answers(config, templates)
     return Corpus(generate_image_record, config, tuple(pool), templates)
 
 

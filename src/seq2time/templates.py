@@ -10,8 +10,10 @@ the canonical wording, the rest are paraphrases. Slots are uppercase
 angle-bracket markers (``<CAPTION>``, ``<INDEX>``, ``<CAPTION1>``,
 ``<CAPTION2>``, ``<DIRECTION>``, ``<EVENTS>``, ``<INTERVAL>``); they never
 collide with digit position tokens, which are single digits. The bank
-validates on load that every template carries all slots its task needs,
-in an order and place its answers parse back from.
+validates on load that every template carries all slots its task needs.
+Whether an answer template parses back is checked where the parsing
+rules are known: each build renders every answer template it can draw
+with probe values and reads it back with the scorer's parsers, at setup.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InvariantViolation, TemplateError
+from .errors import TemplateError
 
 _SLOT_RE = re.compile(r"<(?:CAPTION[12]?|INDEX|DIRECTION|EVENTS|INTERVAL)>")
-
-# the DVC and TVG parsers read one event per line, from the start of the
-# line, so these answer slots have a placement rule: slot -> (a misplaced
-# occurrence, the rule)
-_LINE_SLOTS = {
-    "<EVENTS>": (re.compile(r"[^\n]<EVENTS>|<EVENTS>[^\n]"), "fill whole lines"),
-    "<INTERVAL>": (re.compile(r"[^\n]<INTERVAL>"), "start a line"),
-}
 
 # (task, arity) -> (slots every question needs, slots every answer needs)
 REQUIRED_SLOTS: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -53,8 +47,7 @@ MIN_VARIANTS = 10
 def find_missing_in_order(text: str, needles: Iterable[str]) -> str | None:
     """First needle that does not appear in text after its predecessor.
 
-    Returns None when all needles occur in order. Generators use this to
-    re-check their own rendered output before emitting a record.
+    Returns None when all needles occur in order.
     """
     pos = 0
     for needle in needles:
@@ -63,13 +56,6 @@ def find_missing_in_order(text: str, needles: Iterable[str]) -> str | None:
             return needle
         pos = found + len(needle)
     return None
-
-
-def check_in_order(text: str, needles: Iterable[str], what: str) -> None:
-    """Every needle must appear in text, in order; else the record is bad."""
-    missing = find_missing_in_order(text, needles)
-    if missing is not None:
-        raise InvariantViolation(f"{what}: {missing!r} missing from {text!r}")
 
 
 def render_template(template: str, values: dict[str, str]) -> str:
@@ -87,11 +73,6 @@ def render_template(template: str, values: dict[str, str]) -> str:
         return values[slot]
 
     return _SLOT_RE.sub(fill, template)
-
-
-def strip_slots(template: str) -> str:
-    """The template's fixed text: every slot marker removed."""
-    return _SLOT_RE.sub("", template)
 
 
 class TemplateBank:
@@ -144,24 +125,6 @@ class TemplateBank:
                             raise TemplateError(
                                 f"{task}/{arity}/{kind} template missing {slot}: {tpl!r}"
                             )
-                    for slot, (misplaced, rule) in _LINE_SLOTS.items():
-                        if slot in slots and misplaced.search(tpl):
-                            raise TemplateError(
-                                f"{task}/{arity}/{kind} template: {slot} must {rule}: {tpl!r}"
-                            )
-                    # answers pairing an index with a caption must put the
-                    # index first; parse-back association depends on it
-                    if kind == "answers" and "<INDEX>" in slots:
-                        caption_slot = next(
-                            (s for s in slots if s.startswith("<CAPTION")), None
-                        )
-                        if caption_slot and tpl.index("<INDEX>") > tpl.index(
-                            caption_slot
-                        ):
-                            raise TemplateError(
-                                f"{task}/{arity} answer must render <INDEX> before "
-                                f"{caption_slot}: {tpl!r}"
-                            )
 
     def variants(self, task: str, arity: str) -> tuple[list[str], list[str]]:
         """All (questions, answers) for a task/arity pair."""
@@ -169,15 +132,6 @@ class TemplateBank:
         if entry is None:
             raise TemplateError(f"no templates for task {task!r} arity {arity!r}")
         return list(entry["questions"]), list(entry["answers"])
-
-    def answers(self, task: str) -> list[str]:
-        """Every answer template of ``task``, over the arities the bank has."""
-        return [
-            tpl
-            for arity, entry in self._data.get(task, {}).items()
-            if (task, arity) in REQUIRED_SLOTS
-            for tpl in entry["answers"]
-        ]
 
     def sample(self, task: str, arity: str, rng: random.Random) -> tuple[str, str]:
         """One uniformly drawn question template and answer template."""

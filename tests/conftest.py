@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from seq2time.clip_sequence import CaptionedClip
+from seq2time.clip_sequence import CaptionedClip, ClipSequenceSample
 from seq2time.dataset_io import write_jsonl
+from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import CaptionedImage
-from seq2time.position_token import MAX_RPT_LENGTH, TimeRepresentation
+from seq2time.position_token import MAX_RPT_LENGTH, TimeInterval, TimeRepresentation
 
 _ADJECTIVES = ("amber", "rusty", "pale", "shiny", "crooked", "quiet", "vivid")
 _NOUNS = (
@@ -170,6 +171,25 @@ def self_eval_files(records, directory: Path, stem: str) -> tuple[Path, Path]:
     write_jsonl(pred_rows, pred_path)
     write_jsonl(gt_rows, gt_path)
     return pred_path, gt_path
+
+
+def derive_annotations(sample: ClipSequenceSample) -> list[TimeInterval]:
+    """Each clip's interval in seconds: its share of the frame budget times
+    the pseudo duration, as ``_spans`` renders it. Intervals are contiguous,
+    ordered, and tile [0, pseudo_duration_s] exactly.
+    """
+    annotations: list[TimeInterval] = []
+    total, duration = sample.total_frames, sample.pseudo_duration_s
+    cumulative = 0
+    for count in sample.frame_counts:
+        start = cumulative / total * duration
+        cumulative += count
+        annotations.append(TimeInterval(start, cumulative / total * duration))
+    if cumulative != sample.total_frames:
+        raise InvariantViolation(
+            f"frame spans cover {cumulative} of {sample.total_frames} frames"
+        )
+    return annotations
 
 
 def repr_of(name: str) -> TimeRepresentation:

@@ -20,7 +20,6 @@ from seq2time.clip_sequence import (
     ClipCorpusConfig,
     build_clip_corpus,
     compose_sequence,
-    derive_annotations,
     gen_dvc,
 )
 from seq2time.evaluation import (
@@ -54,7 +53,7 @@ from seq2time.position_token import (
 )
 from seq2time.templates import TemplateBank, find_missing_in_order
 
-from conftest import self_eval_files, write_clip_source, write_image_source
+from conftest import derive_annotations, self_eval_files, write_clip_source, write_image_source
 
 RPT = TimeRepresentation.RPT
 FREE = TimeRepresentation.FREE_FORM

@@ -633,8 +633,8 @@ class TestCustomTemplateBanks:
     @pytest.mark.parametrize(
         "task, answer, message",
         [
-            ("dvc", "Events: <EVENTS>", "dvc/single/answers template: <EVENTS> must fill"),
-            ("tvg", "The span is <INTERVAL>.", "tvg/single/answers template: <INTERVAL> must"),
+            ("dvc", "Events: <EVENTS>", "dvc/single answer template does not parse back"),
+            ("tvg", "The span is <INTERVAL>.", "tvg/single answer template does not parse back"),
         ],
         ids=["dvc", "tvg"],
     )
@@ -665,10 +665,43 @@ class TestCustomTemplateBanks:
         ]
         code, _, err = run_cli(capsys, *args, "--time-repr", "free-form")
         assert code == 2
-        assert "iig answer template reads as a position in free_form answers" in err
+        assert "iig/single answer template does not parse back in free_form answers" in err
         assert not out_path.exists()
         code, _, _ = run_cli(capsys, *args, "--time-repr", "rpt")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "task, arity, answer, time_repr",
+        [
+            # a fixed line that is itself an event adds one to every answer
+            ("dvc", "single", "0 - 1 seconds, intro\n<EVENTS>", "free-form"),
+            ("dvc", "single", "<0><0><0><0><0><1><0><0> intro\n<EVENTS>", "rpt"),
+            ("tvg", "single", "<INTERVAL>\n0 - 1 seconds, intro", "free-form"),
+            # a lone <1> merges with the first digit of the position code
+            ("iig", "multi", "Index <1><INDEX>.", "rpt"),
+        ],
+        ids=["dvc-free-form", "dvc-rpt", "tvg-free-form", "iig-rpt"],
+    )
+    def test_answer_text_that_does_not_parse_back(
+        self, capsys, request, tmp_path, task, arity, answer, time_repr
+    ):
+        kind = "clip" if task in ("dvc", "tvg") else "image"
+        out_path = tmp_path / "corpus.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            f"build-{kind}-seq",
+            "--source", str(request.getfixturevalue(f"{kind}_source")),
+            "--output", str(out_path),
+            "--n", "200",
+            "--time-repr", time_repr,
+            "--templates", str(_bank_with(tmp_path, task, arity, answer)),
+        )
+        assert (code, out) == (2, "")
+        assert (
+            f"{task}/{arity} answer template does not parse back in "
+            f"{time_repr.replace('-', '_')} answers: {answer!r}"
+        ) in err
+        assert not out_path.exists()
 
 
 class TestConfigFile:

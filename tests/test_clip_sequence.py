@@ -16,7 +16,6 @@ from seq2time.clip_sequence import (
     apportion_frames,
     build_clip_corpus,
     compose_sequence,
-    derive_annotations,
     gen_dvc,
     gen_tvg,
     generate_clip_record,
@@ -25,6 +24,8 @@ from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import parse_predictions
 from seq2time.position_token import TimeInterval, TimeRepresentation
 from seq2time.templates import TemplateBank
+
+from conftest import derive_annotations
 
 
 def make_clip(i, caption, duration, label=None):

@@ -1,16 +1,22 @@
-"""Template bank loading, validation, and slot rendering."""
+"""Template bank loading, validation, slot rendering, and the parse-back
+probe every build runs over its answer templates."""
 
 import json
 import random
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seq2time.errors import InvariantViolation, TemplateError
+from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
+from seq2time.errors import TemplateError
+from seq2time.evaluation import parse_predictions
+from seq2time.image_sequence import ImageCorpusConfig, image_corpus, parse_index_mentions
+from seq2time.position_token import MAX_RPT_LENGTH, TimeRepresentation
 from seq2time.templates import (
     MIN_VARIANTS,
     REQUIRED_SLOTS,
     TemplateBank,
-    check_in_order,
     find_missing_in_order,
     render_template,
 )
@@ -117,38 +123,6 @@ class TestValidation:
                 "tvg", "single", ["When is <CAPTION>?"], ["at some point"]
             )
 
-    def test_index_must_precede_caption_in_answers(self):
-        # parse-back pairs each index with the caption that follows it
-        with pytest.raises(TemplateError, match="<INDEX> before <CAPTION>"):
-            self._bank(
-                "iic",
-                "single",
-                ["Describe image <INDEX>."],
-                ["<CAPTION> is what image <INDEX> shows."],
-            )
-
-    @pytest.mark.parametrize(
-        "task, answer, accepted",
-        [
-            ("dvc", "<EVENTS>", True),
-            ("dvc", "Events:\n<EVENTS>\nThat is all.", True),
-            ("dvc", "Events: <EVENTS>", False),
-            ("dvc", "<EVENTS> in order", False),
-            ("dvc", "Events:\n<EVENTS>\n<EVENTS>.", False),
-            ("tvg", "<INTERVAL>, the span.", True),
-            ("tvg", "Span:\n<INTERVAL>", True),
-            ("tvg", "The span is <INTERVAL>.", False),
-        ],
-    )
-    def test_line_slots_keep_their_lines(self, task, answer, accepted):
-        # the DVC and TVG parsers read each event from the start of its line
-        question = "When is <CAPTION>?" if task == "tvg" else "List the events."
-        if accepted:
-            self._bank(task, "single", [question], [answer])
-            return
-        with pytest.raises(TemplateError, match=f"{task}/single/answers template: <"):
-            self._bank(task, "single", [question], [answer])
-
     def test_root_must_be_object(self):
         with pytest.raises(TemplateError, match="root must be an object"):
             TemplateBank(["not", "a", "dict"])
@@ -243,8 +217,165 @@ class TestFindMissingInOrder:
         assert find_missing_in_order("anything", []) is None
 
 
-class TestCheckInOrder:
-    def test_check_in_order_raises_invariant_violation(self):
-        check_in_order("a then b", ["a", "b"], "demo")
-        with pytest.raises(InvariantViolation, match="'b' missing"):
-            check_in_order("b then a", ["a", "b"], "demo")
+PACKAGED = resources.files("seq2time").joinpath("data/template_bank.json").read_text()
+REPRS = list(TimeRepresentation)
+IMAGE_ENTRIES = [key for key in REQUIRED_SLOTS if key[0] in ("iig", "iic", "alr")]
+
+# fixed text around answer slots is drawn as lines of these: digits, code
+# tokens and whole codes, and the words of a free-form interval
+FRAGMENTS = [
+    *"0123456789", "<1>", "<0>", "<9>", " - ", "seconds", "0 - 1 seconds", "<0><0><0><0>", "a ",
+]
+
+
+def _bank_with(answers: dict) -> TemplateBank:
+    """The packaged bank with each (task, arity)'s answers set to one phrasing."""
+    data = json.loads(PACKAGED)
+    for (task, arity), answer in answers.items():
+        data[task][arity]["answers"] = [answer] * MIN_VARIANTS
+    return TemplateBank(data)
+
+
+def _setup(task, arity, answer, time_repr, image_pool, clip_pool):
+    """Set up a build whose ``task``/``arity`` answers all read ``answer``."""
+    templates = _bank_with({(task, arity): answer})
+    if task in ("dvc", "tvg"):
+        config = ClipCorpusConfig(n_instances=0, time_repr=time_repr)
+        return clip_corpus(config, clip_pool, templates)
+    config = ImageCorpusConfig(n_instances=0, time_repr=time_repr)
+    return image_corpus(config, image_pool, templates)
+
+
+class TestParseBackProbe:
+    """Builds refuse, at setup, an answer template whose answers would not
+    parse back to their own targets under the scorer's parsers."""
+
+    @pytest.mark.parametrize("time_repr", REPRS, ids=lambda r: r.value)
+    def test_index_must_precede_caption_in_answers(self, image_pool, clip_pool, time_repr):
+        # parse-back pairs each index with the caption that follows it
+        with pytest.raises(
+            TemplateError, match="iic/single answer template does not parse back"
+        ):
+            _setup(
+                "iic", "single", "<CAPTION> is what image <INDEX> shows.",
+                time_repr, image_pool, clip_pool,
+            )
+
+    @pytest.mark.parametrize("time_repr", REPRS, ids=lambda r: r.value)
+    @pytest.mark.parametrize(
+        "task, answer, accepted",
+        [
+            ("dvc", "<EVENTS>", True),
+            ("dvc", "Events:\n<EVENTS>\nThat is all.", True),
+            ("dvc", "Events: <EVENTS>", False),
+            ("dvc", "<EVENTS> in order", False),
+            ("dvc", "Events:\n<EVENTS>\n<EVENTS>.", False),
+            ("tvg", "<INTERVAL>, the span.", True),
+            ("tvg", "Span:\n<INTERVAL>", True),
+            ("tvg", "The span is <INTERVAL>.", False),
+        ],
+    )
+    def test_line_slots_keep_their_lines(
+        self, image_pool, clip_pool, task, answer, accepted, time_repr
+    ):
+        # the DVC and TVG parsers read each event from the start of its line
+        if accepted:
+            _setup(task, "single", answer, time_repr, image_pool, clip_pool)
+            return
+        with pytest.raises(
+            TemplateError, match=f"{task}/single answer template does not parse back"
+        ):
+            _setup(task, "single", answer, time_repr, image_pool, clip_pool)
+
+    @pytest.mark.parametrize(
+        "task, arity, answer",
+        [
+            # code tokens right before the position code merge with its
+            # leading digits: wrong for most targets, right for some
+            ("iig", "single", "Index <9><INDEX>."),
+            ("iig", "multi", "Indices <1><INDEX>."),
+            ("iic", "single", "Image <0><INDEX> shows <CAPTION>."),
+            ("alr", "single", "Index <9><9><INDEX>, showing <CAPTION2>."),
+        ],
+    )
+    @pytest.mark.parametrize("seq_len", [3, 96])
+    def test_code_tokens_merging_with_a_position(
+        self, image_pool, task, arity, answer, seq_len
+    ):
+        config = ImageCorpusConfig(n_instances=0, seq_len=seq_len, max_targets=2)
+        with pytest.raises(
+            TemplateError, match=f"{task}/{arity} answer template does not parse back"
+        ):
+            image_corpus(config, image_pool, _bank_with({(task, arity): answer}))
+
+    def test_multi_target_answers_go_unprobed_without_multi_targets(self, image_pool):
+        # max_targets 1 never draws a multi-target template
+        bank = _bank_with({("iig", "multi"): "Indices <1><INDEX>."})
+        image_corpus(ImageCorpusConfig(n_instances=0, max_targets=1), image_pool, bank)
+        with pytest.raises(TemplateError, match="iig/multi answer template"):
+            image_corpus(ImageCorpusConfig(n_instances=0, max_targets=2), image_pool, bank)
+
+    @staticmethod
+    def _draw_answer(data, slots) -> str:
+        """``slots`` in a drawn order, with drawn fixed text around each."""
+        line = st.lists(st.sampled_from(FRAGMENTS), max_size=3).map("".join)
+        fixed = st.lists(line, max_size=3).map("\n".join)
+        order = data.draw(st.permutations(slots), label="slot order")
+        parts = [data.draw(fixed, label="fixed text")]
+        for slot in order:
+            parts += [slot, data.draw(fixed, label="fixed text")]
+        return "".join(parts)
+
+    @given(time_repr=st.sampled_from(REPRS), entry=st.sampled_from(IMAGE_ENTRIES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_image_answers_parse_back(self, large_image_pool, time_repr, entry, data):
+        answer = self._draw_answer(data, REQUIRED_SLOTS[entry][1])
+        seq_len = data.draw(st.integers(2, MAX_RPT_LENGTH), label="seq_len")
+        config = ImageCorpusConfig(
+            n_instances=40,
+            seq_len=seq_len,
+            max_targets=data.draw(st.integers(1, min(seq_len, 5)), label="max_targets"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+            time_repr=time_repr,
+        )
+        try:
+            corpus = image_corpus(config, large_image_pool, _bank_with({entry: answer}))
+        except TemplateError:
+            return
+        for record in corpus.records():
+            parsed = parse_index_mentions(record.answer, time_repr, seq_len)
+            assert parsed == record.meta["targets"], record.answer
+
+    @given(time_repr=st.sampled_from(REPRS), task=st.sampled_from(["dvc", "tvg"]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_clip_answers_parse_back(self, clip_pool, time_repr, task, data):
+        answer = self._draw_answer(data, REQUIRED_SLOTS[(task, "single")][1])
+        config = ClipCorpusConfig(
+            n_instances=20,
+            total_frames=data.draw(st.integers(10, 500), label="total_frames"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+            time_repr=time_repr,
+        )
+        try:
+            corpus = clip_corpus(config, clip_pool, _bank_with({(task, "single"): answer}))
+        except TemplateError:
+            return
+        for record in corpus.records():
+            events = parse_predictions(
+                record.answer, time_repr, record.meta["duration_s"]
+            ).events
+            intervals = [[e.interval.start, e.interval.end] for e in events]
+            assert intervals == record.meta["intervals"], record.answer
+            if record.task == "DVC":
+                assert [e.caption for e in events] == record.meta["captions"], record.answer
+
+    def test_packaged_bank_passes_at_any_length(self, large_image_pool, clip_pool):
+        templates = TemplateBank.load()
+        for time_repr in REPRS:
+            for seq_len in (2, 3, 24, 96, MAX_RPT_LENGTH):
+                config = ImageCorpusConfig(
+                    n_instances=0, seq_len=seq_len, max_targets=2, time_repr=time_repr
+                )
+                image_corpus(config, large_image_pool, templates)
+            clip_corpus(ClipCorpusConfig(n_instances=0, time_repr=time_repr), clip_pool, templates)
+
