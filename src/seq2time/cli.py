@@ -10,8 +10,9 @@ class, which gives its type and default), and the ``load_pool`` and
 ``corpus`` functions they set, which read the caption source and turn
 the config into a corpus. Every build option is read once, from its
 flag or else from a JSON config file given via ``--config`` or the
-``SEQ2TIME_CONFIG`` environment variable (config keys are the long flag
-names with underscores); ``-v`` logs the options as read.
+``SEQ2TIME_CONFIG`` environment variable (its keys are the long flag
+names of either builder with underscores; any other key is an error);
+``-v`` logs the options as read.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
 violations, 4 I/O and data-format errors, 141 (128 + SIGPIPE) when the
@@ -83,19 +84,24 @@ def _load_config_file(explicit: str | None) -> dict:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
+    # a key of either builder is accepted, so one file can serve both
+    unknown = sorted(data.keys() - {*_COMMON_KEYS, *_IMAGE_OPTIONS, *_CLIP_OPTIONS})
+    if unknown:
+        raise ConfigError(f"config file {p} has unknown keys: {', '.join(unknown)}")
     return data
 
 
 _REQUIRED = object()
+_COMMON_KEYS = ("source", "output", "n", "seed", "time_repr", "jobs", "templates")
 
 
 def _option(args, config: dict, key: str, kind: type = str, default=_REQUIRED):
     """The flag value, else the config file's, else ``default``, as a ``kind``.
 
-    A missing required option, or a config value that is null, a bool, or
-    does not convert to ``kind`` without loss (8.9 to int, NaN to float),
-    is a ConfigError. A ``default`` of None makes the option optional and
-    lets it stay None.
+    A missing required option, or a config value that is null, a bool, not
+    text for a text option, or does not convert to ``kind`` without loss
+    (8.9 to int, NaN to float), is a ConfigError. A ``default`` of None
+    makes the option optional and lets it stay None.
     """
     value = getattr(args, key)
     if value is None:
@@ -105,7 +111,8 @@ def _option(args, config: dict, key: str, kind: type = str, default=_REQUIRED):
         raise ConfigError(f"missing required option {flag}")
     if value is None and default is None:
         return None
-    if value is not None and not isinstance(value, bool):
+    text_ok = kind is not str or isinstance(value, str)
+    if text_ok and value is not None and not isinstance(value, bool):
         try:
             converted = kind(value)
         except (TypeError, ValueError, OverflowError):

@@ -8,12 +8,13 @@ frame per clip. A clip's temporal annotation is, by construction, exactly
 the relative span of its frames, which is what makes the labels free: no
 human timestamps are involved.
 
-Two record generators: DVC (dense captioning: list every event with its
-time span) and TVG (grounding: locate one queried caption). Times render
-as boundary position codes or as seconds at 0.1 s display precision, and
-the synthetic timeline is D = the sum of real clip durations. Generators
-return records with an empty id; a corpus run names record i
-``cs-{seed}-{i:08d}``.
+``clip_record`` makes a record of one of two tasks from a sample: DVC
+(dense captioning: list every event with its time span) or TVG
+(grounding: locate one queried caption). Times render as boundary
+position codes or as seconds at 0.1 s display precision, and the
+synthetic timeline is D = the sum of real clip durations.
+``clip_record`` returns records with an empty id; a corpus run names
+record i ``cs-{seed}-{i:08d}``.
 """
 
 from __future__ import annotations
@@ -234,65 +235,41 @@ def _answer(
     return render_template(template, {"<EVENTS>": "\n".join(lines)})
 
 
-def _record(
-    sample: ClipSequenceSample,
+def clip_record(
     task: ClipTask,
-    question: str,
-    answer: str,
+    sample: ClipSequenceSample,
+    templates: TemplateBank,
     time_repr: TimeRepresentation,
-    **meta,
+    rng: random.Random,
 ) -> InstructionRecord:
-    """A record of ``sample``; ``meta`` goes between duration_s and time_repr."""
+    """The ``task`` record of ``sample``, its templates drawn from ``rng``.
+
+    DVC lists every clip's span and caption, one line per clip, in order;
+    TVG draws one clip uniformly and puts its caption in the question and
+    its span in the answer.
+    """
+    spans = _spans(sample, time_repr)
+    captions = [clip.caption for clip in sample.clips]
+    values, meta = {}, {}
+    if task is ClipTask.TVG:
+        pick = rng.randrange(len(sample.clips))
+        spans, captions = spans[pick : pick + 1], captions[pick : pick + 1]
+        values, meta = {"<CAPTION>": captions[0]}, {"target_clip": sample.clips[pick].id}
+    q_tpl, a_tpl = templates.sample(task.value, "single", rng)
     return InstructionRecord(
         id="",
         media=tuple(clip.video for clip in sample.clips),
         task=task.name,
-        question=question,
-        answer=answer,
+        question=render_template(q_tpl, values),
+        answer=_answer(task, a_tpl, spans, captions, time_repr),
         meta={
             "total_frames": sample.total_frames,
             "duration_s": sample.pseudo_duration_s,
+            "intervals": [seconds for _, seconds in spans],
+            "captions": captions,
             **meta,
             "time_repr": time_repr.value,
         },
-    )
-
-
-def gen_dvc(
-    sample: ClipSequenceSample,
-    templates: TemplateBank,
-    time_repr: TimeRepresentation,
-    rng: random.Random,
-) -> InstructionRecord:
-    """All events with their time spans, one line per clip, in order."""
-    spans = _spans(sample, time_repr)
-    captions = [clip.caption for clip in sample.clips]
-    q_tpl, a_tpl = templates.sample(ClipTask.DVC.value, "single", rng)
-    question = render_template(q_tpl, {})
-    answer = _answer(ClipTask.DVC, a_tpl, spans, captions, time_repr)
-    intervals = [seconds for _, seconds in spans]
-    return _record(
-        sample, ClipTask.DVC, question, answer, time_repr,
-        intervals=intervals, captions=captions,
-    )
-
-
-def gen_tvg(
-    sample: ClipSequenceSample,
-    templates: TemplateBank,
-    time_repr: TimeRepresentation,
-    rng: random.Random,
-) -> InstructionRecord:
-    """One uniformly chosen clip: caption in the question, span in the answer."""
-    pick = rng.randrange(len(sample.clips))
-    clip = sample.clips[pick]
-    span = _spans(sample, time_repr)[pick]
-    q_tpl, a_tpl = templates.sample(ClipTask.TVG.value, "single", rng)
-    question = render_template(q_tpl, {"<CAPTION>": clip.caption})
-    answer = _answer(ClipTask.TVG, a_tpl, [span], [clip.caption], time_repr)
-    return _record(
-        sample, ClipTask.TVG, question, answer, time_repr,
-        intervals=[span[1]], captions=[clip.caption], target_clip=clip.id,
     )
 
 
@@ -339,10 +316,7 @@ def generate_clip_record(
     sample = compose_sequence(
         pool, n_clips, config.total_frames, (config.rate_min, config.rate_max), rng
     )
-    if task is ClipTask.DVC:
-        record = gen_dvc(sample, templates, config.time_repr, rng)
-    else:
-        record = gen_tvg(sample, templates, config.time_repr, rng)
+    record = clip_record(task, sample, templates, config.time_repr, rng)
     return stamp(record, "cs", config.seed, ordinal)
 
 

@@ -2,7 +2,8 @@
 
 A sample is a run of ``seq_len`` captioned images drawn without
 replacement from a pool (duplicates would make index grounding
-ill-posed). Three record generators operate on a sample:
+ill-posed). ``image_record`` makes a record of one of three tasks from
+a sample:
 
 * IIG (index grounding): caption in the question, index in the answer.
 * IIC (indexed captioning): index in the question, index + caption in the
@@ -19,8 +20,9 @@ would not parse back to their own targets and captions.
 
 Corpus building is pure per record ordinal: record i of a run is a
 function of (config, seed, i) only, so generation can fan out across
-processes without changing a byte of the output. Generators return
-records with an empty id; a corpus run names record i ``is-{seed}-{i:08d}``.
+processes without changing a byte of the output. ``image_record``
+returns records with an empty id; a corpus run names record i
+``is-{seed}-{i:08d}``.
 """
 
 from __future__ import annotations
@@ -59,11 +61,6 @@ class PretextTask(Enum):
     ALR = "alr"
 
 
-class Direction(Enum):
-    BEFORE = "before"
-    AFTER = "after"
-
-
 @dataclass(frozen=True)
 class ImageSequenceSample:
     """An ordered draw of images plus the 1-based target positions."""
@@ -85,12 +82,6 @@ class ImageSequenceSample:
     @property
     def seq_len(self) -> int:
         return len(self.images)
-
-    def image_at(self, index: int) -> CaptionedImage:
-        """1-based position lookup."""
-        if not 1 <= index <= len(self.images):
-            raise ConfigError(f"index {index} outside 1..{len(self.images)}")
-        return self.images[index - 1]
 
 
 def sample_sequence(
@@ -149,10 +140,6 @@ def parse_index_mentions(
     return [int(m.group(0)) for m in re.finditer(r"\d+", text)]
 
 
-def _arity(targets: Sequence[int]) -> str:
-    return "single" if len(targets) == 1 else "multi"
-
-
 def _join_captions(captions: Sequence[str]) -> str:
     if len(captions) == 1:
         return captions[0]
@@ -174,96 +161,52 @@ def _answer(
     )
 
 
-def _record(
-    sample: ImageSequenceSample,
+def image_record(
     task: PretextTask,
-    question: str,
-    answer: str,
+    sample: ImageSequenceSample,
+    templates: TemplateBank,
     time_repr: TimeRepresentation,
-    targets: Sequence[int],
-    **meta,
+    rng: random.Random,
 ) -> InstructionRecord:
-    """A record of ``sample``; ``meta`` goes between targets and time_repr."""
+    """The ``task`` record of ``sample``, its templates drawn from ``rng``.
+
+    IIG and IIC answer on the sample's targets. ALR first draws a
+    direction, then an anchor uniformly, re-drawing an anchor whose
+    neighbor would fall off the sequence edge; its one target is that
+    neighbor.
+    """
+    seq_len, targets, meta = sample.seq_len, sample.targets, {}
+    if task is PretextTask.ALR:
+        if seq_len < 2:
+            raise ConfigError("adjacent-location reasoning needs seq_len >= 2")
+        direction = rng.choice(("before", "after"))
+        step = -1 if direction == "before" else 1
+        anchor = rng.randint(1, seq_len)
+        while not 1 <= anchor + step <= seq_len:
+            anchor = rng.randint(1, seq_len)
+        targets, meta = (anchor + step,), {"anchor": anchor, "direction": direction}
+        anchor_caption = sample.images[anchor - 1].caption
+        values = {"<CAPTION1>": anchor_caption, "<DIRECTION>": direction}
+    captions = [sample.images[t - 1].caption for t in targets]
+    indices = [render_index(t, seq_len, time_repr) for t in targets]
+    if task is PretextTask.IIG:
+        values = {"<CAPTION>": _join_captions(captions)}
+    elif task is PretextTask.IIC:
+        values = {"<INDEX>": ", ".join(indices)}
+    arity = "single" if len(targets) == 1 else "multi"
+    q_tpl, a_tpl = templates.sample(task.value, arity, rng)
     return InstructionRecord(
         id="",
         media=tuple(img.image for img in sample.images),
         task=task.name,
-        question=question,
-        answer=answer,
+        question=render_template(q_tpl, values),
+        answer=_answer(task, a_tpl, indices, captions),
         meta={
-            "seq_len": sample.seq_len,
+            "seq_len": seq_len,
             "targets": list(targets),
             **meta,
             "time_repr": time_repr.value,
         },
-    )
-
-
-def gen_iig(
-    sample: ImageSequenceSample,
-    templates: TemplateBank,
-    time_repr: TimeRepresentation,
-    rng: random.Random,
-) -> InstructionRecord:
-    """Caption(s) in the question, matching index(es) in the answer."""
-    captions = [sample.image_at(i).caption for i in sample.targets]
-    rendered = [render_index(i, sample.seq_len, time_repr) for i in sample.targets]
-    q_tpl, a_tpl = templates.sample(PretextTask.IIG.value, _arity(sample.targets), rng)
-    question = render_template(q_tpl, {"<CAPTION>": _join_captions(captions)})
-    answer = _answer(PretextTask.IIG, a_tpl, rendered, captions)
-    return _record(sample, PretextTask.IIG, question, answer, time_repr, sample.targets)
-
-
-def gen_iic(
-    sample: ImageSequenceSample,
-    templates: TemplateBank,
-    time_repr: TimeRepresentation,
-    rng: random.Random,
-) -> InstructionRecord:
-    """Index(es) in the question, index + stored caption pairs in the answer."""
-    captions = [sample.image_at(i).caption for i in sample.targets]
-    rendered = [render_index(i, sample.seq_len, time_repr) for i in sample.targets]
-    arity = _arity(sample.targets)
-    q_tpl, a_tpl = templates.sample(PretextTask.IIC.value, arity, rng)
-    question = render_template(q_tpl, {"<INDEX>": ", ".join(rendered)})
-    answer = _answer(PretextTask.IIC, a_tpl, rendered, captions)
-    return _record(sample, PretextTask.IIC, question, answer, time_repr, sample.targets)
-
-
-def gen_alr(
-    sample: ImageSequenceSample,
-    templates: TemplateBank,
-    direction: Direction,
-    time_repr: TimeRepresentation,
-    rng: random.Random,
-) -> InstructionRecord:
-    """Anchor caption + direction in the question, neighbor in the answer.
-
-    The anchor is drawn uniformly; anchors whose neighbor would fall off
-    the sequence edge are rejected and re-drawn.
-    """
-    seq_len = sample.seq_len
-    if seq_len < 2:
-        raise ConfigError("adjacent-location reasoning needs seq_len >= 2")
-    while True:
-        anchor = rng.randint(1, seq_len)
-        if direction is Direction.BEFORE and anchor == 1:
-            continue
-        if direction is Direction.AFTER and anchor == seq_len:
-            continue
-        break
-    neighbor = anchor - 1 if direction is Direction.BEFORE else anchor + 1
-    anchor_caption = sample.image_at(anchor).caption
-    neighbor_caption = sample.image_at(neighbor).caption
-    rendered = render_index(neighbor, seq_len, time_repr)
-    q_tpl, a_tpl = templates.sample(PretextTask.ALR.value, "single", rng)
-    question = render_template(
-        q_tpl, {"<CAPTION1>": anchor_caption, "<DIRECTION>": direction.value}
-    )
-    answer = _answer(PretextTask.ALR, a_tpl, [rendered], [neighbor_caption])
-    return _record(
-        sample, PretextTask.ALR, question, answer, time_repr, [neighbor],
-        anchor=anchor, direction=direction.value,
     )
 
 
@@ -301,13 +244,7 @@ def generate_image_record(
     rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="image-seq"))
     task = draw_task(PretextTask, rng)
     sample = sample_sequence(pool, config.seq_len, rng, max_targets=config.max_targets)
-    if task is PretextTask.IIG:
-        record = gen_iig(sample, templates, config.time_repr, rng)
-    elif task is PretextTask.IIC:
-        record = gen_iic(sample, templates, config.time_repr, rng)
-    else:
-        direction = rng.choice((Direction.BEFORE, Direction.AFTER))
-        record = gen_alr(sample, templates, direction, config.time_repr, rng)
+    record = image_record(task, sample, templates, config.time_repr, rng)
     return stamp(record, "is", config.seed, ordinal)
 
 
@@ -316,9 +253,12 @@ def _probe_answers(config: ImageCorpusConfig, templates: TemplateBank) -> None:
     ``_answer``, ``parse_index_mentions`` reads back exactly the probe
     targets, each probe caption after its index. Fixed code tokens can merge
     with the code after them, so each first target takes its least and its
-    greatest value.
+    greatest value; and with the edges of a caption, which in rpt may start
+    or end in three code tokens, so the rpt probe captions do.
     """
     n, time_repr = config.seq_len, config.time_repr
+    edge = "<0><0><0>" if time_repr is TimeRepresentation.RPT else ""
+    probe_captions = [edge + caption + edge for caption in ("a red kite", "a blue kettle")]
     probes = {"single": [(1,), (n,)], "multi": [(1, n), (n - 1, n)]}
     arities = ["single", "multi"] if config.max_targets > 1 else ["single"]
     for task, arity in product(PretextTask, arities):
@@ -327,7 +267,7 @@ def _probe_answers(config: ImageCorpusConfig, templates: TemplateBank) -> None:
         answers = templates.variants(task.value, arity)[1]
         for template, targets in product(answers, probes[arity]):
             indices = [render_index(t, n, time_repr) for t in targets]
-            captions = ["a red kite", "a blue kettle"][: len(targets)]
+            captions = probe_captions[: len(targets)]
             answer = _answer(task, template, indices, captions)
             # each caption must follow its index; IIG answers hold no captions
             pairs = [] if task is PretextTask.IIG else zip(indices, captions)

@@ -18,9 +18,10 @@ import pytest
 from seq2time.cli import main as cli_main
 from seq2time.clip_sequence import (
     ClipCorpusConfig,
+    ClipTask,
     build_clip_corpus,
+    clip_record,
     compose_sequence,
-    gen_dvc,
 )
 from seq2time.evaluation import (
     aggregate_richness,
@@ -32,10 +33,10 @@ from seq2time.evaluation import (
     temporal_f1,
 )
 from seq2time.image_sequence import (
-    Direction,
     ImageCorpusConfig,
+    PretextTask,
     build_image_corpus,
-    gen_alr,
+    image_record,
     parse_index_mentions,
     sample_sequence,
 )
@@ -188,8 +189,7 @@ def test_criterion_06_alr_adjacency_holds_on_every_record(image_pool):
         rng = random.Random(seed)
         for _ in range(5_000):
             sample = sample_sequence(image_pool, 96, rng)
-            direction = rng.choice((Direction.BEFORE, Direction.AFTER))
-            record = gen_alr(sample, bank, direction, time_repr, rng)
+            record = image_record(PretextTask.ALR, sample, bank, time_repr, rng)
             anchor = record.meta["anchor"]
             (neighbor,) = record.meta["targets"]
             offset = neighbor - anchor
@@ -249,7 +249,7 @@ def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
     for trial in range(200):
         sample = compose_sequence(clip_pool, rng.randint(2, 10), 96, (0.5, 2.0), rng)
         truth = [(a.start, a.end) for a in derive_annotations(sample)]
-        record = gen_dvc(sample, bank, RPT, rng)
+        record = clip_record(ClipTask.DVC, sample, bank, RPT, rng)
         parsed = parse_predictions(record.answer, RPT, sample.pseudo_duration_s)
         assert len(parsed.events) == len(truth)
         budget = 1e-4 * sample.pseudo_duration_s + 1e-9

@@ -17,7 +17,7 @@ from seq2time.cli import main
 from seq2time.clip_sequence import ClipCorpusConfig, build_clip_corpus
 from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
-from seq2time.image_sequence import ImageCorpusConfig, build_image_corpus
+from seq2time.image_sequence import CaptionedImage, ImageCorpusConfig, build_image_corpus
 
 from conftest import write_clip_source, write_image_source
 
@@ -704,6 +704,39 @@ class TestCustomTemplateBanks:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize(
+        "answer, caption",
+        [
+            ("Image <INDEX> shows <CAPTION><4>.", "{} <1><2><3>"),
+            ("Image <INDEX> shows <1><CAPTION>.", "<2><3><4> {}"),
+        ],
+        ids=["after", "before"],
+    )
+    def test_code_tokens_completing_a_caption_edge(
+        self, capsys, image_pool, tmp_path, answer, caption
+    ):
+        # an rpt caption may start or end in three code tokens; fixed code
+        # tokens next to it would read as one more position in every answer
+        pool = [
+            CaptionedImage(image.id, image.image, caption.format(image.caption))
+            for image in image_pool
+        ]
+        out_path = tmp_path / "corpus.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "build-image-seq",
+            "--source", str(write_image_source(pool, tmp_path / "images.jsonl")),
+            "--output", str(out_path),
+            "--n", "200",
+            "--max-targets", "1",
+            "--time-repr", "rpt",
+            "--templates", str(_bank_with(tmp_path, "iic", "single", answer)),
+        )
+        assert (code, out) == (2, "")
+        assert "iic/single answer template does not parse back in rpt answers" in err
+        assert not out_path.exists()
+
+
 class TestConfigFile:
     def _write_config(self, tmp_path, image_source, n=5):
         cfg = tmp_path / "run.json"
@@ -766,12 +799,22 @@ class TestConfigFile:
             ("build-clip-seq", "rate_min", "slow"),
             ("build-image-seq", "n", True),
             ("build-image-seq", "seq_len", 8.9),
+            # text options take JSON strings only, not values str() would name
+            ("build-image-seq", "output", {"x": 1}),
+            ("build-clip-seq", "output", 7),
+            ("build-image-seq", "source", 7),
+            ("build-clip-seq", "templates", ["bank.json"]),
+            ("build-image-seq", "time_repr", 1),
         ],
-        ids=["n", "seq_len", "jobs", "rate_min", "n-bool", "seq_len-fraction"],
+        ids=[
+            "n", "seq_len", "jobs", "rate_min", "n-bool", "seq_len-fraction",
+            "output-object", "output-number", "source", "templates", "time_repr",
+        ],
     )
     def test_wrong_type_value_is_config_error(
-        self, capsys, image_source, clip_source, tmp_path, sub, key, value
+        self, capsys, monkeypatch, image_source, clip_source, tmp_path, sub, key, value
     ):
+        monkeypatch.chdir(tmp_path)  # where a value taken for a file name would land
         source = image_source if sub == "build-image-seq" else clip_source
         output = tmp_path / "out.jsonl"
         cfg = tmp_path / "run.json"
@@ -783,7 +826,40 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert f"--{key.replace('_', '-')} must be" in err
+        inputs = {cfg.name, image_source.name, clip_source.name}
+        assert {path.name for path in tmp_path.iterdir()} == inputs
+
+    def test_unknown_key_is_config_error(self, capsys, image_source, tmp_path):
+        output = tmp_path / "out.jsonl"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {"source": str(image_source), "output": str(output), "n": 3, "seq_length": 8}
+            ),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "build-image-seq", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown keys: seq_length" in err
         assert not output.exists()
+
+    def test_one_config_serves_both_builders(
+        self, capsys, image_source, clip_source, tmp_path
+    ):
+        # each builder accepts, and ignores, the other builder's keys
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps({"n": 3, "seq_len": 8, "total_frames": 48, "rate_max": 1.5}),
+            encoding="utf-8",
+        )
+        for sub, source in (("build-image-seq", image_source), ("build-clip-seq", clip_source)):
+            output = tmp_path / f"{sub}.jsonl"
+            code, _, err = run_cli(
+                capsys, sub, "--config", str(cfg), "--source", str(source),
+                "--output", str(output),
+            )
+            assert code == 0, err
+            assert len(output.read_text().splitlines()) == 3
 
     def test_integral_values_convert(self, capsys, image_source, tmp_path):
         output = tmp_path / "out.jsonl"

@@ -13,11 +13,11 @@ from seq2time.clip_sequence import (
     CaptionedClip,
     ClipCorpusConfig,
     ClipSequenceSample,
+    ClipTask,
     apportion_frames,
     build_clip_corpus,
+    clip_record,
     compose_sequence,
-    gen_dvc,
-    gen_tvg,
     generate_clip_record,
 )
 from seq2time.errors import ConfigError, InvariantViolation
@@ -300,9 +300,10 @@ class TestDeriveAnnotations:
                 assert left.end == right.start
 
 
-class TestGenDVC:
+class TestDVCRecord:
     def test_free_form_exact(self):
-        record = gen_dvc(
+        record = clip_record(
+            ClipTask.DVC,
             two_clip_sample(),
             canonical_clip_bank(),
             TimeRepresentation.FREE_FORM,
@@ -323,7 +324,8 @@ class TestGenDVC:
         assert record.media == ("clips/v1.mp4", "clips/v2.mp4")
 
     def test_rpt_exact(self):
-        record = gen_dvc(
+        record = clip_record(
+            ClipTask.DVC,
             two_clip_sample(),
             canonical_clip_bank(),
             TimeRepresentation.RPT,
@@ -339,7 +341,8 @@ class TestGenDVC:
 
     def test_one_line_per_clip(self, clip_pool):
         sample = compose_sequence(clip_pool, 10, 96, (0.5, 2.0), random.Random(1))
-        record = gen_dvc(
+        record = clip_record(
+            ClipTask.DVC,
             sample, canonical_clip_bank(), TimeRepresentation.FREE_FORM,
             random.Random(0),
         )
@@ -392,9 +395,10 @@ class TestGenerateParseIdentity:
                 assert [e.caption for e in events] == record.meta["captions"]
 
 
-class TestGenTVG:
+class TestTVGRecord:
     def test_scripted_pick_free_form(self):
-        record = gen_tvg(
+        record = clip_record(
+            ClipTask.TVG,
             two_clip_sample(),
             canonical_clip_bank(),
             TimeRepresentation.FREE_FORM,
@@ -411,7 +415,8 @@ class TestGenTVG:
         assert record.meta["target_clip"] == "c2"
 
     def test_scripted_pick_rpt(self):
-        record = gen_tvg(
+        record = clip_record(
+            ClipTask.TVG,
             two_clip_sample(),
             canonical_clip_bank(),
             TimeRepresentation.RPT,
@@ -420,7 +425,8 @@ class TestGenTVG:
         assert record.answer == "<2><5><0><0><9><9><9><9>"
 
     def test_first_clip(self):
-        record = gen_tvg(
+        record = clip_record(
+            ClipTask.TVG,
             two_clip_sample(),
             canonical_clip_bank(),
             TimeRepresentation.FREE_FORM,

@@ -13,16 +13,13 @@ from seq2time.dataset_io import derive_record_seed
 from seq2time.errors import ConfigError
 from seq2time.image_sequence import (
     CaptionedImage,
-    Direction,
     ImageCorpusConfig,
     ImageSequenceSample,
     PretextTask,
     build_image_corpus,
-    gen_alr,
-    gen_iic,
-    gen_iig,
     generate_image_record,
     image_corpus,
+    image_record,
     parse_index_mentions,
     render_index,
     sample_sequence,
@@ -37,11 +34,12 @@ from seq2time.templates import TemplateBank
 
 
 class ScriptedRandom(random.Random):
-    """random.Random whose randint pops queued values first."""
+    """random.Random whose randint and choice pop queued values first."""
 
-    def __init__(self, seed=0, randints=()):
+    def __init__(self, seed=0, randints=(), choices=()):
         super().__init__(seed)
         self._randints = list(randints)
+        self._choices = list(choices)
 
     def randint(self, a, b):
         if self._randints:
@@ -49,6 +47,13 @@ class ScriptedRandom(random.Random):
             assert a <= value <= b, f"scripted {value} outside {a}..{b}"
             return value
         return super().randint(a, b)
+
+    def choice(self, seq):
+        if self._choices:
+            value = self._choices.pop(0)
+            assert value in seq, f"scripted {value!r} not in {seq!r}"
+            return value
+        return super().choice(seq)
 
 
 def canonical_bank():
@@ -156,13 +161,6 @@ class TestSampleContracts:
         with pytest.raises(ConfigError, match="at least one target"):
             ImageSequenceSample(images=tuple(image_pool[:4]), targets=())
 
-    def test_image_at_is_one_based(self, image_pool):
-        sample = make_sample(image_pool, 4, (1,))
-        assert sample.image_at(1) is image_pool[0]
-        assert sample.image_at(4) is image_pool[3]
-        with pytest.raises(ConfigError):
-            sample.image_at(0)
-
     def test_empty_caption_rejected(self):
         with pytest.raises(ConfigError, match="empty caption"):
             CaptionedImage(id="x", image="x.jpg", caption=" ")
@@ -179,11 +177,12 @@ class TestRenderIndex:
         assert render_index(96, 96, TimeRepresentation.RPT) == "<9><9><9><9>"
 
 
-class TestGenIIG:
+class TestIIGRecord:
     def test_single_rpt_exact(self, image_pool):
         sample = make_sample(image_pool, 96, (7,))
-        record = gen_iig(
-            sample, canonical_bank(), TimeRepresentation.RPT, random.Random(0)
+        record = image_record(
+            PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.RPT,
+            random.Random(0),
         )
         caption = image_pool[6].caption
         assert record.task == "IIG"
@@ -198,15 +197,17 @@ class TestGenIIG:
 
     def test_single_free_form(self, image_pool):
         sample = make_sample(image_pool, 96, (7,))
-        record = gen_iig(
-            sample, canonical_bank(), TimeRepresentation.FREE_FORM, random.Random(0)
+        record = image_record(
+            PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
+            random.Random(0),
         )
         assert record.answer == "The image index is 7."
 
     def test_multi_joins_quoted_captions(self, image_pool):
         sample = make_sample(image_pool, 96, (7, 24))
-        record = gen_iig(
-            sample, canonical_bank(), TimeRepresentation.RPT, random.Random(0)
+        record = image_record(
+            PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.RPT,
+            random.Random(0),
         )
         cap7, cap24 = image_pool[6].caption, image_pool[23].caption
         assert f'"{cap7}", "{cap24}"' in record.question
@@ -214,17 +215,19 @@ class TestGenIIG:
 
     def test_five_targets(self, image_pool):
         sample = make_sample(image_pool, 96, (1, 2, 3, 4, 5))
-        record = gen_iig(
-            sample, canonical_bank(), TimeRepresentation.FREE_FORM, random.Random(0)
+        record = image_record(
+            PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
+            random.Random(0),
         )
         assert "1, 2, 3, 4, 5" in record.answer
 
 
-class TestGenIIC:
+class TestIICRecord:
     def test_single_rpt_exact(self, image_pool):
         sample = make_sample(image_pool, 96, (7,))
-        record = gen_iic(
-            sample, canonical_bank(), TimeRepresentation.RPT, random.Random(0)
+        record = image_record(
+            PretextTask.IIC, sample, canonical_bank(), TimeRepresentation.RPT,
+            random.Random(0),
         )
         caption = image_pool[6].caption
         assert record.task == "IIC"
@@ -235,8 +238,9 @@ class TestGenIIC:
 
     def test_multi_repeats_answer_sentence(self, image_pool):
         sample = make_sample(image_pool, 96, (7, 24))
-        record = gen_iic(
-            sample, canonical_bank(), TimeRepresentation.FREE_FORM, random.Random(0)
+        record = image_record(
+            PretextTask.IIC, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
+            random.Random(0),
         )
         cap7, cap24 = image_pool[6].caption, image_pool[23].caption
         assert record.answer == (
@@ -246,21 +250,22 @@ class TestGenIIC:
 
     def test_caption_appears_verbatim(self, image_pool):
         sample = make_sample(image_pool, 12, (3,))
-        record = gen_iic(
-            sample, canonical_bank(), TimeRepresentation.FREE_FORM, random.Random(0)
+        record = image_record(
+            PretextTask.IIC, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
+            random.Random(0),
         )
         assert image_pool[2].caption in record.answer
 
 
-class TestGenALR:
+class TestALRRecord:
     def test_scripted_anchor_before(self, image_pool):
         sample = make_sample(image_pool, 96, (1,))
-        record = gen_alr(
+        record = image_record(
+            PretextTask.ALR,
             sample,
             canonical_bank(),
-            Direction.BEFORE,
             TimeRepresentation.RPT,
-            ScriptedRandom(randints=[8]),
+            ScriptedRandom(choices=["before"], randints=[8]),
         )
         cap8, cap7 = image_pool[7].caption, image_pool[6].caption
         assert record.task == "ALR"
@@ -277,56 +282,57 @@ class TestGenALR:
 
     def test_scripted_anchor_after(self, image_pool):
         sample = make_sample(image_pool, 96, (1,))
-        record = gen_alr(
+        record = image_record(
+            PretextTask.ALR,
             sample,
             canonical_bank(),
-            Direction.AFTER,
             TimeRepresentation.FREE_FORM,
-            ScriptedRandom(randints=[8]),
+            ScriptedRandom(choices=["after"], randints=[8]),
         )
         assert record.meta["targets"] == [9]
         assert image_pool[8].caption in record.answer
 
     def test_boundary_anchor_redrawn(self, image_pool):
         sample = make_sample(image_pool, 96, (1,))
-        record = gen_alr(
+        record = image_record(
+            PretextTask.ALR,
             sample,
             canonical_bank(),
-            Direction.BEFORE,
             TimeRepresentation.FREE_FORM,
-            ScriptedRandom(randints=[1, 1, 5]),  # 1 has no "before" neighbor
+            # 1 has no "before" neighbor
+            ScriptedRandom(choices=["before"], randints=[1, 1, 5]),
         )
         assert record.meta["anchor"] == 5
         assert record.meta["targets"] == [4]
 
     def test_after_never_anchors_last(self, image_pool):
         for seed in range(40):
-            record = gen_alr(
+            record = image_record(
+                PretextTask.ALR,
                 make_sample(image_pool, 6, (1,)),
                 canonical_bank(),
-                Direction.AFTER,
                 TimeRepresentation.FREE_FORM,
-                random.Random(seed),
+                ScriptedRandom(seed, choices=["after"]),
             )
             assert record.meta["anchor"] < 6
 
     def test_seq_len_two(self, image_pool):
-        record = gen_alr(
+        record = image_record(
+            PretextTask.ALR,
             make_sample(image_pool, 2, (1,)),
             canonical_bank(),
-            Direction.BEFORE,
             TimeRepresentation.FREE_FORM,
-            random.Random(0),
+            ScriptedRandom(0, choices=["before"]),
         )
         assert record.meta["anchor"] == 2
         assert record.meta["targets"] == [1]
 
     def test_seq_len_one_rejected(self, image_pool):
         with pytest.raises(ConfigError, match="seq_len >= 2"):
-            gen_alr(
+            image_record(
+                PretextTask.ALR,
                 make_sample(image_pool, 1, (1,)),
                 canonical_bank(),
-                Direction.BEFORE,
                 TimeRepresentation.FREE_FORM,
                 random.Random(0),
             )
@@ -353,12 +359,7 @@ class TestOutputInvariants:
         templates = TemplateBank.load()
         for _ in range(config.n_instances):
             sample = sample_sequence(large_image_pool, seq_len, rng, config.max_targets)
-            if task is PretextTask.ALR:
-                direction = rng.choice(list(Direction))
-                record = gen_alr(sample, templates, direction, time_repr, rng)
-            else:
-                generate = gen_iig if task is PretextTask.IIG else gen_iic
-                record = generate(sample, templates, time_repr, rng)
+            record = image_record(task, sample, templates, time_repr, rng)
             parsed = parse_index_mentions(record.answer, time_repr, seq_len)
             assert parsed == record.meta["targets"], record.answer
 
