@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, draw_task, stamp
+from .corpus import Corpus, _sample_indices, draw_task, stamp
 from .dataset_io import CaptionedClip, InstructionRecord, derive_record_seed
 from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
@@ -160,7 +160,7 @@ def compose_sequence(
     if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}")
     window_size = min(len(pool), max(8 * n_clips, n_clips))
-    window = [pool[i] for i in rng.sample(range(len(pool)), window_size)]
+    window = [pool[i] for i in _sample_indices(rng, len(pool), window_size)]
     taken: list[CaptionedClip] = []
     skipped: list[CaptionedClip] = []
     labels_used: set[str] = set()

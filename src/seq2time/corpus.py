@@ -1,4 +1,4 @@
-"""The corpus runner and task draw both builders share.
+"""The corpus runner, task draw and index draw both builders share.
 
 Record i of a build depends only on (config, seed, i), so the ordinals
 split into contiguous ranges that can run anywhere: in the parent, one
@@ -9,12 +9,15 @@ ordinal order, so the output never depends on ``jobs``.
 
 from __future__ import annotations
 
+import math
 import os
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -23,10 +26,58 @@ from .errors import ConfigError
 from .templates import TemplateBank
 
 
+@cache
+def _task_draw(tasks: type[Enum]) -> tuple[tuple, tuple[float, ...]]:
+    """The members of ``tasks`` in value order, and their cumulative weights."""
+    members = tuple(sorted(tasks, key=lambda t: t.value))
+    return members, tuple(accumulate([1.0 / len(members)] * len(members)))
+
+
 def draw_task(tasks: type[Enum], rng: random.Random) -> Any:
-    """One member of ``tasks``, each at the same rate."""
-    names = sorted(t.value for t in tasks)
-    return tasks(rng.choices(names, weights=[1.0 / len(names)] * len(names))[0])
+    """One member of ``tasks``, each at the same rate.
+
+    The draw is ``rng.choices`` over the sorted task values with equal
+    weights; ``choices`` turns weights into these cumulative weights.
+    """
+    members, cum_weights = _task_draw(tasks)
+    return rng.choices(members, cum_weights=cum_weights)[0]
+
+
+# _sample_indices copies random.sample's code of this minor version
+_SAMPLE_COPIED = sys.version_info[:2] == (3, 11)
+
+
+def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)``: the same indices, in the same order, and
+    ``rng`` left in the same state.
+
+    Copies CPython 3.11's ``random.sample`` where it tracks chosen indices
+    in a set (n above ``setsize``), with ``_randbelow`` inlined: each index
+    re-draws ``getrandbits(n.bit_length())`` while the value is not below n
+    or was chosen before. Every other case calls ``rng.sample``: the pool
+    branch, another Python version, and an rng class with its own
+    ``sample`` or ``_randbelow`` (a subclass that overrides only
+    ``random()`` gets another ``_randbelow``).
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    cls = type(rng)
+    if (
+        n <= setsize
+        or not _SAMPLE_COPIED
+        or cls.sample is not random.Random.sample
+        or cls._randbelow is not random.Random._randbelow_with_getrandbits
+    ):
+        return rng.sample(range(n), k)
+    draw, bits = rng.getrandbits, n.bit_length()
+    selected: dict[int, None] = {}  # a set that keeps the draw order
+    for _ in range(k):
+        j = draw(bits)
+        while j >= n or j in selected:
+            j = draw(bits)
+        selected[j] = None
+    return list(selected)
 
 
 def stamp(
@@ -46,7 +97,7 @@ class Corpus:
 
     generate: Callable[[Any, tuple, TemplateBank, int], InstructionRecord]
     config: Any  # ImageCorpusConfig or ClipCorpusConfig
-    pool: tuple
+    pool: tuple  # the clips, or the images and their paths
     templates: TemplateBank
 
     def records(self, jobs: int = 1) -> Iterator[InstructionRecord]:

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, draw_task, stamp
+from .corpus import Corpus, _sample_indices, draw_task, stamp
 from .dataset_io import CaptionedImage, InstructionRecord, derive_record_seed
 from .errors import ConfigError, TemplateError
 from .position_token import (
@@ -61,17 +62,27 @@ class PretextTask(Enum):
     ALR = "alr"
 
 
+def _gather(items: Sequence, indices: Sequence[int]) -> tuple:
+    """``tuple(items[i] for i in indices)``, in one call."""
+    picked = itemgetter(*indices)(items)
+    return picked if len(indices) > 1 else (picked,)
+
+
 @dataclass(frozen=True)
 class ImageSequenceSample:
-    """An ordered draw of images plus the 1-based target positions."""
+    """An ordered draw of images, their positions in the pool they were
+    drawn from, and the 1-based target positions."""
 
     images: tuple[CaptionedImage, ...]
+    indices: tuple[int, ...]
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.images)
         if n < 1:
             raise ConfigError("sample needs at least one image")
+        if len(self.indices) != n:
+            raise ConfigError(f"{len(self.indices)} pool indices for {n} images")
         if not self.targets:
             raise ConfigError("sample needs at least one target")
         if list(self.targets) != sorted(set(self.targets)):
@@ -94,9 +105,13 @@ def sample_sequence(
 
     Target count is uniform on 1..max_targets (capped at seq_len); target
     positions are a sorted uniform draw. Deterministic given pool order
-    and rng state. Drawing indices picks the same images as
-    ``rng.sample(list(pool), seq_len)``, since ``random.sample`` chooses
-    by index, without copying the pool per sample.
+    and rng state. The images are those ``rng.sample(list(pool), seq_len)``
+    picks, drawn as pool indices without copying the pool: on Python 3.11
+    by an inlined copy of ``random.sample``'s set branch
+    (``corpus._sample_indices``), which makes the same ``getrandbits``
+    calls; on any other version, and for an rng class with its own
+    ``sample`` or ``_randbelow``, by ``rng.sample(range(len(pool)),
+    seq_len)``.
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
@@ -106,10 +121,10 @@ def sample_sequence(
         )
     if max_targets < 1:
         raise ConfigError(f"max_targets must be >= 1, got {max_targets}")
-    images = tuple(pool[i] for i in rng.sample(range(len(pool)), seq_len))
+    indices = tuple(_sample_indices(rng, len(pool), seq_len))
     n_targets = rng.randint(1, min(max_targets, seq_len))
     targets = tuple(sorted(rng.sample(range(1, seq_len + 1), n_targets)))
-    return ImageSequenceSample(images=images, targets=targets)
+    return ImageSequenceSample(_gather(pool, indices), indices, targets)
 
 
 def render_index(index: int, seq_len: int, time_repr: TimeRepresentation) -> str:
@@ -167,13 +182,16 @@ def image_record(
     templates: TemplateBank,
     time_repr: TimeRepresentation,
     rng: random.Random,
+    paths: Sequence[str],
 ) -> InstructionRecord:
     """The ``task`` record of ``sample``, its templates drawn from ``rng``.
 
     IIG and IIC answer on the sample's targets. ALR first draws a
     direction, then an anchor uniformly, re-drawing an anchor whose
     neighbor would fall off the sequence edge; its one target is that
-    neighbor.
+    neighbor. ``paths`` holds the image path of every image in the pool
+    the sample was drawn from, in pool order; the record's media are
+    those at the sample's indices.
     """
     seq_len, targets, meta = sample.seq_len, sample.targets, {}
     if task is PretextTask.ALR:
@@ -197,7 +215,7 @@ def image_record(
     q_tpl, a_tpl = templates.sample(task.value, arity, rng)
     return InstructionRecord(
         id="",
-        media=tuple(img.image for img in sample.images),
+        media=_gather(paths, sample.indices),
         task=task.name,
         question=render_template(q_tpl, values),
         answer=_answer(task, a_tpl, indices, captions),
@@ -236,15 +254,19 @@ class ImageCorpusConfig:
 
 def generate_image_record(
     config: ImageCorpusConfig,
-    pool: Sequence[CaptionedImage],
+    pool: tuple[tuple[CaptionedImage, ...], tuple[str, ...]],
     templates: TemplateBank,
     ordinal: int,
 ) -> InstructionRecord:
-    """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
+    """Record ``ordinal`` of a run; pure in (config, seed, ordinal).
+
+    ``pool`` is an ``image_corpus`` pool: the images, and their paths.
+    """
+    images, paths = pool
     rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="image-seq"))
     task = draw_task(PretextTask, rng)
-    sample = sample_sequence(pool, config.seq_len, rng, max_targets=config.max_targets)
-    record = image_record(task, sample, templates, config.time_repr, rng)
+    sample = sample_sequence(images, config.seq_len, rng, max_targets=config.max_targets)
+    record = image_record(task, sample, templates, config.time_repr, rng, paths)
     return stamp(record, "is", config.seed, ordinal)
 
 
@@ -312,7 +334,8 @@ def image_corpus(
     if templates is None:
         templates = TemplateBank.load()
     _probe_answers(config, templates)
-    return Corpus(generate_image_record, config, tuple(pool), templates)
+    paths = tuple(image.image for image in pool)
+    return Corpus(generate_image_record, config, (tuple(pool), paths), templates)
 
 
 def build_image_corpus(

@@ -10,7 +10,8 @@ the canonical wording, the rest are paraphrases. Slots are uppercase
 angle-bracket markers (``<CAPTION>``, ``<INDEX>``, ``<CAPTION1>``,
 ``<CAPTION2>``, ``<DIRECTION>``, ``<EVENTS>``, ``<INTERVAL>``); they never
 collide with digit position tokens, which are single digits. The bank
-validates on load that every template carries all slots its task needs.
+validates on load that every template carries all slots its task needs,
+and no slot its task leaves unfilled.
 Whether an answer template parses back is checked where the parsing
 rules are known: each build renders every answer template it can draw
 with probe values and reads it back with the scorer's parsers, at setup.
@@ -29,7 +30,8 @@ from .errors import TemplateError
 
 _SLOT_RE = re.compile(r"<(?:CAPTION[12]?|INDEX|DIRECTION|EVENTS|INTERVAL)>")
 
-# (task, arity) -> (slots every question needs, slots every answer needs)
+# (task, arity) -> (slots every question needs, slots every answer needs);
+# these are also the only slots a generator fills in each
 REQUIRED_SLOTS: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {
     ("iig", "single"): (("<CAPTION>",), ("<INDEX>",)),
     ("iig", "multi"): (("<CAPTION>",), ("<INDEX>",)),
@@ -124,6 +126,12 @@ class TemplateBank:
                         if slot not in tpl:
                             raise TemplateError(
                                 f"{task}/{arity}/{kind} template missing {slot}: {tpl!r}"
+                            )
+                    for slot in _SLOT_RE.findall(tpl):
+                        if slot not in slots:
+                            raise TemplateError(
+                                f"{task}/{arity}/{kind} template holds {slot}, "
+                                f"a slot its task never fills: {tpl!r}"
                             )
 
     def variants(self, task: str, arity: str) -> tuple[list[str], list[str]]:

@@ -184,12 +184,13 @@ def test_criterion_05_corpus_task_balance_within_3_sigma(image_pool, clip_pool):
 def test_criterion_06_alr_adjacency_holds_on_every_record(image_pool):
     checked = 0
     caption_by_path = {img.image: img.caption for img in image_pool}
+    paths = tuple(img.image for img in image_pool)
     bank = TemplateBank.load()
     for time_repr, seed in ((RPT, 201), (FREE, 202)):
         rng = random.Random(seed)
         for _ in range(5_000):
             sample = sample_sequence(image_pool, 96, rng)
-            record = image_record(PretextTask.ALR, sample, bank, time_repr, rng)
+            record = image_record(PretextTask.ALR, sample, bank, time_repr, rng, paths)
             anchor = record.meta["anchor"]
             (neighbor,) = record.meta["targets"]
             offset = neighbor - anchor

@@ -618,10 +618,11 @@ class TestCorpusWriter:
         assert all(" by <INDEX>" in r["question"] + r["answer"] for r in records)
 
 
-def _bank_with(tmp_path, task, arity, answer):
-    """The packaged bank with every ``task``/``arity`` answer set to ``answer``."""
+def _bank_with(tmp_path, task, arity, template, kind="answers"):
+    """The packaged bank with every ``task``/``arity`` template of ``kind``
+    set to ``template``."""
     data = json.loads((SRC / "seq2time" / "data" / "template_bank.json").read_text())
-    data[task][arity]["answers"] = [answer] * 10
+    data[task][arity][kind] = [template] * 10
     path = tmp_path / "bank.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
@@ -734,6 +735,32 @@ class TestCustomTemplateBanks:
         )
         assert (code, out) == (2, "")
         assert "iic/single answer template does not parse back in rpt answers" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "kind, task, question, slot",
+        [
+            ("image", "iig", "Which image shows <CAPTION>? It is <INDEX>.", "<INDEX>"),
+            ("clip", "dvc", "Describe every event, such as <CAPTION>.", "<CAPTION>"),
+        ],
+        ids=["iig", "dvc"],
+    )
+    @pytest.mark.parametrize("n", ["0", "50"])
+    def test_question_slot_its_task_never_fills(
+        self, capsys, request, tmp_path, kind, task, question, slot, n
+    ):
+        # refused when the bank loads, before any record could draw it
+        out_path = tmp_path / "corpus.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            f"build-{kind}-seq",
+            "--source", str(request.getfixturevalue(f"{kind}_source")),
+            "--output", str(out_path),
+            "--n", n,
+            "--templates", str(_bank_with(tmp_path, task, "single", question, "questions")),
+        )
+        assert (code, out) == (2, "")
+        assert f"{task}/single/questions template holds {slot}" in err
         assert not out_path.exists()
 
 

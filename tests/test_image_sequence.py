@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seq2time import corpus
+from seq2time.corpus import _sample_indices
 from seq2time.dataset_io import derive_record_seed
 from seq2time.errors import ConfigError
 from seq2time.image_sequence import (
@@ -102,9 +103,16 @@ def canonical_bank():
 
 
 def make_sample(image_pool, seq_len, targets):
+    """The first ``seq_len`` images of the pool, in pool order."""
     return ImageSequenceSample(
-        images=tuple(image_pool[:seq_len]), targets=tuple(targets)
+        images=tuple(image_pool[:seq_len]),
+        indices=tuple(range(seq_len)),
+        targets=tuple(targets),
     )
+
+
+def pool_paths(pool):
+    return tuple(img.image for img in pool)
 
 
 class TestSampleContracts:
@@ -137,11 +145,37 @@ class TestSampleContracts:
         # a set of drawn indices (about 1,000 for 96 picks)
         large = [CaptionedImage(f"x{k}", f"x{k}.jpg", f"picture {k}") for k in range(5000)]
         for pool in (image_pool[:96], image_pool, large):
-            for seq_len in (2, 48, 96):
+            for seq_len in (1, 2, 48, 96):
                 for seed in range(5):
                     copied = random.Random(seed).sample(list(pool), seq_len)
                     sample = sample_sequence(pool, seq_len, random.Random(seed))
                     assert sample.images == tuple(copied)
+                    assert sample.images == tuple(pool[i] for i in sample.indices)
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(96, 96), (500, 96), (1045, 96), (1046, 96), (20_000, 96), (200_000, 96),
+         (20_000, 2), (6_000, 5_000), (10, 3), (1, 1)],
+    )
+    def test_index_draw_is_random_sample(self, n, k):
+        # the inlined set branch starts above n = 1,045 for k = 96; on both
+        # sides it draws what rng.sample draws and leaves the rng in step
+        for seed in range(200):
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert _sample_indices(rng, n, k) == reference.sample(range(n), k)
+            assert rng.random() == reference.random()
+
+    def test_index_draw_defers_to_another_randbelow(self):
+        # overriding only random() swaps in a _randbelow that never calls
+        # getrandbits, so only rng.sample itself draws the same indices
+        class RandomOnly(random.Random):
+            def random(self):
+                return super().random()
+
+        for seed in range(20):
+            rng, reference = RandomOnly(seed), RandomOnly(seed)
+            assert _sample_indices(rng, 20_000, 96) == reference.sample(range(20_000), 96)
+            assert rng.random() == reference.random()
 
     def test_pool_too_small(self, image_pool):
         with pytest.raises(ConfigError, match="cannot fill"):
@@ -154,12 +188,15 @@ class TestSampleContracts:
             sample_sequence(image_pool, 4, random.Random(0), max_targets=0)
 
     def test_sample_validation(self, image_pool):
+        images, indices = tuple(image_pool[:4]), (0, 1, 2, 3)
         with pytest.raises(ConfigError, match="strictly increasing"):
-            ImageSequenceSample(images=tuple(image_pool[:4]), targets=(3, 2))
+            ImageSequenceSample(images=images, indices=indices, targets=(3, 2))
         with pytest.raises(ConfigError, match="outside"):
-            ImageSequenceSample(images=tuple(image_pool[:4]), targets=(5,))
+            ImageSequenceSample(images=images, indices=indices, targets=(5,))
         with pytest.raises(ConfigError, match="at least one target"):
-            ImageSequenceSample(images=tuple(image_pool[:4]), targets=())
+            ImageSequenceSample(images=images, indices=indices, targets=())
+        with pytest.raises(ConfigError, match="3 pool indices for 4 images"):
+            ImageSequenceSample(images=images, indices=(0, 1, 2), targets=(1,))
 
     def test_empty_caption_rejected(self):
         with pytest.raises(ConfigError, match="empty caption"):
@@ -183,6 +220,7 @@ class TestIIGRecord:
         record = image_record(
             PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.RPT,
             random.Random(0),
+            pool_paths(image_pool),
         )
         caption = image_pool[6].caption
         assert record.task == "IIG"
@@ -200,6 +238,7 @@ class TestIIGRecord:
         record = image_record(
             PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
             random.Random(0),
+            pool_paths(image_pool),
         )
         assert record.answer == "The image index is 7."
 
@@ -208,16 +247,30 @@ class TestIIGRecord:
         record = image_record(
             PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.RPT,
             random.Random(0),
+            pool_paths(image_pool),
         )
         cap7, cap24 = image_pool[6].caption, image_pool[23].caption
         assert f'"{cap7}", "{cap24}"' in record.question
         assert record.answer == "The image indices are <0><7><2><9>, <2><5><0><0>."
+
+    def test_one_image_sequence(self, image_pool):
+        # one index gathers a 1-tuple, not the bare image or path
+        sample = sample_sequence(image_pool, 1, random.Random(3))
+        record = image_record(
+            PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
+            random.Random(0),
+            pool_paths(image_pool),
+        )
+        assert sample.images == (image_pool[sample.indices[0]],)
+        assert record.media == (sample.images[0].image,)
+        assert record.answer == "The image index is 1."
 
     def test_five_targets(self, image_pool):
         sample = make_sample(image_pool, 96, (1, 2, 3, 4, 5))
         record = image_record(
             PretextTask.IIG, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
             random.Random(0),
+            pool_paths(image_pool),
         )
         assert "1, 2, 3, 4, 5" in record.answer
 
@@ -228,6 +281,7 @@ class TestIICRecord:
         record = image_record(
             PretextTask.IIC, sample, canonical_bank(), TimeRepresentation.RPT,
             random.Random(0),
+            pool_paths(image_pool),
         )
         caption = image_pool[6].caption
         assert record.task == "IIC"
@@ -241,6 +295,7 @@ class TestIICRecord:
         record = image_record(
             PretextTask.IIC, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
             random.Random(0),
+            pool_paths(image_pool),
         )
         cap7, cap24 = image_pool[6].caption, image_pool[23].caption
         assert record.answer == (
@@ -253,6 +308,7 @@ class TestIICRecord:
         record = image_record(
             PretextTask.IIC, sample, canonical_bank(), TimeRepresentation.FREE_FORM,
             random.Random(0),
+            pool_paths(image_pool),
         )
         assert image_pool[2].caption in record.answer
 
@@ -266,6 +322,7 @@ class TestALRRecord:
             canonical_bank(),
             TimeRepresentation.RPT,
             ScriptedRandom(choices=["before"], randints=[8]),
+            pool_paths(image_pool),
         )
         cap8, cap7 = image_pool[7].caption, image_pool[6].caption
         assert record.task == "ALR"
@@ -288,6 +345,7 @@ class TestALRRecord:
             canonical_bank(),
             TimeRepresentation.FREE_FORM,
             ScriptedRandom(choices=["after"], randints=[8]),
+            pool_paths(image_pool),
         )
         assert record.meta["targets"] == [9]
         assert image_pool[8].caption in record.answer
@@ -301,6 +359,7 @@ class TestALRRecord:
             TimeRepresentation.FREE_FORM,
             # 1 has no "before" neighbor
             ScriptedRandom(choices=["before"], randints=[1, 1, 5]),
+            pool_paths(image_pool),
         )
         assert record.meta["anchor"] == 5
         assert record.meta["targets"] == [4]
@@ -313,6 +372,7 @@ class TestALRRecord:
                 canonical_bank(),
                 TimeRepresentation.FREE_FORM,
                 ScriptedRandom(seed, choices=["after"]),
+                pool_paths(image_pool),
             )
             assert record.meta["anchor"] < 6
 
@@ -323,6 +383,7 @@ class TestALRRecord:
             canonical_bank(),
             TimeRepresentation.FREE_FORM,
             ScriptedRandom(0, choices=["before"]),
+            pool_paths(image_pool),
         )
         assert record.meta["anchor"] == 2
         assert record.meta["targets"] == [1]
@@ -335,6 +396,7 @@ class TestALRRecord:
                 canonical_bank(),
                 TimeRepresentation.FREE_FORM,
                 random.Random(0),
+                pool_paths(image_pool),
             )
 
 
@@ -359,7 +421,9 @@ class TestOutputInvariants:
         templates = TemplateBank.load()
         for _ in range(config.n_instances):
             sample = sample_sequence(large_image_pool, seq_len, rng, config.max_targets)
-            record = image_record(task, sample, templates, time_repr, rng)
+            record = image_record(
+                task, sample, templates, time_repr, rng, pool_paths(large_image_pool)
+            )
             parsed = parse_index_mentions(record.answer, time_repr, seq_len)
             assert parsed == record.meta["targets"], record.answer
 
@@ -452,8 +516,9 @@ class TestBuildImageCorpus:
         config = ImageCorpusConfig(n_instances=10, seed=3)
         templates = TemplateBank.load()
         build = list(build_image_corpus(config, image_pool, templates))
+        pool = image_corpus(config, image_pool, templates).pool
         for k in (0, 4, 9):
-            assert build[k] == generate_image_record(config, image_pool, templates, k)
+            assert build[k] == generate_image_record(config, pool, templates, k)
 
     def test_seed_changes_output(self, image_pool):
         a = list(build_image_corpus(ImageCorpusConfig(n_instances=5, seed=1), image_pool))
@@ -520,7 +585,8 @@ class TestBuildImageCorpus:
         # the per-record draw chain starts at the derived seed
         config = ImageCorpusConfig(n_instances=1, seed=4)
         templates = TemplateBank.load()
-        record = generate_image_record(config, image_pool, templates, 0)
+        pool = image_corpus(config, image_pool, templates).pool
+        record = generate_image_record(config, pool, templates, 0)
         rseed = derive_record_seed(4, 0, namespace="image-seq")
         rng = random.Random(rseed)
         names = sorted(t.value for t in PretextTask)
