@@ -13,8 +13,9 @@ human timestamps are involved.
 (grounding: locate one queried caption). Times render as boundary
 position codes or as seconds at 0.1 s display precision, and the
 synthetic timeline is D = the sum of real clip durations.
-``clip_record`` returns records with an empty id; a corpus run names
-record i ``cs-{seed}-{i:08d}``.
+``clip_record`` returns records with an empty id; ``clip_corpus`` builds
+run them through ``Corpus.record``, which seeds, numbers and names each
+record (``seq2time.corpus``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, _sample_indices, draw_task, stamp
-from .dataset_io import CaptionedClip, InstructionRecord, derive_record_seed
+from .corpus import Corpus, _sample_indices
+from .dataset_io import CaptionedClip, InstructionRecord
 from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
     TimeRepresentation,
@@ -53,7 +54,6 @@ class ClipSequenceSample:
     rate_factors: tuple[float, ...]
     frame_counts: tuple[int, ...]
     total_frames: int
-    pseudo_duration_s: float
 
     def __post_init__(self) -> None:
         n = len(self.clips)
@@ -71,11 +71,11 @@ class ClipSequenceSample:
             raise InvariantViolation(
                 f"frame counts {self.frame_counts} do not sum to {self.total_frames}"
             )
-        expected = sum(c.duration_s for c in self.clips)
-        if abs(self.pseudo_duration_s - expected) > 1e-9 * max(1.0, expected):
-            raise InvariantViolation(
-                f"pseudo duration {self.pseudo_duration_s} != clip total {expected}"
-            )
+
+    @property
+    def pseudo_duration_s(self) -> float:
+        """The synthetic timeline D: the sum of the clips' durations."""
+        return sum(c.duration_s for c in self.clips)
 
 
 def apportion_frames(weights: Sequence[float], total: int) -> tuple[int, ...]:
@@ -159,7 +159,7 @@ def compose_sequence(
     lo, hi = rate_bounds
     if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}")
-    window_size = min(len(pool), max(8 * n_clips, n_clips))
+    window_size = min(len(pool), 8 * n_clips)
     window = [pool[i] for i in _sample_indices(rng, len(pool), window_size)]
     taken: list[CaptionedClip] = []
     skipped: list[CaptionedClip] = []
@@ -186,7 +186,6 @@ def compose_sequence(
         rate_factors=rates,
         frame_counts=counts,
         total_frames=total_frames,
-        pseudo_duration_s=sum(c.duration_s for c in clips),
     )
 
 
@@ -303,21 +302,14 @@ class ClipCorpusConfig:
             )
 
 
-def generate_clip_record(
-    config: ClipCorpusConfig,
-    pool: Sequence[CaptionedClip],
-    templates: TemplateBank,
-    ordinal: int,
-) -> InstructionRecord:
-    """Record ``ordinal`` of a run; pure in (config, seed, ordinal)."""
-    rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="clip-seq"))
-    task = draw_task(ClipTask, rng)
+def _draw(corpus: Corpus, task: ClipTask, rng: random.Random) -> InstructionRecord:
+    """The ``task`` record of a sample composed from a ``clip_corpus`` pool."""
+    config = corpus.config
     n_clips = rng.randint(config.clip_min, config.clip_max)
     sample = compose_sequence(
-        pool, n_clips, config.total_frames, (config.rate_min, config.rate_max), rng
+        corpus.pool, n_clips, config.total_frames, (config.rate_min, config.rate_max), rng
     )
-    record = clip_record(task, sample, templates, config.time_repr, rng)
-    return stamp(record, "cs", config.seed, ordinal)
+    return clip_record(task, sample, corpus.templates, config.time_repr, rng)
 
 
 # the fixed sample every DVC and TVG answer template is probed with
@@ -329,7 +321,6 @@ _PROBE = ClipSequenceSample(
     rate_factors=(1.0, 1.0),
     frame_counts=(2, 3),
     total_frames=5,
-    pseudo_duration_s=10.0,
 )
 
 
@@ -381,7 +372,7 @@ def clip_corpus(
     if templates is None:
         templates = TemplateBank.load()
     _probe_answers(config.time_repr, templates)
-    return Corpus(generate_clip_record, config, tuple(pool), templates)
+    return Corpus("clip-seq", "cs", ClipTask, _draw, config, tuple(pool), templates)
 
 
 def build_clip_corpus(

@@ -1,14 +1,18 @@
-"""The corpus runner, task draw and index draw both builders share.
+"""The corpus runner, record protocol and index draw both builders share.
 
-Record i of a build depends only on (config, seed, i), so the ordinals
-split into contiguous ranges that can run anywhere: in the parent, one
-record at a time, at ``jobs=1``; otherwise in a process pool, with
-``max(16, n // (8 * jobs))`` ordinals per range. Ranges come back in
-ordinal order, so the output never depends on ``jobs``.
+Record i of a build depends only on (config, seed, i): ``Corpus.record``
+seeds its rng from them, draws its task, lets the builder draw the rest
+and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
+``cs`` for clip sequences). So the ordinals split into contiguous ranges
+that can run anywhere: in the parent, one record at a time, at
+``jobs=1``; otherwise in a process pool, with ``max(16, n // (8 *
+jobs))`` ordinals per range. Ranges come back in ordinal order, so the
+output never depends on ``jobs``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -33,14 +37,11 @@ def _task_draw(tasks: type[Enum]) -> tuple[tuple, tuple[float, ...]]:
     return members, tuple(accumulate([1.0 / len(members)] * len(members)))
 
 
-def draw_task(tasks: type[Enum], rng: random.Random) -> Any:
-    """One member of ``tasks``, each at the same rate.
-
-    The draw is ``rng.choices`` over the sorted task values with equal
-    weights; ``choices`` turns weights into these cumulative weights.
-    """
-    members, cum_weights = _task_draw(tasks)
-    return rng.choices(members, cum_weights=cum_weights)[0]
+def derive_record_seed(seed: int, ordinal: int, namespace: str) -> int:
+    """Stable per-record RNG seed, independent of process hash randomization:
+    the first 8 bytes of ``sha256("{namespace}:{seed}:{ordinal}")``."""
+    digest = hashlib.sha256(f"{namespace}:{seed}:{ordinal}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 # _sample_indices copies random.sample's code of this minor version
@@ -80,25 +81,35 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return list(selected)
 
 
-def stamp(
-    record: InstructionRecord, prefix: str, seed: int, ordinal: int
-) -> InstructionRecord:
-    """The record under its run id, with the seed and ordinal in its meta."""
-    return replace(
-        record,
-        id=f"{prefix}-{seed}-{ordinal:08d}",
-        meta={**record.meta, "seed": seed, "ordinal": ordinal},
-    )
-
-
 @dataclass(frozen=True)
 class Corpus:
-    """One build: a per-ordinal record generator and everything it reads."""
+    """One build: a builder's record draw and everything it reads."""
 
-    generate: Callable[[Any, tuple, TemplateBank, int], InstructionRecord]
+    namespace: str  # of the record seeds: "image-seq" or "clip-seq"
+    prefix: str  # of the record ids: "is" or "cs"
+    tasks: type[Enum]
+    draw: Callable[[Corpus, Any, random.Random], InstructionRecord]
     config: Any  # ImageCorpusConfig or ClipCorpusConfig
     pool: tuple  # the clips, or the images and their paths
     templates: TemplateBank
+
+    def record(self, ordinal: int) -> InstructionRecord:
+        """Record ``ordinal`` of the run; pure in (config, seed, ordinal).
+
+        Its rng is seeded by ``derive_record_seed``; the first draw picks
+        its task, each task at the same rate (``rng.choices`` over the
+        tasks in value order with equal weights, which ``choices`` turns
+        into these cumulative weights), and ``draw`` draws the rest.
+        """
+        seed = self.config.seed
+        rng = random.Random(derive_record_seed(seed, ordinal, self.namespace))
+        members, cum_weights = _task_draw(self.tasks)
+        record = self.draw(self, rng.choices(members, cum_weights=cum_weights)[0], rng)
+        return replace(
+            record,
+            id=f"{self.prefix}-{seed}-{ordinal:08d}",
+            meta={**record.meta, "seed": seed, "ordinal": ordinal},
+        )
 
     def records(self, jobs: int = 1) -> Iterator[InstructionRecord]:
         for chunk in self._map(_generate, jobs):
@@ -135,8 +146,7 @@ class Corpus:
 
 
 def _generate(corpus: Corpus, ordinals: range) -> list[InstructionRecord]:
-    config, pool, templates = corpus.config, corpus.pool, corpus.templates
-    return [corpus.generate(config, pool, templates, i) for i in ordinals]
+    return [corpus.record(i) for i in ordinals]
 
 
 def _encode(corpus: Corpus, ordinals: range) -> tuple[str, Counter, int, int]:

@@ -13,7 +13,6 @@ by hash.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -26,17 +25,6 @@ from typing import Iterable, Iterator, TextIO
 from .errors import ConfigError, CorpusFormatError
 
 RECORD_KEY_ORDER = ("id", "media", "task", "question", "answer", "meta")
-
-
-def derive_record_seed(seed: int, ordinal: int, namespace: str = "record") -> int:
-    """Stable per-record RNG seed, independent of process hash randomization.
-
-    Each record of a run draws from its own generator seeded by
-    (namespace, run seed, ordinal), which is what makes record generation
-    pure per ordinal and parallel fan-out byte-identical to sequential.
-    """
-    digest = hashlib.sha256(f"{namespace}:{seed}:{ordinal}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ tokens, or the bare integer (``render_index``), and parse back with
 would itself read as a position, and any answer template whose answers
 would not parse back to their own targets and captions.
 
-Corpus building is pure per record ordinal: record i of a run is a
-function of (config, seed, i) only, so generation can fan out across
-processes without changing a byte of the output. ``image_record``
-returns records with an empty id; a corpus run names record i
-``is-{seed}-{i:08d}``.
+``image_record`` returns records with an empty id; ``image_corpus``
+builds run them through ``Corpus.record``, which seeds, numbers and
+names each record (``seq2time.corpus``).
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, _sample_indices, draw_task, stamp
-from .dataset_io import CaptionedImage, InstructionRecord, derive_record_seed
+from .corpus import Corpus, _sample_indices
+from .dataset_io import CaptionedImage, InstructionRecord
 from .errors import ConfigError, TemplateError
 from .position_token import (
     CODE_PATTERN,
@@ -106,12 +104,11 @@ def sample_sequence(
     Target count is uniform on 1..max_targets (capped at seq_len); target
     positions are a sorted uniform draw. Deterministic given pool order
     and rng state. The images are those ``rng.sample(list(pool), seq_len)``
-    picks, drawn as pool indices without copying the pool: on Python 3.11
-    by an inlined copy of ``random.sample``'s set branch
+    picks, and the targets those of ``rng.sample(range(1, seq_len + 1),
+    n)``, both drawn as indices without copying a population: on Python
+    3.11 by an inlined copy of ``random.sample``'s set branch
     (``corpus._sample_indices``), which makes the same ``getrandbits``
-    calls; on any other version, and for an rng class with its own
-    ``sample`` or ``_randbelow``, by ``rng.sample(range(len(pool)),
-    seq_len)``.
+    calls; otherwise, as there, by ``rng.sample`` over the index range.
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
@@ -123,7 +120,7 @@ def sample_sequence(
         raise ConfigError(f"max_targets must be >= 1, got {max_targets}")
     indices = tuple(_sample_indices(rng, len(pool), seq_len))
     n_targets = rng.randint(1, min(max_targets, seq_len))
-    targets = tuple(sorted(rng.sample(range(1, seq_len + 1), n_targets)))
+    targets = tuple(sorted(j + 1 for j in _sample_indices(rng, seq_len, n_targets)))
     return ImageSequenceSample(_gather(pool, indices), indices, targets)
 
 
@@ -252,22 +249,12 @@ class ImageCorpusConfig:
             )
 
 
-def generate_image_record(
-    config: ImageCorpusConfig,
-    pool: tuple[tuple[CaptionedImage, ...], tuple[str, ...]],
-    templates: TemplateBank,
-    ordinal: int,
-) -> InstructionRecord:
-    """Record ``ordinal`` of a run; pure in (config, seed, ordinal).
-
-    ``pool`` is an ``image_corpus`` pool: the images, and their paths.
-    """
-    images, paths = pool
-    rng = random.Random(derive_record_seed(config.seed, ordinal, namespace="image-seq"))
-    task = draw_task(PretextTask, rng)
+def _draw(corpus: Corpus, task: PretextTask, rng: random.Random) -> InstructionRecord:
+    """The ``task`` record of a sample drawn from an ``image_corpus`` pool:
+    the images, and their paths."""
+    config, (images, paths) = corpus.config, corpus.pool
     sample = sample_sequence(images, config.seq_len, rng, max_targets=config.max_targets)
-    record = image_record(task, sample, templates, config.time_repr, rng, paths)
-    return stamp(record, "is", config.seed, ordinal)
+    return image_record(task, sample, corpus.templates, config.time_repr, rng, paths)
 
 
 def _probe_answers(config: ImageCorpusConfig, templates: TemplateBank) -> None:
@@ -335,7 +322,9 @@ def image_corpus(
         templates = TemplateBank.load()
     _probe_answers(config, templates)
     paths = tuple(image.image for image in pool)
-    return Corpus(generate_image_record, config, (tuple(pool), paths), templates)
+    return Corpus(
+        "image-seq", "is", PretextTask, _draw, config, (tuple(pool), paths), templates
+    )
 
 
 def build_image_corpus(

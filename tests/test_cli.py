@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import seq2time.cli as cli
-import seq2time.image_sequence as image_sequence
 from seq2time.cli import main
 from seq2time.clip_sequence import ClipCorpusConfig, build_clip_corpus
+from seq2time.corpus import Corpus
 from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import CaptionedImage, ImageCorpusConfig, build_image_corpus
@@ -482,17 +482,20 @@ class TestCorpusWriter:
         assert payload["records"] == 40
         assert payload["stats"] == corpus_stats(out_path).to_dict()
 
+    # at --jobs 2 the failing range is one of many, some of them already
+    # written; fork-started workers inherit the patched class
+    @pytest.mark.parametrize("n, jobs, fail_at", [(20, 1, 5), (300, 2, 150)])
     def test_invariant_violation_keeps_existing_output(
-        self, capsys, image_source, tmp_path, monkeypatch
+        self, capsys, image_source, tmp_path, monkeypatch, n, jobs, fail_at
     ):
-        real = image_sequence.generate_image_record
+        real = Corpus.record
 
-        def fail_at_five(config, pool, templates, ordinal):
-            if ordinal == 5:
+        def fail_at_ordinal(corpus, ordinal):
+            if ordinal == fail_at:
                 raise InvariantViolation("synthetic failure")
-            return real(config, pool, templates, ordinal)
+            return real(corpus, ordinal)
 
-        monkeypatch.setattr(image_sequence, "generate_image_record", fail_at_five)
+        monkeypatch.setattr(Corpus, "record", fail_at_ordinal)
         out_path = tmp_path / "corpus.jsonl"
         out_path.write_bytes(b"previous corpus\n")
         code, _, err = run_cli(
@@ -500,8 +503,8 @@ class TestCorpusWriter:
             "build-image-seq",
             "--source", str(image_source),
             "--output", str(out_path),
-            "--n", "20",
-            "--jobs", "1",
+            "--n", str(n),
+            "--jobs", str(jobs),
         )
         assert code == 3
         assert "synthetic failure" in err

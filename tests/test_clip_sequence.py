@@ -16,9 +16,9 @@ from seq2time.clip_sequence import (
     ClipTask,
     apportion_frames,
     build_clip_corpus,
+    clip_corpus,
     clip_record,
     compose_sequence,
-    generate_clip_record,
 )
 from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import parse_predictions
@@ -49,7 +49,6 @@ def two_clip_sample():
         rate_factors=(1.0, 1.0),
         frame_counts=(24, 72),
         total_frames=96,
-        pseudo_duration_s=20.0,
     )
 
 
@@ -207,7 +206,6 @@ class TestSampleValidation:
                 rate_factors=(1.0,),
                 frame_counts=(96,),
                 total_frames=96,
-                pseudo_duration_s=5.0,
             )
 
     def test_zero_frame_count_is_invariant_violation(self):
@@ -219,7 +217,6 @@ class TestSampleValidation:
                 rate_factors=(1.0, 1.0),
                 frame_counts=(96, 0),
                 total_frames=96,
-                pseudo_duration_s=20.0,
             )
 
     def test_counts_must_sum_to_total(self):
@@ -231,19 +228,6 @@ class TestSampleValidation:
                 rate_factors=(1.0, 1.0),
                 frame_counts=(24, 48),
                 total_frames=96,
-                pseudo_duration_s=20.0,
-            )
-
-    def test_duration_must_match_clip_total(self):
-        a = make_clip(1, "a caption here", 5.0)
-        b = make_clip(2, "another caption", 15.0)
-        with pytest.raises(InvariantViolation, match="pseudo duration"):
-            ClipSequenceSample(
-                clips=(a, b),
-                rate_factors=(1.0, 1.0),
-                frame_counts=(24, 72),
-                total_frames=96,
-                pseudo_duration_s=21.0,
             )
 
     def test_clip_field_validation(self):
@@ -277,7 +261,6 @@ class TestDeriveAnnotations:
             rate_factors=(1.0,) * 4,
             frame_counts=(24,) * 4,
             total_frames=96,
-            pseudo_duration_s=20.0,
         )
         annotations = derive_annotations(sample)
         assert [(a.start, a.end) for a in annotations] == [
@@ -480,8 +463,9 @@ class TestBuildClipCorpus:
         config = ClipCorpusConfig(n_instances=8, seed=2)
         templates = TemplateBank.load()
         build = list(build_clip_corpus(config, clip_pool, templates))
+        corpus = clip_corpus(config, clip_pool, templates)
         for k in (0, 3, 7):
-            assert build[k] == generate_clip_record(config, clip_pool, templates, k)
+            assert build[k] == corpus.record(k)
 
     def test_parallel_matches_sequential(self, clip_pool):
         config = ClipCorpusConfig(n_instances=40, seed=12)

@@ -1,10 +1,12 @@
-"""Corpus bytes pinned to fixed digests, so a refactor cannot move a byte."""
+"""Record seeds and corpus bytes pinned to fixed values, so a refactor
+cannot move a byte."""
 
 import hashlib
 
 import pytest
 
 from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
+from seq2time.corpus import derive_record_seed
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus
 from seq2time.position_token import TimeRepresentation
 
@@ -29,3 +31,29 @@ def test_written_corpus_matches_pinned_digest(
     path = tmp_path / "corpus.jsonl"
     build.write(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[kind, repr_name]
+
+
+class TestDeriveRecordSeed:
+    def test_frozen_values(self):
+        # regression anchors: changing these re-rolls every shipped corpus
+        assert derive_record_seed(0, 0, "image-seq") == 1917915649756832745
+        assert derive_record_seed(7, 3, "record") == 6000735022776850789
+
+    def test_matches_sha256_prefix(self):
+        digest = hashlib.sha256(b"clip-seq:42:17").digest()
+        expected = int.from_bytes(digest[:8], "big")
+        assert derive_record_seed(42, 17, "clip-seq") == expected
+
+    def test_distinct_across_ordinals_and_namespaces(self):
+        seeds = {
+            derive_record_seed(seed, ordinal, ns)
+            for seed in (0, 1)
+            for ordinal in range(50)
+            for ns in ("image-seq", "clip-seq")
+        }
+        assert len(seeds) == 2 * 50 * 2
+
+    def test_in_uint64_range(self):
+        for ordinal in range(100):
+            value = derive_record_seed(123, ordinal, "record")
+            assert 0 <= value < 2**64

@@ -1,6 +1,5 @@
 """Corpus loading and serialization."""
 
-import hashlib
 import json
 
 import pytest
@@ -10,7 +9,6 @@ from seq2time.dataset_io import (
     CorpusStats,
     InstructionRecord,
     corpus_stats,
-    derive_record_seed,
     iter_jsonl_with_lines,
     load_clip_captions,
     load_image_captions,
@@ -19,32 +17,6 @@ from seq2time.dataset_io import (
 from seq2time.errors import CorpusFormatError
 
 from conftest import write_clip_source, write_image_source
-
-
-class TestDeriveRecordSeed:
-    def test_frozen_values(self):
-        # regression anchors: changing these re-rolls every shipped corpus
-        assert derive_record_seed(0, 0, "image-seq") == 1917915649756832745
-        assert derive_record_seed(7, 3) == 6000735022776850789
-
-    def test_matches_sha256_prefix(self):
-        digest = hashlib.sha256(b"clip-seq:42:17").digest()
-        expected = int.from_bytes(digest[:8], "big")
-        assert derive_record_seed(42, 17, "clip-seq") == expected
-
-    def test_distinct_across_ordinals_and_namespaces(self):
-        seeds = {
-            derive_record_seed(seed, ordinal, ns)
-            for seed in (0, 1)
-            for ordinal in range(50)
-            for ns in ("image-seq", "clip-seq")
-        }
-        assert len(seeds) == 2 * 50 * 2
-
-    def test_in_uint64_range(self):
-        for ordinal in range(100):
-            value = derive_record_seed(123, ordinal)
-            assert 0 <= value < 2**64
 
 
 class TestInstructionRecord:

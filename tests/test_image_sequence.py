@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seq2time import corpus
-from seq2time.corpus import _sample_indices
-from seq2time.dataset_io import derive_record_seed
+from seq2time.corpus import _sample_indices, derive_record_seed
 from seq2time.errors import ConfigError
 from seq2time.image_sequence import (
     CaptionedImage,
@@ -18,7 +17,6 @@ from seq2time.image_sequence import (
     ImageSequenceSample,
     PretextTask,
     build_image_corpus,
-    generate_image_record,
     image_corpus,
     image_record,
     parse_index_mentions,
@@ -176,6 +174,17 @@ class TestSampleContracts:
             rng, reference = RandomOnly(seed), RandomOnly(seed)
             assert _sample_indices(rng, 20_000, 96) == reference.sample(range(20_000), 96)
             assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("seq_len", [2, 8, 21, 22, 96, 5_000])
+    def test_target_draw_is_random_sample(self, seq_len):
+        # sample_sequence's target positions; random.sample takes its pool
+        # branch up to setsize (21 for at most 5 picks), its set branch above
+        for seed in range(200):
+            for k in {*range(1, min(5, seq_len) + 1), min(96, seq_len)}:
+                rng, reference = random.Random(seed), random.Random(seed)
+                drawn = sorted(j + 1 for j in _sample_indices(rng, seq_len, k))
+                assert drawn == sorted(reference.sample(range(1, seq_len + 1), k))
+                assert rng.random() == reference.random()
 
     def test_pool_too_small(self, image_pool):
         with pytest.raises(ConfigError, match="cannot fill"):
@@ -516,9 +525,9 @@ class TestBuildImageCorpus:
         config = ImageCorpusConfig(n_instances=10, seed=3)
         templates = TemplateBank.load()
         build = list(build_image_corpus(config, image_pool, templates))
-        pool = image_corpus(config, image_pool, templates).pool
+        build_corpus = image_corpus(config, image_pool, templates)
         for k in (0, 4, 9):
-            assert build[k] == generate_image_record(config, pool, templates, k)
+            assert build[k] == build_corpus.record(k)
 
     def test_seed_changes_output(self, image_pool):
         a = list(build_image_corpus(ImageCorpusConfig(n_instances=5, seed=1), image_pool))
@@ -584,10 +593,8 @@ class TestBuildImageCorpus:
     def test_record_seed_matches_derivation(self, image_pool):
         # the per-record draw chain starts at the derived seed
         config = ImageCorpusConfig(n_instances=1, seed=4)
-        templates = TemplateBank.load()
-        pool = image_corpus(config, image_pool, templates).pool
-        record = generate_image_record(config, pool, templates, 0)
-        rseed = derive_record_seed(4, 0, namespace="image-seq")
+        record = image_corpus(config, image_pool).record(0)
+        rseed = derive_record_seed(4, 0, "image-seq")
         rng = random.Random(rseed)
         names = sorted(t.value for t in PretextTask)
         expected_task = rng.choices(names, weights=[1 / 3] * 3)[0]
