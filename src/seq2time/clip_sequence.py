@@ -25,6 +25,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate, pairwise
 from typing import Iterator, Sequence
 
 from .corpus import Corpus, _sample_indices
@@ -113,7 +115,11 @@ def _spread_labels(chosen: Sequence[CaptionedClip]) -> list[CaptionedClip]:
     """Order clips so equal action labels are never adjacent when avoidable.
 
     Greedy most-frequent-first; deterministic given the input order.
+    Distinct labels come back in input order, which is what the greedy
+    picks for them, so only repeated labels run it.
     """
+    if len({clip.label for clip in chosen}) == len(chosen):
+        return list(chosen)
     queues: dict[str, list[CaptionedClip]] = {}
     for clip in chosen:
         queues.setdefault(clip.label, []).append(clip)
@@ -189,6 +195,13 @@ def compose_sequence(
     )
 
 
+@lru_cache(maxsize=4096)
+def _boundary(frame: int, total_frames: int) -> tuple[str, float]:
+    """The rendered code of boundary ``frame`` and the fraction it decodes to."""
+    code = encode_ratio(frame, total_frames)
+    return render_code(code), decode_relative(code)
+
+
 def _spans(
     sample: ClipSequenceSample, time_repr: TimeRepresentation
 ) -> list[tuple[str, list[float]]]:
@@ -197,26 +210,23 @@ def _spans(
     Position codes are those of the boundary frame indices, so the end code
     of clip j equals the start code of clip j+1 exactly; seconds are the
     clip's relative span scaled by the pseudo duration, at display
-    precision.
+    precision. Each of the n + 1 boundaries is rendered once: its code
+    text and fraction come from a cache shared by every record
+    (``_boundary``), its seconds from one ``format_seconds`` call.
     """
     total, duration = sample.total_frames, sample.pseudo_duration_s
-    spans = []
-    end_frame = 0
-    for count in sample.frame_counts:
-        start_frame, end_frame = end_frame, end_frame + count
-        if time_repr is TimeRepresentation.RPT:
-            codes = (encode_ratio(start_frame, total), encode_ratio(end_frame, total))
-            text = render_code(codes[0]) + render_code(codes[1])
-            seconds = [decode_relative(code) * duration for code in codes]
-        else:
-            start_s, end_s = (
-                format_seconds(frame / total * duration)
-                for frame in (start_frame, end_frame)
-            )
-            text = f"{start_s} - {end_s} seconds"
-            seconds = [float(start_s), float(end_s)]
-        spans.append((text, seconds))
-    return spans
+    frames = accumulate(sample.frame_counts, initial=0)
+    if time_repr is TimeRepresentation.RPT:
+        bounds = [_boundary(frame, total) for frame in frames]
+        return [
+            (start + end, [start_fraction * duration, end_fraction * duration])
+            for (start, start_fraction), (end, end_fraction) in pairwise(bounds)
+        ]
+    shown = [format_seconds(frame / total * duration) for frame in frames]
+    return [
+        (f"{start} - {end} seconds", [float(start), float(end)])
+        for start, end in pairwise(shown)
+    ]
 
 
 def _answer(

@@ -52,26 +52,40 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     """``rng.sample(range(n), k)``: the same indices, in the same order, and
     ``rng`` left in the same state.
 
-    Copies CPython 3.11's ``random.sample`` where it tracks chosen indices
-    in a set (n above ``setsize``), with ``_randbelow`` inlined: each index
-    re-draws ``getrandbits(n.bit_length())`` while the value is not below n
-    or was chosen before. Every other case calls ``rng.sample``: the pool
-    branch, another Python version, and an rng class with its own
-    ``sample`` or ``_randbelow`` (a subclass that overrides only
-    ``random()`` gets another ``_randbelow``).
+    Copies both branches of CPython 3.11's ``random.sample``, with
+    ``_randbelow`` inlined as its ``getrandbits`` loop. Up to ``setsize``
+    (21, plus a set's table size for k above 5) it keeps the undrawn
+    indices in a list: the i-th index is ``pool[j]`` for j drawn below
+    m = n - i, and ``pool[m - 1]`` fills the gap. Above that it tracks the
+    chosen indices in a set, re-drawing j below n while it was chosen
+    before. Every other case calls ``rng.sample``: ``k`` outside 0..n (so
+    its own ``ValueError`` is raised), another Python version, and an rng
+    class with its own ``sample`` or ``_randbelow`` (a subclass that
+    overrides only ``random()`` gets another ``_randbelow``).
     """
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
     cls = type(rng)
     if (
-        n <= setsize
+        not 0 <= k <= n
         or not _SAMPLE_COPIED
         or cls.sample is not random.Random.sample
         or cls._randbelow is not random.Random._randbelow_with_getrandbits
     ):
         return rng.sample(range(n), k)
-    draw, bits = rng.getrandbits, n.bit_length()
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    draw = rng.getrandbits
+    if n <= setsize:
+        pool, out = list(range(n)), []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = draw(bits)
+            while j >= m:
+                j = draw(bits)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+    bits = n.bit_length()
     selected: dict[int, None] = {}  # a set that keeps the draw order
     for _ in range(k):
         j = draw(bits)

@@ -5,8 +5,11 @@ matching how the generators render answers:
 
 * free-form: ``<float> - <float> seconds[,:] <caption>`` (whitespace
   tolerant, ``second``/``seconds`` case-insensitive);
-* position tokens: two 4-token codes back to back, then the caption;
-  codes decode to fractions and scale by the video duration.
+* position tokens: two 4-token codes back to back, then the caption.
+  The line pattern admits only codes of four ASCII digit tokens, so each
+  code is read in one step, its digits as an int over 10^4 times the
+  video duration: the fraction ``decode_relative`` gives, scaled as
+  ``to_timestamp`` scales it.
 
 Non-blank lines matching neither grammar are skipped and counted, never
 fatal: real model outputs are noisy. (Image answers mention positions,
@@ -39,6 +42,7 @@ Metrics:
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -49,11 +53,9 @@ from .dataset_io import is_positive_number, unique_rows
 from .errors import CorpusFormatError, DomainError
 from .position_token import (
     CODE_PATTERN,
+    SCALE,
     TimeInterval,
     TimeRepresentation,
-    code_from_string,
-    decode_relative,
-    to_timestamp,
 )
 
 DEFAULT_F1_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
@@ -89,14 +91,15 @@ def parse_predictions(
 ) -> ParseResult:
     """Extract timed events from output text, line by line.
 
-    Position-token decoding needs the video duration. Inverted intervals
-    are swapped rather than dropped.
+    Position-token decoding needs the video duration, positive and finite
+    as ``to_timestamp`` requires. Inverted intervals are swapped rather
+    than dropped.
     """
     if time_repr is TimeRepresentation.RPT:
-        if video_duration_s is None or video_duration_s <= 0:
+        if video_duration_s is None or not 0 < video_duration_s < math.inf:
             raise DomainError(
-                "position-token decoding requires a positive video_duration_s, "
-                f"got {video_duration_s}"
+                "position-token decoding requires a positive, finite "
+                f"video_duration_s, got {video_duration_s}"
             )
     events: list[EventPrediction] = []
     skipped = 0
@@ -109,10 +112,10 @@ def parse_predictions(
                 skipped += 1
                 continue
             start_code, end_code, caption = match.groups()
-            start, end = (
-                to_timestamp(decode_relative(code_from_string(code)), video_duration_s)
-                for code in (start_code, end_code)
-            )
+            # the pattern admits only codes of four digit tokens, so the
+            # digits sit at every third character from the second
+            start = int(start_code[1::3]) / SCALE * video_duration_s
+            end = int(end_code[1::3]) / SCALE * video_duration_s
         else:
             match = _FREE_FORM_LINE.match(line)
             if match is None:

@@ -106,7 +106,7 @@ def sample_sequence(
     and rng state. The images are those ``rng.sample(list(pool), seq_len)``
     picks, and the targets those of ``rng.sample(range(1, seq_len + 1),
     n)``, both drawn as indices without copying a population: on Python
-    3.11 by an inlined copy of ``random.sample``'s set branch
+    3.11 by an inlined copy of ``random.sample``
     (``corpus._sample_indices``), which makes the same ``getrandbits``
     calls; otherwise, as there, by ``rng.sample`` over the index range.
     """

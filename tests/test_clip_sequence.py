@@ -14,6 +14,8 @@ from seq2time.clip_sequence import (
     ClipCorpusConfig,
     ClipSequenceSample,
     ClipTask,
+    _spans,
+    _spread_labels,
     apportion_frames,
     build_clip_corpus,
     clip_corpus,
@@ -22,7 +24,14 @@ from seq2time.clip_sequence import (
 )
 from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import parse_predictions
-from seq2time.position_token import TimeInterval, TimeRepresentation
+from seq2time.position_token import (
+    TimeInterval,
+    TimeRepresentation,
+    decode_relative,
+    encode_ratio,
+    format_seconds,
+    render_code,
+)
 from seq2time.templates import TemplateBank
 
 from conftest import derive_annotations
@@ -172,6 +181,12 @@ class TestComposeSequence:
                     assert left != right, labels
         assert saw_repeats  # a 2-label pool must force repeats for 4 clips
 
+    def test_distinct_labels_keep_their_order(self, clip_pool):
+        for seed in range(50):
+            rng = random.Random(seed)
+            chosen = rng.sample(clip_pool[:20], rng.randint(MIN_CLIPS, MAX_CLIPS))
+            assert _spread_labels(chosen) == chosen
+
     def test_rate_factors_span_the_range(self, clip_pool):
         rates = []
         for seed in range(100):
@@ -243,6 +258,37 @@ class TestSampleValidation:
     def test_clip_rejects_nonfinite_duration_and_fps(self, duration_s, fps):
         with pytest.raises(ConfigError, match="positive duration"):
             CaptionedClip("c1", "clips/v1.mp4", "act1", "fine caption", duration_s, fps)
+
+
+def reference_spans(sample, time_repr):
+    """``_spans`` clip by clip, rendering both ends of every clip."""
+    total, duration = sample.total_frames, sample.pseudo_duration_s
+    spans, end_frame = [], 0
+    for count in sample.frame_counts:
+        start_frame, end_frame = end_frame, end_frame + count
+        if time_repr is TimeRepresentation.RPT:
+            codes = (encode_ratio(start_frame, total), encode_ratio(end_frame, total))
+            text = render_code(codes[0]) + render_code(codes[1])
+            seconds = [decode_relative(code) * duration for code in codes]
+        else:
+            start_s, end_s = (
+                format_seconds(frame / total * duration) for frame in (start_frame, end_frame)
+            )
+            text = f"{start_s} - {end_s} seconds"
+            seconds = [float(start_s), float(end_s)]
+        spans.append((text, seconds))
+    return spans
+
+
+class TestSpans:
+    @pytest.mark.parametrize("time_repr", list(TimeRepresentation))
+    @pytest.mark.parametrize("total_frames", [10, 96, 10_000, 123_457])
+    def test_matches_per_clip_rendering(self, clip_pool, total_frames, time_repr):
+        rng = random.Random(total_frames)
+        for _ in range(200):
+            n_clips = rng.randint(MIN_CLIPS, MAX_CLIPS)
+            sample = compose_sequence(clip_pool, n_clips, total_frames, (0.5, 2.0), rng)
+            assert _spans(sample, time_repr) == reference_spans(sample, time_repr)
 
 
 class TestDeriveAnnotations:

@@ -33,6 +33,22 @@ def test_written_corpus_matches_pinned_digest(
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[kind, repr_name]
 
 
+def test_repeated_label_build_matches_pinned_digest(clip_pool, tmp_path):
+    # 24 clips of 3 labels in sequences of 10: every record repeats labels,
+    # draws its whole window from random.sample's pool branch and runs the
+    # label-spreading greedy
+    labels = {clip.label for clip in clip_pool[:3]}
+    pool = [clip for clip in clip_pool if clip.label in labels]
+    assert len(pool) == 24
+    config = ClipCorpusConfig(n_instances=500, clip_min=10, clip_max=10)
+    path = tmp_path / "corpus.jsonl"
+    clip_corpus(config, pool).write(path)
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "cdc69186bb55b630f796b097f54ab5e02c539ce63bd04231b34a11903f976d26"
+    )
+
+
 class TestDeriveRecordSeed:
     def test_frozen_values(self):
         # regression anchors: changing these re-rolls every shipped corpus

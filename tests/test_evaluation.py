@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -27,7 +28,16 @@ from seq2time.evaluation import (
 )
 from seq2time.dataset_io import write_jsonl
 from seq2time.image_sequence import parse_index_mentions
-from seq2time.position_token import IntervalUnit, TimeInterval, TimeRepresentation
+from seq2time.position_token import (
+    SCALE,
+    IntervalUnit,
+    TimeInterval,
+    TimeRepresentation,
+    code_from_string,
+    decode_relative,
+    render_code,
+    to_timestamp,
+)
 
 FREE = TimeRepresentation.FREE_FORM
 RPT = TimeRepresentation.RPT
@@ -127,6 +137,25 @@ class TestParseRPT:
             parse_predictions("<2><5><0><0><5><0><0><0> x", RPT)
         with pytest.raises(DomainError, match="video_duration_s"):
             parse_predictions("x", RPT, video_duration_s=0.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration_must_be_finite(self, duration):
+        # checked up front, even when no line parses
+        with pytest.raises(DomainError, match="video_duration_s"):
+            parse_predictions("junk", RPT, duration)
+
+    @pytest.mark.parametrize("duration", [1.0, 7.3, 1e6])
+    def test_every_code_decodes_as_the_codec_does(self, duration):
+        codes = [render_code(c) for c in range(SCALE)]
+        text = "\n".join(f"{a}{b} x" for a, b in zip(codes, reversed(codes)))
+        events = parse_predictions(text, RPT, duration).events
+        assert len(events) == SCALE
+        for event, a, b in zip(events, codes, reversed(codes)):
+            times = sorted(
+                to_timestamp(decode_relative(code_from_string(code)), duration)
+                for code in (a, b)
+            )
+            assert [event.interval.start, event.interval.end] == times
 
     def test_caption_may_be_empty(self):
         (event,) = parse_predictions(

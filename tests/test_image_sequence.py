@@ -55,6 +55,14 @@ class ScriptedRandom(random.Random):
         return super().choice(seq)
 
 
+class RandomOnly(random.Random):
+    """Overrides only random(), which swaps in a _randbelow that never calls
+    getrandbits, so only rng.sample itself draws the same indices."""
+
+    def random(self):
+        return super().random()
+
+
 def canonical_bank():
     """One canonical phrasing per task/arity, repeated to the ten a bank needs,
     so outputs are pinned exactly."""
@@ -153,27 +161,48 @@ class TestSampleContracts:
     @pytest.mark.parametrize(
         "n, k",
         [(96, 96), (500, 96), (1045, 96), (1046, 96), (20_000, 96), (200_000, 96),
-         (20_000, 2), (6_000, 5_000), (10, 3), (1, 1)],
+         (20_000, 2), (6_000, 5_000), (10, 3), (1, 1),
+         (160, 16), (160, 32), (160, 80), (24, 24), (20, 16)],
     )
     def test_index_draw_is_random_sample(self, n, k):
-        # the inlined set branch starts above n = 1,045 for k = 96; on both
-        # sides it draws what rng.sample draws and leaves the rng in step
+        # random.sample's set branch starts above n = 1,045 for k = 96, its
+        # pool branch is below; compose_sequence's windows (the last five)
+        # are all pool-branch draws. Both inlined branches draw what
+        # rng.sample draws and leave the rng in step
         for seed in range(200):
             rng, reference = random.Random(seed), random.Random(seed)
             assert _sample_indices(rng, n, k) == reference.sample(range(n), k)
             assert rng.random() == reference.random()
 
     def test_index_draw_defers_to_another_randbelow(self):
-        # overriding only random() swaps in a _randbelow that never calls
-        # getrandbits, so only rng.sample itself draws the same indices
-        class RandomOnly(random.Random):
-            def random(self):
-                return super().random()
-
         for seed in range(20):
             rng, reference = RandomOnly(seed), RandomOnly(seed)
             assert _sample_indices(rng, 20_000, 96) == reference.sample(range(20_000), 96)
             assert rng.random() == reference.random()
+
+    def test_pool_branch_defers_to_another_randbelow(self, monkeypatch):
+        # the same deferral below setsize, seen by counting rng.sample calls
+        calls = []
+        sample = random.Random.sample
+
+        def counted(self, population, k):
+            calls.append((population, k))
+            return sample(self, population, k)
+
+        monkeypatch.setattr(random.Random, "sample", counted)
+        for seed in range(20):
+            rng, reference = RandomOnly(seed), RandomOnly(seed)
+            assert _sample_indices(rng, 96, 80) == sample(reference, range(96), 80)
+            assert rng.random() == reference.random()
+        assert calls == [(range(96), 80)] * 20
+
+    @pytest.mark.parametrize("n, k", [(3, 5), (3, -1), (100, -1)])
+    def test_index_draw_raises_what_random_sample_raises(self, n, k):
+        with pytest.raises(ValueError) as expected:
+            random.Random(0).sample(range(n), k)
+        with pytest.raises(ValueError) as raised:
+            _sample_indices(random.Random(0), n, k)
+        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("seq_len", [2, 8, 21, 22, 96, 5_000])
     def test_target_draw_is_random_sample(self, seq_len):
