@@ -16,10 +16,10 @@ fatal: real model outputs are noisy. (Image answers mention positions,
 not intervals; their parser sits beside their renderer, in
 ``seq2time.image_sequence``.)
 
-Intervals are in seconds, and IoU has one formula, ``_iou_table``;
-``iou`` is its one-pair case. Prediction and ground-truth files are read
-under the package's one row-id rule (``dataset_io.unique_rows``), keyed
-on ``video_id``.
+Intervals are in seconds, and IoU has one formula, ``iou``; ``_iou_rows``
+inlines it for the pairs that overlap. Prediction and ground-truth files
+are read under the package's one row-id rule (``dataset_io.unique_rows``),
+keyed on ``video_id``.
 
 Metrics:
 
@@ -30,8 +30,11 @@ Metrics:
   their harmonic mean. The reported F1 averages thresholds {0.3, 0.5,
   0.7, 0.9}, and run-level F1 averages videos. Absolute values depend on
   this protocol, so it is spelled out here and in the report metadata.
-  Each video's IoU table is computed once and matched highest threshold
-  first; every threshold still gets an exact maximum matching, so no
+  Thresholds must lie in (0, 1], so a pair without overlap (IoU 0) is
+  never an edge and only overlapping pairs enter each video's IoU table.
+  The table is computed once and matched highest threshold first, and
+  the search stops once every pred or every ground-truth event is
+  matched; every threshold still gets an exact maximum matching, so no
   number changes.
 * ``recall_at_1`` scores aligned single-query grounding at IoU 0.5/0.7.
 * ``aggregate_richness`` reports caption diversity: mean tokens per
@@ -131,7 +134,10 @@ def parse_predictions(
 
 def iou(a: TimeInterval, b: TimeInterval) -> float:
     """Intersection over union; 0 when the union has zero length."""
-    return _iou_table([a], [b])[0][0]
+    overlap = (b.end if b.end < a.end else a.end) - (b.start if b.start > a.start else a.start)
+    intersection = overlap if overlap > 0.0 else 0.0
+    union = (a.end - a.start) + (b.end - b.start) - intersection
+    return 0.0 if union <= 0.0 else intersection / union
 
 
 def _interval(event: EventPrediction | TimeInterval) -> TimeInterval:
@@ -164,19 +170,20 @@ def recall_at_1(
     }
 
 
-def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
-    """``iou(p, g)`` for every pred×gt pair of intervals."""
-    spans = [(g.start, g.end, g.end - g.start) for g in gts]
-    table = []
+def _iou_rows(preds: Sequence, gts: Sequence) -> list[list[tuple[float, int]]]:
+    """Per pred, ``(iou(p, g), j)`` for each ``g = gts[j]`` it overlaps, in
+    ``j`` order: IoU 0 meets no threshold in (0, 1], and with overlap the
+    union is positive, so this is ``iou``'s expression less its zero cases."""
+    spans = [(g.start, g.end, g.end - g.start, j) for j, g in enumerate(gts)]
+    rows = []
     for p in preds:
         start, end, length, row = p.start, p.end, p.end - p.start, []
-        for g_start, g_end, g_length in spans:
+        for g_start, g_end, g_length, j in spans:
             overlap = (g_end if g_end < end else end) - (g_start if g_start > start else start)
-            intersection = overlap if overlap > 0.0 else 0.0
-            union = length + g_length - intersection
-            row.append(0.0 if union <= 0.0 else intersection / union)
-        table.append(row)
-    return table
+            if overlap > 0.0:
+                row.append((overlap / (length + g_length - overlap), j))
+        rows.append(row)
+    return rows
 
 
 def _matched_counts(
@@ -184,44 +191,53 @@ def _matched_counts(
 ) -> dict[float, int]:
     """Maximum matching size per distinct threshold, from one IoU table: a
     lower threshold only adds edges, so one augmenting search per pred left
-    unmatched above makes the kept matching maximum (Kuhn 1955; Berge 1957)."""
-    table = _iou_table([_interval(e) for e in pred_events], [_interval(e) for e in gt_events])
+    unmatched above makes the kept matching maximum (Kuhn 1955; Berge 1957).
+    Once every pred or every ground-truth event is matched, no threshold can
+    add a match, so the lower ones report the same count."""
+    rows = _iou_rows([_interval(e) for e in pred_events], [_interval(e) for e in gt_events])
     owner, matches, counts = [-1] * len(gt_events), 0, {}
+    most = min(len(rows), len(owner))
     for th in sorted({float(t) for t in thresholds}, reverse=True):
-        adjacency = [[j for j, v in enumerate(row) if v >= th] for row in table]
-        for root in sorted(set(range(len(table))) - set(owner)):
-            # depth-first search for an augmenting path, on an explicit stack so
-            # long chains cannot hit the recursion limit; path[k] is the gt tried
-            # from stack[k], owned by the pred of stack[k + 1] or else free
-            seen = [False] * len(owner)
-            stack = [(root, iter(adjacency[root]))]
-            path: list[int] = []
-            while stack:
-                for v in stack[-1][1]:
-                    if not seen[v]:
-                        seen[v] = True
-                        break
-                else:
-                    stack.pop()
-                    if path:
-                        path.pop()
-                    continue
-                path.append(v)
-                if owner[v] < 0:
-                    for (u, _), gt in zip(stack, path):
-                        owner[gt] = u
-                    matches += 1
+        if matches < most:
+            adjacency = [[j for v, j in row if v >= th] for row in rows]
+            for root in sorted(set(range(len(rows))) - set(owner)):
+                matches += _augment(root, adjacency, owner)
+                if matches == most:
                     break
-                stack.append((owner[v], iter(adjacency[owner[v]])))
         counts[th] = matches
     return counts
 
 
-def match_events(
-    pred_events: Sequence, gt_events: Sequence, threshold: float
-) -> int:
-    """Size of the largest one-to-one matching with IoU >= threshold (exact)."""
-    return _matched_counts(pred_events, gt_events, (threshold,))[float(threshold)]
+def _augment(root: int, adjacency: list[list[int]], owner: list[int]) -> bool:
+    """Match the unmatched pred ``root`` to a free neighbour at once (the
+    greedy start of Hopcroft & Karp 1973), else along an augmenting path
+    found by depth-first search on an explicit stack, so long chains cannot
+    hit the recursion limit; path[k] is the gt tried from stack[k], owned by
+    the pred of stack[k + 1] or else free. False if there is no such path."""
+    for v in adjacency[root]:
+        if owner[v] < 0:
+            owner[v] = root
+            return True
+    seen = [False] * len(owner)
+    stack = [(root, iter(adjacency[root]))]
+    path: list[int] = []
+    while stack:
+        for v in stack[-1][1]:
+            if not seen[v]:
+                seen[v] = True
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(v)
+        if owner[v] < 0:
+            for (u, _), gt in zip(stack, path):
+                owner[gt] = u
+            return True
+        stack.append((owner[v], iter(adjacency[owner[v]])))
+    return False
 
 
 @dataclass(frozen=True)
@@ -245,6 +261,8 @@ def temporal_f1(
     """One video's event-level F1, averaged over IoU thresholds."""
     if not thresholds:
         raise DomainError("at least one IoU threshold is required")
+    if not all(0 < th <= 1 for th in thresholds):
+        raise DomainError(f"IoU thresholds must lie in (0, 1], got {list(thresholds)}")
     counts = _matched_counts(pred_events, gt_events, thresholds)
     per_threshold: dict[float, ThresholdScore] = {}
     for th in thresholds:
@@ -406,7 +424,10 @@ def evaluate_run(
     if not gts:
         raise DomainError("cannot evaluate an empty run")
 
-    per_video_f1: list[TemporalF1Result] = []
+    # per-threshold sums over videos in sorted-id order, from 0 as sum() does
+    f1_sum = 0
+    f1_sums = {float(th): 0 for th in thresholds}
+    precision_sums, recall_sums = dict(f1_sums), dict(f1_sums)
     query_preds: list[EventPrediction | None] = []
     query_gts: list[EventPrediction] = []
     captions_per_video: list[list[str]] = []
@@ -417,7 +438,12 @@ def evaluate_run(
         parsed = parse_predictions(output, time_repr, duration)
         skipped += parsed.skipped_lines
         gt_events = gts[video_id]
-        per_video_f1.append(temporal_f1(parsed.events, gt_events, thresholds))
+        result = temporal_f1(parsed.events, gt_events, thresholds)
+        f1_sum += result.f1
+        for th, score in result.per_threshold.items():
+            f1_sums[th] += score.f1
+            precision_sums[th] += score.precision
+            recall_sums[th] += score.recall
         for i, gt_event in enumerate(gt_events):
             query_gts.append(gt_event)
             query_preds.append(parsed.events[i] if i < len(parsed.events) else None)
@@ -425,17 +451,6 @@ def evaluate_run(
         n_pred_total += len(parsed.events)
 
     n_videos = len(gts)
-
-    def video_mean(metric: str) -> dict[float, float]:
-        """Per threshold, the mean over videos of one per-video metric."""
-        return {
-            float(th): sum(
-                getattr(r.per_threshold[float(th)], metric) for r in per_video_f1
-            )
-            / n_videos
-            for th in thresholds
-        }
-
     try:
         rich = aggregate_richness(captions_per_video)
         l_avg, ttr = rich.l_avg, rich.ttr
@@ -443,10 +458,10 @@ def evaluate_run(
         l_avg, ttr = None, None
     return MetricsReport(
         n_videos=n_videos,
-        f1=sum(r.f1 for r in per_video_f1) / n_videos,
-        f1_per_threshold=video_mean("f1"),
-        precision_per_threshold=video_mean("precision"),
-        recall_per_threshold=video_mean("recall"),
+        f1=f1_sum / n_videos,
+        f1_per_threshold={th: v / n_videos for th, v in f1_sums.items()},
+        precision_per_threshold={th: v / n_videos for th, v in precision_sums.items()},
+        recall_per_threshold={th: v / n_videos for th, v in recall_sums.items()},
         r_at_1=recall_at_1(query_preds, query_gts, r1_thresholds),
         n_pred=n_pred_total / n_videos,
         l_avg=l_avg,

@@ -24,10 +24,10 @@ from seq2time.clip_sequence import (
     compose_sequence,
 )
 from seq2time.evaluation import (
+    _matched_counts,
     aggregate_richness,
     evaluate_run,
     iou,
-    match_events,
     parse_predictions,
     recall_at_1,
     temporal_f1,
@@ -292,7 +292,7 @@ def test_criterion_09_metric_oracles():
             for s in (rng.uniform(0.0, 10.0) for _ in range(rng.randint(0, 4)))
         ]
         threshold = rng.choice((0.3, 0.5, 0.7, 0.9))
-        assert match_events(preds, gts, threshold) == _brute_force_matching(
+        assert _matched_counts(preds, gts, (threshold,))[threshold] == _brute_force_matching(
             preds, gts, threshold
         )
 

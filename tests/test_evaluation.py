@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from seq2time.errors import CorpusFormatError, DomainError
 from seq2time.evaluation import (
     DEFAULT_F1_THRESHOLDS,
-    _iou_table,
+    _iou_rows,
+    _matched_counts,
     EventPrediction,
     MetricsReport,
     RichnessResult,
@@ -20,7 +21,6 @@ from seq2time.evaluation import (
     iou,
     load_ground_truth,
     load_predictions,
-    match_events,
     parse_predictions,
     recall_at_1,
     temporal_f1,
@@ -243,9 +243,19 @@ class TestRecallAt1:
             recall_at_1([], [])
 
 
-_INTERVALS = st.tuples(
-    st.integers(0, 12) | st.floats(0, 12), st.integers(0, 12) | st.floats(0, 12)
-).map(lambda ends: sec(min(ends), max(ends)))
+_POINTS = st.integers(0, 12) | st.floats(0, 12)
+_INTERVALS = st.tuples(_POINTS, _POINTS).map(lambda ends: sec(min(ends), max(ends)))
+
+
+@st.composite
+def _pred_gt_lists(draw):
+    """Pred and ground-truth lists that mix arbitrary intervals with ones
+    whose ends come from a few shared points, so zero-length, touching and
+    identical intervals are common."""
+    points = st.sampled_from(draw(st.lists(_POINTS, min_size=1, max_size=4)))
+    shared = st.tuples(points, points).map(lambda ends: sec(min(ends), max(ends)))
+    events = st.lists(_INTERVALS | shared, max_size=6)
+    return draw(events), draw(events)
 
 
 def brute_force_matching(preds, gts, threshold):
@@ -261,24 +271,25 @@ def brute_force_matching(preds, gts, threshold):
     return best
 
 
-class TestMatchEvents:
+class TestMatchedCounts:
     def test_greedy_trap(self):
         # matching pred order greedily gives 1 here; the optimum is 2
         preds = [sec(0, 10), sec(0, 5)]
         gts = [sec(0, 5), sec(5, 10)]
-        assert match_events(preds, gts, 0.5) == 2
+        assert _matched_counts(preds, gts, (0.5,))[0.5] == 2
 
     def test_empty_sides(self):
-        assert match_events([], [sec(0, 1)], 0.5) == 0
-        assert match_events([sec(0, 1)], [], 0.5) == 0
+        assert _matched_counts([], [sec(0, 1)], (0.5,))[0.5] == 0
+        assert _matched_counts([sec(0, 1)], [], (0.5,))[0.5] == 0
 
     def test_long_chain(self):
-        # pred i overlaps gt i-1 (tried first) and gt i, so every new pred
-        # re-routes all earlier matches: augmenting paths 1,500 deep over
-        # 3,000 events, beyond the default recursion limit
-        preds = [sec(i, i + 1) for i in range(1500)]
-        gts = [sec(i + 0.5, i + 1.5) for i in range(1500)]
-        assert match_events(preds, gts, 0.3) == 1500
+        # pred i overlaps gt i and gt i+1 and takes gt i, its first free one;
+        # the last pred overlaps only gt 0, so its augmenting path re-routes
+        # every earlier match: 1,500 deep over 3,002 events, beyond the
+        # default recursion limit
+        preds = [sec(i + 1.5, i + 2.5) for i in range(1500)] + [sec(0.5, 1.5)]
+        gts = [sec(i + 1, i + 2) for i in range(1501)]
+        assert _matched_counts(preds, gts, (0.3,))[0.3] == 1501
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(404)
@@ -292,7 +303,7 @@ class TestMatchEvents:
                 for s in (rng.uniform(0, 10) for _ in range(rng.randint(0, 4)))
             ]
             threshold = rng.choice((0.3, 0.5, 0.7, 0.9))
-            assert match_events(preds, gts, threshold) == brute_force_matching(
+            assert _matched_counts(preds, gts, (threshold,))[threshold] == brute_force_matching(
                 preds, gts, threshold
             ), (preds, gts, threshold)
 
@@ -344,22 +355,35 @@ class TestTemporalF1:
         with pytest.raises(DomainError, match="at least one"):
             temporal_f1([ev(0, 1)], [ev(0, 1)], thresholds=())
 
+    @pytest.mark.parametrize("bad", [0, -0.1, 1.5, math.nan])
+    def test_thresholds_must_lie_in_unit_interval(self, bad):
+        # a threshold <= 0 would count pairs that do not overlap
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            temporal_f1([ev(0, 1)], [ev(0, 1)], thresholds=(0.5, bad))
+
     # integer endpoints and thresholds such as 0.5 or 1/3 put IoU values
     # exactly on a threshold, where >= must still hold
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(_INTERVALS, max_size=6),
-        st.lists(_INTERVALS, max_size=6),
+        _pred_gt_lists(),
         st.lists(
             st.sampled_from((1 / 3, 0.5, 0.6, 1.0)) | st.floats(0, 1, exclude_min=True),
             min_size=1,
             max_size=6,
         ),
     )
-    def test_warm_start_matches_brute_force_at_each_threshold(
-        self, preds, gts, thresholds
-    ):
-        assert _iou_table(preds, gts) == [[iou(p, g) for g in gts] for p in preds]
+    def test_warm_start_matches_brute_force_at_each_threshold(self, events, thresholds):
+        preds, gts = events
+        rows = _iou_rows(preds, gts)
+        assert len(rows) == len(preds)
+        for p, row in zip(preds, rows):
+            overlapping = [
+                j for j, g in enumerate(gts) if min(p.end, g.end) > max(p.start, g.start)
+            ]
+            assert row == [(iou(p, gts[j]), j) for j in overlapping]
+            # every pair with IoU > 0 is listed; a listed IoU is 0 only when a
+            # subnormal overlap underflows, and then it meets no threshold
+            assert {j for j, g in enumerate(gts) if iou(p, g) > 0} <= set(overlapping)
         result = temporal_f1(preds, gts, thresholds)
         assert list(result.per_threshold) == list(dict.fromkeys(thresholds))
         for th in thresholds:
