@@ -276,10 +276,6 @@ def _cmd_eval(args) -> int:
     thresholds = _thresholds(args.thresholds, DEFAULT_F1_THRESHOLDS)
     r1 = _thresholds(args.iou, DEFAULT_R1_THRESHOLDS)
     report = evaluate_run(pred, gt, time_repr, thresholds, r1)
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
     lines = [f"temporal_f1 {report.f1:.6f}"]
     for th in sorted(report.r_at_1):
         lines.append(f"r@1(iou={th:g}) {report.r_at_1[th]:.6f}")
@@ -290,7 +286,7 @@ def _cmd_eval(args) -> int:
         lines.append(f"l_avg {report.l_avg:.4f}")
         lines.append(f"ttr {report.ttr:.4f}")
     lines.append(f"skipped_lines {report.skipped_lines}")
-    print("\n".join(lines))
+    _emit(args, report.to_dict(), "\n".join(lines))
     return 0
 
 

@@ -165,14 +165,13 @@ def compose_sequence(
     lo, hi = rate_bounds
     if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}")
-    window_size = min(len(pool), 8 * n_clips)
-    window = [pool[i] for i in _sample_indices(rng, len(pool), window_size)]
     taken: list[CaptionedClip] = []
     skipped: list[CaptionedClip] = []
     labels_used: set[str] = set()
-    for clip in window:
+    for i in _sample_indices(rng, len(pool), min(len(pool), 8 * n_clips)):
         if len(taken) == n_clips:
             break
+        clip = pool[i]
         if clip.label in labels_used:
             skipped.append(clip)
             continue

@@ -4,10 +4,10 @@ Record i of a build depends only on (config, seed, i): ``Corpus.record``
 seeds its rng from them, draws its task, lets the builder draw the rest
 and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
 ``cs`` for clip sequences). So the ordinals split into contiguous ranges
-that can run anywhere: in the parent, one record at a time, at
-``jobs=1``; otherwise in a process pool, with ``max(16, n // (8 *
-jobs))`` ordinals per range. Ranges come back in ordinal order, so the
-output never depends on ``jobs``.
+that can run anywhere (``run_ranges``): in the parent, 16 at a time, at
+``jobs=1`` or when 16 cover the build; otherwise in a process pool, with
+``max(16, n // (8 * jobs))`` per range. Ranges come back in ordinal
+order, so the output never depends on ``jobs``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import accumulate
@@ -119,14 +119,17 @@ class Corpus:
         rng = random.Random(derive_record_seed(seed, ordinal, self.namespace))
         members, cum_weights = _task_draw(self.tasks)
         record = self.draw(self, rng.choices(members, cum_weights=cum_weights)[0], rng)
-        return replace(
-            record,
-            id=f"{self.prefix}-{seed}-{ordinal:08d}",
-            meta={**record.meta, "seed": seed, "ordinal": ordinal},
+        return InstructionRecord(
+            f"{self.prefix}-{seed}-{ordinal:08d}",
+            record.media,
+            record.task,
+            record.question,
+            record.answer,
+            {**record.meta, "seed": seed, "ordinal": ordinal},
         )
 
     def records(self, jobs: int = 1) -> Iterator[InstructionRecord]:
-        for chunk in self._map(_generate, jobs):
+        for chunk in run_ranges(_generate, self, self.config.n_instances, jobs):
             yield from chunk
 
     def write(self, path: str | Path, jobs: int = 1) -> CorpusStats:
@@ -136,7 +139,7 @@ class Corpus:
         parent only writes the text in order and adds up the counts, so
         the stats equal what ``corpus_stats(path)`` would read back.
         """
-        chunks = self._map(_encode, jobs)
+        chunks = run_ranges(_encode, self, self.config.n_instances, jobs)
         counts: Counter[str] = Counter()
         question_chars = answer_chars = 0
         with open_replacing(path) as fh:
@@ -146,17 +149,6 @@ class Corpus:
                 question_chars += q_chars
                 answer_chars += a_chars
         return CorpusStats.from_sums(dict(counts), question_chars, answer_chars)
-
-    def _map(self, task: Callable, jobs: int) -> Iterator:
-        """``task(self, ordinals)`` over consecutive ordinal ranges, in order."""
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        n = self.config.n_instances
-        if jobs == 1 or n < 2:
-            return (task(self, range(i, i + 1)) for i in range(n))
-        size = max(16, n // (jobs * 8))
-        ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]
-        return _pooled(task, self, jobs, ranges)
 
 
 def _generate(corpus: Corpus, ordinals: range) -> list[InstructionRecord]:
@@ -173,23 +165,36 @@ def _encode(corpus: Corpus, ordinals: range) -> tuple[str, Counter, int, int]:
     )
 
 
-_CORPUS: Corpus | None = None  # set only inside pool workers
+_STATE: Any = None  # set only inside pool workers
 
 
-def _init_worker(corpus: Corpus) -> None:
-    global _CORPUS
-    _CORPUS = corpus
+def _init_worker(state: Any) -> None:
+    global _STATE
+    _STATE = state
 
 
 def _run_in_worker(task: Callable, ordinals: range):
-    return task(_CORPUS, ordinals)
+    return task(_STATE, ordinals)
 
 
-def _pooled(task: Callable, corpus: Corpus, jobs: int, ranges: list[range]) -> Iterator:
+def run_ranges(task: Callable, state: Any, n: int, jobs: int) -> Iterator:
+    """``task(state, ordinals)`` over consecutive ranges of ``range(n)``, in
+    order: ranges of 16, run lazily in this process, at ``jobs=1`` or when
+    16 cover ``n``; else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or n <= 16:
+        return (task(state, range(i, min(i + 16, n))) for i in range(0, n, 16))
+    size = max(16, n // (8 * jobs))
+    ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]
+    return _pooled(task, state, jobs, ranges)
+
+
+def _pooled(task: Callable, state: Any, jobs: int, ranges: list[range]) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor  # only fan-out needs it
 
     # a fork-started pool launches every worker up front, so never ask for
     # more than there are ranges or cores
     workers = min(jobs, len(ranges), os.cpu_count() or 1)
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(corpus,)) as pool:
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
         yield from pool.map(partial(_run_in_worker, task), ranges)

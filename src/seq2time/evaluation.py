@@ -144,6 +144,13 @@ def _interval(event: EventPrediction | TimeInterval) -> TimeInterval:
     return event.interval if isinstance(event, EventPrediction) else event
 
 
+def _check_thresholds(thresholds: Sequence[float]) -> None:
+    if not thresholds:
+        raise DomainError("at least one IoU threshold is required")
+    if not all(0 < th <= 1 for th in thresholds):
+        raise DomainError(f"IoU thresholds must lie in (0, 1], got {list(thresholds)}")
+
+
 def recall_at_1(
     predictions: Sequence,
     ground_truth: Sequence,
@@ -153,8 +160,10 @@ def recall_at_1(
 
     ``predictions[i]`` answers the query whose truth is
     ``ground_truth[i]``; a missing prediction may be passed as None and
-    counts as a miss. Empty query sets are an error, not a silent zero.
+    counts as a miss. Empty query sets are an error, not a silent zero,
+    and so are thresholds outside (0, 1] or none at all.
     """
+    _check_thresholds(thresholds)
     if len(predictions) != len(ground_truth):
         raise DomainError(
             f"{len(predictions)} predictions for {len(ground_truth)} queries"
@@ -259,10 +268,7 @@ def temporal_f1(
     thresholds: Sequence[float] = DEFAULT_F1_THRESHOLDS,
 ) -> TemporalF1Result:
     """One video's event-level F1, averaged over IoU thresholds."""
-    if not thresholds:
-        raise DomainError("at least one IoU threshold is required")
-    if not all(0 < th <= 1 for th in thresholds):
-        raise DomainError(f"IoU thresholds must lie in (0, 1], got {list(thresholds)}")
+    _check_thresholds(thresholds)
     counts = _matched_counts(pred_events, gt_events, thresholds)
     per_threshold: dict[float, ThresholdScore] = {}
     for th in thresholds:

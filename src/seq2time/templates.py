@@ -134,14 +134,18 @@ class TemplateBank:
                                 f"a slot its task never fills: {tpl!r}"
                             )
 
-    def variants(self, task: str, arity: str) -> tuple[list[str], list[str]]:
-        """All (questions, answers) for a task/arity pair."""
+    def _entry(self, task: str, arity: str) -> dict:
         entry = self._data.get(task, {}).get(arity)
         if entry is None:
             raise TemplateError(f"no templates for task {task!r} arity {arity!r}")
+        return entry
+
+    def variants(self, task: str, arity: str) -> tuple[list[str], list[str]]:
+        """All (questions, answers) for a task/arity pair, as copies."""
+        entry = self._entry(task, arity)
         return list(entry["questions"]), list(entry["answers"])
 
     def sample(self, task: str, arity: str, rng: random.Random) -> tuple[str, str]:
         """One uniformly drawn question template and answer template."""
-        questions, answers = self.variants(task, arity)
-        return rng.choice(questions), rng.choice(answers)
+        entry = self._entry(task, arity)
+        return rng.choice(entry["questions"]), rng.choice(entry["answers"])

@@ -484,9 +484,10 @@ class TestCorpusWriter:
         assert payload["records"] == 40
         assert payload["stats"] == corpus_stats(out_path).to_dict()
 
-    # at --jobs 2 the failing range is one of many, some of them already
-    # written; fork-started workers inherit the patched class
-    @pytest.mark.parametrize("n, jobs, fail_at", [(20, 1, 5), (300, 2, 150)])
+    # the failing range is one of many, some of them already written, at
+    # both --jobs values (ranges run in-process at --jobs 1 are 16
+    # ordinals); fork-started workers inherit the patched class
+    @pytest.mark.parametrize("n, jobs, fail_at", [(40, 1, 20), (300, 2, 150)])
     def test_invariant_violation_keeps_existing_output(
         self, capsys, image_source, tmp_path, monkeypatch, n, jobs, fail_at
     ):

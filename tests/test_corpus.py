@@ -1,12 +1,14 @@
 """Record seeds and corpus bytes pinned to fixed values, so a refactor
-cannot move a byte."""
+cannot move a byte; and the range runner every build runs on."""
 
+import concurrent.futures
 import hashlib
 
 import pytest
 
 from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
-from seq2time.corpus import derive_record_seed
+from seq2time.corpus import derive_record_seed, run_ranges
+from seq2time.errors import ConfigError
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus
 from seq2time.position_token import TimeRepresentation
 
@@ -73,3 +75,43 @@ class TestDeriveRecordSeed:
         for ordinal in range(100):
             value = derive_record_seed(123, ordinal, "record")
             assert 0 <= value < 2**64
+
+
+def _range_task(state, ordinals):
+    # module level, so pool workers can unpickle it
+    return state, list(ordinals)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+class TestRunRanges:
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 40])
+    def test_every_ordinal_once_in_range_order(self, monkeypatch, n, jobs):
+        if jobs == 1 or n <= 16:  # ranges this process runs itself
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        results = list(run_ranges(_range_task, "state", n, jobs))
+        assert all(state == "state" for state, _ in results)
+        ranges = [ordinals for _, ordinals in results]
+        assert [i for ordinals in ranges for i in ordinals] == list(range(n))
+        # ranges of 16: in-process ones always, pooled ones while n // (8 * jobs) < 16
+        assert [len(ordinals) for ordinals in ranges] == [
+            min(16, n - start) for start in range(0, n, 16)
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_small_build_starts_no_pool(self, monkeypatch, clip_pool, tmp_path, jobs):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        build = clip_corpus(ClipCorpusConfig(n_instances=16), clip_pool)
+        stats = build.write(tmp_path / "corpus.jsonl", jobs)
+        assert stats.total == 16
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_config_error_before_any_range(self, jobs):
+        def never_run(state, ordinals):
+            raise AssertionError("a range ran")
+
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            run_ranges(never_run, None, 40, jobs)

@@ -242,6 +242,20 @@ class TestRecallAt1:
         with pytest.raises(DomainError, match="empty query set"):
             recall_at_1([], [])
 
+    @pytest.mark.parametrize("bad", [0, -0.5, 1.5, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, bad):
+        # at 0 a missing prediction would count as a hit
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            recall_at_1([None, ev(0, 10)], [ev(0, 10), ev(0, 10)], thresholds=(0.5, bad))
+
+    def test_threshold_list_checked_as_a_whole(self):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            recall_at_1([None], [ev(0, 10)], thresholds=(0, 1.5, math.nan))
+
+    def test_no_thresholds_rejected(self):
+        with pytest.raises(DomainError, match="at least one"):
+            recall_at_1([ev(0, 10)], [ev(0, 10)], thresholds=())
+
 
 _POINTS = st.integers(0, 12) | st.floats(0, 12)
 _INTERVALS = st.tuples(_POINTS, _POINTS).map(lambda ends: sec(min(ends), max(ends)))

@@ -596,7 +596,7 @@ class TestBuildImageCorpus:
                 return map(fn, iterable)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(corpus, "_CORPUS", None)
+        monkeypatch.setattr(corpus, "_STATE", None)
         build = image_corpus(ImageCorpusConfig(n_instances=100, seed=5), image_pool)
         build.write(tmp_path / "one.jsonl", jobs=1)
         build.write(tmp_path / "many.jsonl", jobs=10_000)
