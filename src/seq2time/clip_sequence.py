@@ -348,7 +348,7 @@ def _probe_answers(time_repr: TimeRepresentation, templates: TemplateBank) -> No
         for template in templates.variants(task.value, "single")[1]:
             answer = _answer(task, template, shown, captions, time_repr)
             events = parse_predictions(answer, time_repr, _PROBE.pseudo_duration_s).events
-            intervals = [[event.interval.start, event.interval.end] for event in events]
+            intervals = [[event.start, event.end] for event in events]
             if intervals != [seconds for _, seconds in shown] or (
                 task is ClipTask.DVC and [event.caption for event in events] != captions
             ):

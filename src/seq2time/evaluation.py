@@ -11,15 +11,17 @@ matching how the generators render answers:
   video duration: the fraction ``decode_relative`` gives, scaled as
   ``to_timestamp`` scales it.
 
-Non-blank lines matching neither grammar are skipped and counted, never
-fatal: real model outputs are noisy. (Image answers mention positions,
-not intervals; their parser sits beside their renderer, in
-``seq2time.image_sequence``.)
+Non-blank lines matching neither grammar, or whose free-form time is too
+long for a float, are skipped and counted, never fatal: real model
+outputs are noisy. (Image answers mention positions, not intervals;
+their parser sits beside their renderer, in ``seq2time.image_sequence``.)
 
-Intervals are in seconds, and IoU has one formula, ``iou``; ``_iou_rows``
-inlines it for the pairs that overlap. Prediction and ground-truth files
-are read under the package's one row-id rule (``dataset_io.unique_rows``),
-keyed on ``video_id``.
+Predicted and ground-truth events share one shape, ``Event(start, end,
+caption)``: a tuple, times in seconds, ``0 <= start <= end`` checked once
+when it is built. IoU has one formula, ``iou``; ``_iou_rows`` inlines it
+for the pairs that overlap. Prediction and ground-truth files are read
+under the package's one row-id rule (``dataset_io.unique_rows``), keyed
+on ``video_id``.
 
 Metrics:
 
@@ -48,18 +50,14 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .dataset_io import is_positive_number, unique_rows
 from .errors import CorpusFormatError, DomainError
-from .position_token import (
-    CODE_PATTERN,
-    SCALE,
-    TimeInterval,
-    TimeRepresentation,
-)
+from .position_token import CODE_PATTERN, SCALE, TimeRepresentation
 
 DEFAULT_F1_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 DEFAULT_R1_THRESHOLDS = (0.5, 0.7)
@@ -73,17 +71,29 @@ _RPT_LINE = re.compile(rf"^\s*({CODE_PATTERN})({CODE_PATTERN})\s*(.*?)\s*$")
 _WORD = re.compile(r"[^\W_]+")
 
 
-@dataclass(frozen=True)
-class EventPrediction:
-    interval: TimeInterval
-    caption: str
+class Event(namedtuple("Event", "start end caption")):
+    """One timed event in seconds; ``0 <= start <= end`` (so not NaN) is
+    checked here, once, and a tuple is cheap to build and read."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, end: float, caption: str) -> Event:
+        if not 0.0 <= start <= end:
+            raise DomainError(f"interval requires 0 <= start <= end, got ({start}, {end})")
+        return tuple.__new__(cls, (start, end, caption))
+
+
+def EventPrediction(interval, caption: str) -> Event:
+    """The ``Event`` of a ``position_token.TimeInterval`` and a caption; kept
+    only for ``perfbench/check.py``, which builds its ground truth this way."""
+    return Event(interval.start, interval.end, caption)
 
 
 @dataclass(frozen=True)
 class ParseResult:
     """Parsed events plus the count of non-blank lines that did not parse."""
 
-    events: tuple[EventPrediction, ...]
+    events: tuple[Event, ...]
     skipped_lines: int
 
 
@@ -96,7 +106,8 @@ def parse_predictions(
 
     Position-token decoding needs the video duration, positive and finite
     as ``to_timestamp`` requires. Inverted intervals are swapped rather
-    than dropped.
+    than dropped. A free-form time too long for a float reads as infinity;
+    its line is skipped and counted like one that does not match.
     """
     if time_repr is TimeRepresentation.RPT:
         if video_duration_s is None or not 0 < video_duration_s < math.inf:
@@ -104,7 +115,7 @@ def parse_predictions(
                 "position-token decoding requires a positive, finite "
                 f"video_duration_s, got {video_duration_s}"
             )
-    events: list[EventPrediction] = []
+    events: list[Event] = []
     skipped = 0
     for line in text.splitlines():
         if not line.strip():
@@ -126,22 +137,21 @@ def parse_predictions(
                 continue
             start_text, end_text, caption = match.groups()
             start, end = float(start_text), float(end_text)
+            if math.inf in (start, end):
+                skipped += 1
+                continue
         if start > end:
             start, end = end, start
-        events.append(EventPrediction(TimeInterval(start, end), caption))
+        events.append(Event(start, end, caption))
     return ParseResult(events=tuple(events), skipped_lines=skipped)
 
 
-def iou(a: TimeInterval, b: TimeInterval) -> float:
+def iou(a: Event, b: Event) -> float:
     """Intersection over union; 0 when the union has zero length."""
     overlap = (b.end if b.end < a.end else a.end) - (b.start if b.start > a.start else a.start)
     intersection = overlap if overlap > 0.0 else 0.0
     union = (a.end - a.start) + (b.end - b.start) - intersection
     return 0.0 if union <= 0.0 else intersection / union
-
-
-def _interval(event: EventPrediction | TimeInterval) -> TimeInterval:
-    return event.interval if isinstance(event, EventPrediction) else event
 
 
 def _check_thresholds(thresholds: Sequence[float]) -> None:
@@ -171,7 +181,7 @@ def recall_at_1(
     if not ground_truth:
         raise DomainError("recall@1 is undefined for an empty query set")
     ious = [
-        0.0 if pred is None else iou(_interval(pred), _interval(gt))
+        0.0 if pred is None else iou(pred, gt)
         for pred, gt in zip(predictions, ground_truth)
     ]
     return {
@@ -203,7 +213,7 @@ def _matched_counts(
     unmatched above makes the kept matching maximum (Kuhn 1955; Berge 1957).
     Once every pred or every ground-truth event is matched, no threshold can
     add a match, so the lower ones report the same count."""
-    rows = _iou_rows([_interval(e) for e in pred_events], [_interval(e) for e in gt_events])
+    rows = _iou_rows(pred_events, gt_events)
     owner, matches, counts = [-1] * len(gt_events), 0, {}
     most = min(len(rows), len(owner))
     for th in sorted({float(t) for t in thresholds}, reverse=True):
@@ -364,9 +374,9 @@ def _event_time(event: dict, key: str) -> float:
     return float(value)
 
 
-def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
+def load_ground_truth(path: str | Path) -> dict[str, list[Event]]:
     """Ground truth JSONL: {"video_id", "events": [{start, end, caption}]}."""
-    videos: dict[str, list[EventPrediction]] = {}
+    videos: dict[str, list[Event]] = {}
     for p, lineno, obj, video_id in unique_rows(path, "video_id"):
         events = obj.get("events")
         if not isinstance(events, list):
@@ -374,15 +384,16 @@ def load_ground_truth(path: str | Path) -> dict[str, list[EventPrediction]]:
         parsed = []
         for k, ev in enumerate(events):
             try:
-                interval = TimeInterval(_event_time(ev, "start"), _event_time(ev, "end"))
-                caption = ev.get("caption", "")
-                if not isinstance(caption, str):
-                    raise TypeError(f"caption must be a string, got {caption!r}")
+                # the times are checked, by Event, before the caption
+                start, end = _event_time(ev, "start"), _event_time(ev, "end")
+                event = Event(start, end, ev.get("caption", ""))
+                if not isinstance(event.caption, str):
+                    raise TypeError(f"caption must be a string, got {event.caption!r}")
             except (KeyError, TypeError, ValueError, DomainError) as exc:
                 raise CorpusFormatError(
                     f"{p}: line {lineno}: bad event {k}: {exc}"
                 ) from exc
-            parsed.append(EventPrediction(interval=interval, caption=caption))
+            parsed.append(event)
         videos[video_id] = parsed
     return videos
 
@@ -434,8 +445,8 @@ def evaluate_run(
     f1_sum = 0
     f1_sums = {float(th): 0 for th in thresholds}
     precision_sums, recall_sums = dict(f1_sums), dict(f1_sums)
-    query_preds: list[EventPrediction | None] = []
-    query_gts: list[EventPrediction] = []
+    query_preds: list[Event | None] = []
+    query_gts: list[Event] = []
     captions_per_video: list[list[str]] = []
     skipped = 0
     n_pred_total = 0

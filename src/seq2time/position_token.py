@@ -57,8 +57,8 @@ class TimeRepresentation(Enum):
     FREE_FORM = "free_form"  # seconds like "12.3", or a bare integer index
 
 
-# intervals are in seconds; this enum and TimeInterval.unit remain only because
-# perfbench/check.py passes IntervalUnit.SECONDS (a benchmark change can drop both)
+# the scorer uses neither: TimeInterval and IntervalUnit remain only for
+# perfbench/check.py, which passes IntervalUnit.SECONDS, and for tests
 class IntervalUnit(Enum):
     SECONDS = "seconds"
 

@@ -24,6 +24,7 @@ from seq2time.clip_sequence import (
     compose_sequence,
 )
 from seq2time.evaluation import (
+    Event,
     _matched_counts,
     aggregate_richness,
     evaluate_run,
@@ -42,8 +43,6 @@ from seq2time.image_sequence import (
 )
 from seq2time.position_token import (
     ErrorModel,
-    IntervalUnit,
-    TimeInterval,
     TimeRepresentation,
     code_from_string,
     decode_relative,
@@ -255,8 +254,8 @@ def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
         assert len(parsed.events) == len(truth)
         budget = 1e-4 * sample.pseudo_duration_s + 1e-9
         for event, (true_start, true_end) in zip(parsed.events, truth):
-            start_err = abs(event.interval.start - true_start)
-            end_err = abs(event.interval.end - true_end)
+            start_err = abs(event.start - true_start)
+            end_err = abs(event.end - true_end)
             worst = max(worst, start_err, end_err)
             assert start_err <= budget and end_err <= budget
     report(
@@ -279,7 +278,7 @@ def _brute_force_matching(preds, gts, threshold):
 
 
 def test_criterion_09_metric_oracles():
-    sec = lambda a, b: TimeInterval(a, b, IntervalUnit.SECONDS)
+    sec = lambda a, b: Event(a, b, "")
 
     rng = random.Random(505)
     for _ in range(10_000):
@@ -368,7 +367,7 @@ def test_criterion_11_reference_output_line_parses_exactly():
     result = parse_predictions(line, FREE)
     assert result.skipped_lines == 0
     (event,) = result.events
-    assert event.interval.start == 34.8
-    assert event.interval.end == 76.4
+    assert event.start == 34.8
+    assert event.end == 76.4
     assert event.caption == "water and salt are added into the bowl"
     report(11, "reference line parses to (34.8, 76.4) with caption intact")

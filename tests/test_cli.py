@@ -1230,6 +1230,23 @@ class TestEvalCommands:
         assert "line 2: bad event 0" in err
         assert "finite number of seconds" in err
 
+    @pytest.mark.parametrize(
+        "event", ['{"start": -1.0, "end": 2.0}', '{"start": 5.0, "end": 1.0}']
+    )
+    def test_gt_times_out_of_order_is_data_error(self, capsys, tmp_path, event):
+        pred, gt = _write_eval_run(tmp_path)
+        gt.write_text(
+            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
+            f'{{"video_id": "v2", "events": [{event}]}}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt)
+        )
+        assert (code, out) == (4, "")
+        assert "line 2: bad event 0" in err
+        assert "0 <= start <= end" in err
+
     @pytest.mark.parametrize("which", ["pred", "gt"])
     def test_blank_video_id_is_data_error(self, capsys, tmp_path, which):
         pred, gt = _write_eval_run(tmp_path)

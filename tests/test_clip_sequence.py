@@ -388,7 +388,7 @@ class TestDVCRecord:
             events = parse_predictions(
                 record.answer, time_repr, video_duration_s=record.meta["duration_s"]
             ).events
-            assert [[e.interval.start, e.interval.end] for e in events] == (
+            assert [[e.start, e.end] for e in events] == (
                 record.meta["intervals"]
             ), record.id
             if record.task == "DVC":
@@ -417,7 +417,7 @@ class TestGenerateParseIdentity:
             events = parse_predictions(
                 record.answer, time_repr, record.meta["duration_s"]
             ).events
-            assert [[e.interval.start, e.interval.end] for e in events] == (
+            assert [[e.start, e.end] for e in events] == (
                 record.meta["intervals"]
             ), record.answer
             if record.task == "DVC":

@@ -13,6 +13,7 @@ from seq2time.evaluation import (
     DEFAULT_F1_THRESHOLDS,
     _iou_rows,
     _matched_counts,
+    Event,
     EventPrediction,
     MetricsReport,
     RichnessResult,
@@ -44,11 +45,11 @@ RPT = TimeRepresentation.RPT
 
 
 def sec(start, end):
-    return TimeInterval(start, end, IntervalUnit.SECONDS)
+    return Event(start, end, "")
 
 
 def ev(start, end, caption="an event"):
-    return EventPrediction(interval=sec(start, end), caption=caption)
+    return Event(start, end, caption)
 
 
 class TestParseFreeForm:
@@ -58,17 +59,17 @@ class TestParseFreeForm:
         )
         assert result.skipped_lines == 0
         (event,) = result.events
-        assert event.interval == sec(0.0, 5.0)
+        assert (event.start, event.end) == (0.0, 5.0)
         assert event.caption == "a person is kneading dough"
 
     def test_integer_times_and_colon(self):
         (event,) = parse_predictions("2.5-5 second: mixing the dough", FREE).events
-        assert event.interval == sec(2.5, 5.0)
+        assert (event.start, event.end) == (2.5, 5.0)
         assert event.caption == "mixing the dough"
 
     def test_whitespace_and_case_tolerant(self):
         (event,) = parse_predictions("  2.5  -  5  SECONDS   mixing  ", FREE).events
-        assert event.interval == sec(2.5, 5.0)
+        assert (event.start, event.end) == (2.5, 5.0)
         assert event.caption == "mixing"
 
     def test_multiple_lines_in_order(self):
@@ -91,7 +92,7 @@ class TestParseFreeForm:
 
     def test_inverted_interval_swapped(self):
         (event,) = parse_predictions("9.0 - 3.0 seconds, backwards", FREE).events
-        assert event.interval == sec(3.0, 9.0)
+        assert (event.start, event.end) == (3.0, 9.0)
 
     def test_negative_start_does_not_match(self):
         result = parse_predictions("-1 - 5 seconds, below zero", FREE)
@@ -101,20 +102,35 @@ class TestParseFreeForm:
     def test_duration_not_required(self):
         assert len(parse_predictions("0 - 1 seconds, x", FREE).events) == 1
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5 - " + "9" * 400 + " seconds, too long",
+            "9" * 400 + " - 5 seconds, too long",
+            "9" * 400 + ".5 - " + "9" * 400 + " seconds, too long",
+        ],
+    )
+    def test_time_beyond_float_range_skipped(self, line):
+        # float() reads such a time as infinity: the line is skipped and
+        # counted, not scored as an event that never ends
+        result = parse_predictions(f"{line}\n0 - 5 seconds, kept", FREE)
+        assert [tuple(e) for e in result.events] == [(0.0, 5.0, "kept")]
+        assert result.skipped_lines == 1
+
 
 class TestParseRPT:
     def test_reference_line(self):
         (event,) = parse_predictions(
             "<2><5><0><0><5><0><0><0> mixing", RPT, video_duration_s=10.0
         ).events
-        assert event.interval == sec(2.5, 5.0)
+        assert (event.start, event.end) == (2.5, 5.0)
         assert event.caption == "mixing"
 
     def test_inverted_codes_swapped(self):
         (event,) = parse_predictions(
             "<5><0><0><0><2><5><0><0> mixing", RPT, video_duration_s=10.0
         ).events
-        assert event.interval == sec(2.5, 5.0)
+        assert (event.start, event.end) == (2.5, 5.0)
 
     def test_single_code_line_skipped(self):
         result = parse_predictions("<2><5><0><0> mixing", RPT, video_duration_s=10.0)
@@ -155,14 +171,53 @@ class TestParseRPT:
                 to_timestamp(decode_relative(code_from_string(code)), duration)
                 for code in (a, b)
             )
-            assert [event.interval.start, event.interval.end] == times
+            assert [event.start, event.end] == times
 
     def test_caption_may_be_empty(self):
         (event,) = parse_predictions(
             "<0><0><0><0><9><9><9><9>", RPT, video_duration_s=10.0
         ).events
         assert event.caption == ""
-        assert event.interval == sec(0.0, 9.999)
+        assert (event.start, event.end) == (0.0, 9.999)
+
+
+class TestEvent:
+    def test_is_a_tuple_of_its_fields(self):
+        event = Event(1.5, 4.0, "x")
+        assert (event.start, event.end, event.caption) == (1.5, 4.0, "x")
+        assert tuple(event) == (1.5, 4.0, "x")
+        assert Event(3.0, 3.0, "") == (3.0, 3.0, "")
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(-1.0, 2.0), (-0.5, -0.1), (5.0, 1.0), (math.nan, 2.0), (0.0, math.nan),
+         (math.nan, math.nan)],
+    )
+    def test_rejects_times_outside_order(self, start, end):
+        with pytest.raises(DomainError, match=r"0 <= start <= end"):
+            Event(start, end, "x")
+
+    def test_event_prediction_builds_the_same_event(self):
+        interval = TimeInterval(2.0, 7.5, IntervalUnit.SECONDS)
+        event = EventPrediction(interval, "stirring")
+        assert type(event) is Event
+        assert event == Event(2.0, 7.5, "stirring")
+
+    def test_f1_over_event_prediction_truth_equals_f1_over_events(self):
+        # the benchmark builds ground truth as
+        # EventPrediction(TimeInterval(start, end, IntervalUnit.SECONDS), caption)
+        rng = random.Random(18)
+        for _ in range(200):
+            times = [
+                (s, s + rng.uniform(0.0, 6.0))
+                for s in (rng.uniform(0, 10) for _ in range(rng.randint(1, 6)))
+            ]
+            preds = [ev(s, s + rng.uniform(0.1, 6.0)) for s, _ in times[: rng.randint(0, 6)]]
+            events = [Event(s, e, "gt") for s, e in times]
+            shimmed = [
+                EventPrediction(TimeInterval(s, e, IntervalUnit.SECONDS), "gt") for s, e in times
+            ]
+            assert temporal_f1(preds, shimmed) == temporal_f1(preds, events)
 
 
 class TestParseIndexMentions:
@@ -479,7 +534,7 @@ class TestLoaders:
         )
         gts = load_ground_truth(path)
         assert list(gts) == ["v1"]
-        assert gts["v1"][1].interval == sec(5.0, 9.0)
+        assert (gts["v1"][1].start, gts["v1"][1].end) == (5.0, 9.0)
         assert gts["v1"][1].caption == "b"
         assert gts["v1"][2] == ev(9.0, 12.0, caption="")
 
@@ -503,6 +558,15 @@ class TestLoaders:
             [{"video_id": "v1", "events": [{"start": 5.0, "end": 1.0}]}], path
         )
         with pytest.raises(CorpusFormatError, match="bad event 0"):
+            load_ground_truth(path)
+
+    def test_ground_truth_times_checked_before_caption(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_jsonl(
+            [{"video_id": "v1", "events": [{"start": 5.0, "end": 1.0, "caption": 7}]}],
+            path,
+        )
+        with pytest.raises(CorpusFormatError, match=r"bad event 0: interval requires"):
             load_ground_truth(path)
 
     def test_ground_truth_duplicate_video(self, tmp_path):

@@ -364,7 +364,7 @@ class TestParseBackProbe:
             events = parse_predictions(
                 record.answer, time_repr, record.meta["duration_s"]
             ).events
-            intervals = [[e.interval.start, e.interval.end] for e in events]
+            intervals = [[e.start, e.end] for e in events]
             assert intervals == record.meta["intervals"], record.answer
             if record.task == "DVC":
                 assert [e.caption for e in events] == record.meta["captions"], record.answer
