@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, pairwise
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, _sample_indices
+from .corpus import Corpus, _sample_indices, json_plain
 from .dataset_io import CaptionedClip, InstructionRecord
 from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
@@ -381,7 +381,8 @@ def clip_corpus(
     if templates is None:
         templates = TemplateBank.load()
     _probe_answers(config.time_repr, templates)
-    return Corpus("clip-seq", "cs", ClipTask, _draw, config, tuple(pool), templates)
+    plain = json_plain(clip.video for clip in pool)
+    return Corpus("clip-seq", "cs", ClipTask, _draw, config, tuple(pool), templates, plain)
 
 
 def build_clip_corpus(

@@ -13,6 +13,7 @@ order, so the output never depends on ``jobs``.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -23,7 +24,7 @@ from enum import Enum
 from functools import cache, partial
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .dataset_io import CorpusStats, InstructionRecord, encode_line, open_replacing
 from .errors import ConfigError
@@ -106,6 +107,7 @@ class Corpus:
     config: Any  # ImageCorpusConfig or ClipCorpusConfig
     pool: tuple  # the clips, or the images and their paths
     templates: TemplateBank
+    plain_media: bool  # every media path of the pool is ``json_plain``
 
     def record(self, ordinal: int) -> InstructionRecord:
         """Record ``ordinal`` of the run; pure in (config, seed, ordinal).
@@ -133,32 +135,55 @@ class Corpus:
             yield from chunk
 
     def write(self, path: str | Path, jobs: int = 1) -> CorpusStats:
-        """Write the bytes ``write_jsonl(self.records())`` would write.
+        """Write ``"".join(map(encode_line, self.records(jobs)))`` as UTF-8.
 
-        Each range is encoded and counted where it was generated; the
-        parent only writes the text in order and adds up the counts, so
-        the stats equal what ``corpus_stats(path)`` would read back.
+        Each range is encoded to bytes and counted where it was generated;
+        the parent only writes the bytes in order and adds up the counts,
+        so the stats equal what ``corpus_stats(path)`` would read back.
         """
         chunks = run_ranges(_encode, self, self.config.n_instances, jobs)
         counts: Counter[str] = Counter()
         question_chars = answer_chars = 0
         with open_replacing(path) as fh:
-            for text, chunk_counts, q_chars, a_chars in chunks:
-                fh.write(text)
+            for data, chunk_counts, q_chars, a_chars in chunks:
+                fh.write(data)
                 counts.update(chunk_counts)
                 question_chars += q_chars
                 answer_chars += a_chars
         return CorpusStats.from_sums(dict(counts), question_chars, answer_chars)
 
 
+# encode_line's json.dumps, and the escape it gives a text (in C, for less)
+_dumps = partial(json.dumps, ensure_ascii=False)
+_escape = json.encoder.encode_basestring
+
+
+def json_plain(texts: Iterable[str]) -> bool:
+    """Whether JSON writes every text as it is, between quotes: none holds
+    a quote, a backslash or a control character."""
+    return all(_escape(text) == f'"{text}"' for text in texts)
+
+
+def _plain_media_line(record: InstructionRecord) -> str:
+    """``encode_line(record)`` for a record with at least one medium, all
+    of them ``json_plain``: the paths are joined, not escaped again."""
+    return (
+        f'{{"id": {_escape(record.id)}, "media": ["'
+        + '", "'.join(record.media)
+        + f'"], "task": {_escape(record.task)}, "question": {_escape(record.question)}'
+        + f', "answer": {_escape(record.answer)}, "meta": {_dumps(record.meta)}}}\n'
+    )
+
+
 def _generate(corpus: Corpus, ordinals: range) -> list[InstructionRecord]:
     return [corpus.record(i) for i in ordinals]
 
 
-def _encode(corpus: Corpus, ordinals: range) -> tuple[str, Counter, int, int]:
+def _encode(corpus: Corpus, ordinals: range) -> tuple[bytes, Counter, int, int]:
     records = _generate(corpus, ordinals)
+    line = _plain_media_line if corpus.plain_media else encode_line
     return (
-        "".join(map(encode_line, records)),
+        "".join(map(line, records)).encode(),
         Counter(record.task for record in records),
         sum(len(record.question) for record in records),
         sum(len(record.answer) for record in records),

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConfigError, CorpusFormatError
 
@@ -75,22 +76,48 @@ class InstructionRecord:
         )
 
 
-def iter_jsonl_with_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) for every non-blank line of a JSONL file."""
+_decode = json.JSONDecoder().raw_decode
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def iter_jsonl_with_lines(
+    path: str | Path, text_fields: tuple[str, ...] = ()
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, object) for every non-blank line of a JSONL file.
+
+    A line holding one object that ends at its newline is decoded in one
+    C scan; every other line goes through ``json.loads``, which sets the
+    blank-line rule and the error messages. A line whose text holds a
+    ``\\u`` escape is refused if one of its ``text_fields`` decodes to a
+    lone surrogate, which no UTF-8 file can hold.
+    """
     p = Path(path)
     with p.open("r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(
-                        f"{p}: line {lineno}: invalid JSON: {exc.msg}"
-                    ) from exc
-                if not isinstance(obj, dict):
-                    raise CorpusFormatError(f"{p}: line {lineno}: expected an object")
+                    obj, end = _decode(line)
+                except json.JSONDecodeError:
+                    obj, end = None, 0
+                if line[end:] != "\n" or type(obj) is not dict:
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise CorpusFormatError(
+                            f"{p}: line {lineno}: invalid JSON: {exc.msg}"
+                        ) from exc
+                    if not isinstance(obj, dict):
+                        raise CorpusFormatError(f"{p}: line {lineno}: expected an object")
+                if text_fields and "\\u" in line:
+                    for name in text_fields:
+                        value = obj.get(name)
+                        if isinstance(value, str) and _SURROGATE.search(value):
+                            raise CorpusFormatError(
+                                f"{p}: line {lineno}: field {name} holds a lone "
+                                "surrogate escape, which is not text"
+                            )
                 yield lineno, obj
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{p}: not UTF-8 text: {exc}") from exc
@@ -126,16 +153,17 @@ def _require_positive(obj: dict, lineno: int, field_name: str, path: Path) -> fl
 
 
 def unique_rows(
-    path: str | Path, key: str = "id"
+    path: str | Path, key: str = "id", text_fields: tuple[str, ...] = ()
 ) -> Iterator[tuple[Path, int, dict, str]]:
     """(path, line number, object, row id) per row of a JSONL file.
 
     The row id is the ``key`` field: non-blank text, never repeated; a
-    repeat names both lines.
+    repeat names both lines. ``text_fields`` are checked as
+    ``iter_jsonl_with_lines`` says.
     """
     p = Path(path)
     seen: dict[str, int] = {}
-    for lineno, obj in iter_jsonl_with_lines(p):
+    for lineno, obj in iter_jsonl_with_lines(p, text_fields):
         row_id = _require_text(obj, lineno, key, p)
         if row_id in seen:
             raise CorpusFormatError(
@@ -183,7 +211,9 @@ def load_image_captions(path: str | Path) -> list[CaptionedImage]:
             image=_require_text(obj, lineno, "image", p),
             caption=_require_text(obj, lineno, "caption", p),
         )
-        for p, lineno, obj, row_id in unique_rows(path)
+        for p, lineno, obj, row_id in unique_rows(
+            path, text_fields=("id", "image", "caption")
+        )
     ]
 
 
@@ -198,7 +228,9 @@ def load_clip_captions(path: str | Path) -> list[CaptionedClip]:
             duration_s=_require_positive(obj, lineno, "duration_s", p),
             fps=_require_positive(obj, lineno, "fps", p),
         )
-        for p, lineno, obj, row_id in unique_rows(path)
+        for p, lineno, obj, row_id in unique_rows(
+            path, text_fields=("id", "video", "label", "caption")
+        )
     ]
 
 
@@ -209,10 +241,10 @@ def encode_line(record) -> str:
 
 
 @contextmanager
-def open_replacing(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text file that takes the place of ``path`` only on success.
+def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that takes the place of ``path`` only on success.
 
-    Text goes to a temporary file in the same directory, which
+    Bytes go to a temporary file in the same directory, which
     ``os.replace`` moves onto ``path`` once the block completes. On any
     failure the temporary file is removed and ``path`` is left as it was,
     so a failed run never leaves a truncated or empty file behind.
@@ -220,7 +252,7 @@ def open_replacing(path: str | Path) -> Iterator[TextIO]:
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with tmp.open("x", encoding="utf-8", newline="\n") as fh:
+        with tmp.open("xb") as fh:
             yield fh
         os.replace(tmp, p)
     except OSError as exc:
@@ -240,7 +272,7 @@ def write_jsonl(records: Iterable, path: str | Path) -> int:
     count = 0
     with open_replacing(path) as fh:
         for record in records:
-            fh.write(encode_line(record))
+            fh.write(encode_line(record).encode())
             count += 1
     return count
 

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, _sample_indices
+from .corpus import Corpus, _sample_indices, json_plain
 from .dataset_io import CaptionedImage, InstructionRecord
 from .errors import ConfigError, TemplateError
 from .position_token import (
@@ -68,19 +68,22 @@ def _gather(items: Sequence, indices: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class ImageSequenceSample:
-    """An ordered draw of images, their positions in the pool they were
-    drawn from, and the 1-based target positions."""
+    """An ordered draw of images: the pool they were drawn from, their
+    positions in it, and the 1-based target positions.
 
-    images: tuple[CaptionedImage, ...]
+    The sample keeps indices, not images: a record reads only the
+    captions it names (``caption``), and ``images`` gathers the rest on
+    request.
+    """
+
+    pool: Sequence[CaptionedImage] = field(repr=False)
     indices: tuple[int, ...]
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
+        n = len(self.indices)
         if n < 1:
             raise ConfigError("sample needs at least one image")
-        if len(self.indices) != n:
-            raise ConfigError(f"{len(self.indices)} pool indices for {n} images")
         if not self.targets:
             raise ConfigError("sample needs at least one target")
         if list(self.targets) != sorted(set(self.targets)):
@@ -90,7 +93,15 @@ class ImageSequenceSample:
 
     @property
     def seq_len(self) -> int:
-        return len(self.images)
+        return len(self.indices)
+
+    @property
+    def images(self) -> tuple[CaptionedImage, ...]:
+        return _gather(self.pool, self.indices)
+
+    def caption(self, position: int) -> str:
+        """The caption of the image at 1-based ``position``."""
+        return self.pool[self.indices[position - 1]].caption
 
 
 def sample_sequence(
@@ -121,7 +132,7 @@ def sample_sequence(
     indices = tuple(_sample_indices(rng, len(pool), seq_len))
     n_targets = rng.randint(1, min(max_targets, seq_len))
     targets = tuple(sorted(j + 1 for j in _sample_indices(rng, seq_len, n_targets)))
-    return ImageSequenceSample(_gather(pool, indices), indices, targets)
+    return ImageSequenceSample(pool, indices, targets)
 
 
 def render_index(index: int, seq_len: int, time_repr: TimeRepresentation) -> str:
@@ -200,9 +211,8 @@ def image_record(
         while not 1 <= anchor + step <= seq_len:
             anchor = rng.randint(1, seq_len)
         targets, meta = (anchor + step,), {"anchor": anchor, "direction": direction}
-        anchor_caption = sample.images[anchor - 1].caption
-        values = {"<CAPTION1>": anchor_caption, "<DIRECTION>": direction}
-    captions = [sample.images[t - 1].caption for t in targets]
+        values = {"<CAPTION1>": sample.caption(anchor), "<DIRECTION>": direction}
+    captions = [sample.caption(t) for t in targets]
     indices = [render_index(t, seq_len, time_repr) for t in targets]
     if task is PretextTask.IIG:
         values = {"<CAPTION>": _join_captions(captions)}
@@ -323,7 +333,8 @@ def image_corpus(
     _probe_answers(config, templates)
     paths = tuple(image.image for image in pool)
     return Corpus(
-        "image-seq", "is", PretextTask, _draw, config, (tuple(pool), paths), templates
+        "image-seq", "is", PretextTask, _draw, config, (tuple(pool), paths), templates,
+        json_plain(paths),
     )
 
 

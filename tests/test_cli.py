@@ -1373,6 +1373,78 @@ class TestNonUtf8Input:
         assert f"{corpus}: not UTF-8 text" in err
 
 
+class TestSourceRows:
+    """Source rows that cannot be built from exit 4, naming file and line."""
+
+    def _build(self, capsys, tmp_path, kind, rows, jobs="1"):
+        source = tmp_path / "source.jsonl"
+        source.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        command = "build-image-seq" if kind == "image" else "build-clip-seq"
+        code, out, err = run_cli(
+            capsys, command, "--source", str(source), "--output",
+            str(tmp_path / "corpus.jsonl"), "--n", "40", "--jobs", jobs,
+        )
+        return source, code, out, err
+
+    def _rows(self, kind, image_pool, clip_pool):
+        if kind == "image":
+            return [{"id": c.id, "image": c.image, "caption": c.caption} for c in image_pool]
+        return [
+            {"id": c.id, "video": c.video, "label": c.label, "caption": c.caption,
+             "duration_s": c.duration_s, "fps": c.fps}
+            for c in clip_pool
+        ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "kind, field", [("image", "caption"), ("image", "image"),
+                        ("clip", "caption"), ("clip", "video")],
+    )
+    def test_lone_surrogate_is_data_error(
+        self, capsys, tmp_path, image_pool, clip_pool, kind, field, jobs
+    ):
+        # json.dumps writes the lone surrogate as the escape \ud800
+        rows = self._rows(kind, image_pool, clip_pool)
+        rows[2] = {**rows[2], field: rows[2][field] + "\ud800"}
+        source, code, out, err = self._build(capsys, tmp_path, kind, rows, jobs)
+        assert (code, out) == (4, "")
+        assert f"{source}: line 3: field {field} holds a lone surrogate escape" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["source.jsonl"]
+
+    @pytest.mark.parametrize("kind", ["image", "clip"])
+    def test_escaped_surrogate_pair_is_text(self, capsys, tmp_path, image_pool, clip_pool, kind):
+        # the escape pair \ud83d\ude00 decodes to one character, U+1F600
+        rows = [
+            {**row, "caption": row["caption"] + " \U0001F600"}
+            for row in self._rows(kind, image_pool, clip_pool)
+        ]
+        source, code, out, err = self._build(capsys, tmp_path, kind, rows)
+        assert "\\ud83d\\ude00" in source.read_text(encoding="utf-8")
+        assert code == 0, err
+        assert "\U0001F600" in (tmp_path / "corpus.jsonl").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("\ufeff{}", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("{} {}", "invalid JSON: Extra data"),
+            ("[1]", "expected an object"),
+            ("NaN", "expected an object"),
+        ],
+        ids=["bom", "extra-data", "array", "nan"],
+    )
+    def test_unreadable_row_is_data_error(self, capsys, tmp_path, line, message):
+        source = tmp_path / "source.jsonl"
+        source.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "build-image-seq", "--source", str(source),
+            "--output", str(tmp_path / "corpus.jsonl"), "--n", "1",
+        )
+        assert (code, out) == (4, "")
+        assert f"{source}: line 1: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["source.jsonl"]
+
+
 class TestParserBehavior:
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

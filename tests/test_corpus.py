@@ -2,12 +2,14 @@
 cannot move a byte; and the range runner every build runs on."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 
 import pytest
 
 from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
 from seq2time.corpus import derive_record_seed, run_ranges
+from seq2time.dataset_io import encode_line
 from seq2time.errors import ConfigError
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus
 from seq2time.position_token import TimeRepresentation
@@ -19,6 +21,32 @@ DIGESTS = {
     ("clip", "rpt"): "35ebe9231be97b453bf57570c11182957da83fb1b95ce31fe01c0ae4667b2c93",
     ("clip", "free_form"): "4609d8871ae91e5d51f08b5c568a76bc67faca8ef2f57d00896e7828e0c9fe69",
 }
+
+
+# sha256 of a 500-record image build (seed 0, default options) whose media
+# paths need JSON escapes: every third path ends in ", \\, a tab, U+2028 or é
+ESCAPING_DIGEST = "2fda73558f23e4fa85d4113dd08cd681e41531849feffb9584111a527434da5b"
+
+# a path mark JSON escapes ('"', "\\", a tab), and one it writes as it is
+PATH_MARKS = {
+    "quote": '"',
+    "backslash": "\\",
+    "tab": "\t",
+    "line-separator": "\u2028",
+    "e-acute": "\u00e9",
+    "ascii": "",
+    "mixed": '"\\\t\u2028\u00e9',
+}
+
+
+def marked(pool, field, marks):
+    """``pool`` with every third ``field`` path ending in the next of ``marks``."""
+    return [
+        dataclasses.replace(item, **{field: getattr(item, field) + marks[k // 3 % len(marks)]})
+        if k % 3 == 0 and marks
+        else item
+        for k, item in enumerate(pool)
+    ]
 
 
 @pytest.mark.parametrize("kind, repr_name", sorted(DIGESTS))
@@ -49,6 +77,33 @@ def test_repeated_label_build_matches_pinned_digest(clip_pool, tmp_path):
         hashlib.sha256(path.read_bytes()).hexdigest()
         == "cdc69186bb55b630f796b097f54ab5e02c539ce63bd04231b34a11903f976d26"
     )
+
+
+def test_escaping_media_build_matches_pinned_digest(image_pool, tmp_path):
+    pool = marked(image_pool, "image", PATH_MARKS["mixed"])
+    path = tmp_path / "corpus.jsonl"
+    image_corpus(ImageCorpusConfig(n_instances=500), pool).write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ESCAPING_DIGEST
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("marks", sorted(PATH_MARKS))
+@pytest.mark.parametrize("kind", ["image", "clip"])
+def test_written_bytes_are_encode_line_over_records(
+    image_pool, clip_pool, tmp_path, kind, marks, jobs
+):
+    # 37 records: ranges of 16, 16 and 5 at either jobs
+    if kind == "image":
+        pool = marked(image_pool, "image", PATH_MARKS[marks])
+        build = image_corpus(ImageCorpusConfig(n_instances=37, seed=3), pool)
+    else:
+        pool = marked(clip_pool, "video", PATH_MARKS[marks])
+        build = clip_corpus(ClipCorpusConfig(n_instances=37, seed=3), pool)
+    # JSON escapes a quote, a backslash and a tab, but writes U+2028 and é as they are
+    assert build.plain_media == (marks in {"line-separator", "e-acute", "ascii"})
+    path = tmp_path / "corpus.jsonl"
+    build.write(path, jobs)
+    assert path.read_bytes() == "".join(map(encode_line, build.records())).encode()
 
 
 class TestDeriveRecordSeed:

@@ -62,30 +62,82 @@ class TestLoaders:
         loaded = load_clip_captions(path)
         assert loaded == clip_pool[:20]
 
-    def test_blank_lines_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "blank", ["\n", "   \n", "\t\n", "\u3000\n", "\r\n"],
+        ids=["empty", "spaces", "tab", "ideographic-space", "crlf"],
+    )
+    def test_blank_lines_skipped(self, tmp_path, blank):
+        path = tmp_path / "img.jsonl"
+        path.write_bytes(
+            (
+                '{"id": "a", "image": "x.jpg", "caption": "a cat"}\n'
+                + blank
+                + '{"id": "b", "image": "y.jpg", "caption": "a dog"}\n'
+            ).encode("utf-8")
+        )
+        assert list(iter_jsonl_with_lines(path)) == [
+            (1, {"id": "a", "image": "x.jpg", "caption": "a cat"}),
+            (3, {"id": "b", "image": "y.jpg", "caption": "a dog"}),
+        ]
+        assert [c.id for c in load_image_captions(path)] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 1}\r\n{"k": [2, "\u00e9"]}\r\n',  # CRLF line ends
+            '{"k": 1}\n{"k": [2, "\u00e9"]}',  # no newline after the last line
+            '  {"k": 1}\n\t{"k": [2, "\u00e9"]}\n',  # leading whitespace
+            '{"k": 1}  \n{"k": [2, "\u00e9"]} \t\n',  # trailing whitespace
+            '{"k": 1}\r{"k": [2, "\u00e9"]}\r',  # CR line ends
+        ],
+        ids=["crlf", "no-final-newline", "leading-space", "trailing-space", "cr"],
+    )
+    def test_line_layout_keeps_rows(self, tmp_path, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(iter_jsonl_with_lines(path)) == [(1, {"k": 1}), (2, {"k": [2, "\u00e9"]})]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{oops", "Expecting property name enclosed in double quotes"),
+            ("{} {}", "Extra data"),
+            ('{"k": 1}{"k": 2}', "Extra data"),
+            ('{"k": 1', "Expecting ',' delimiter"),
+            ("nope", "Expecting value"),
+        ],
+        ids=["broken", "two-objects", "two-objects-joined", "unclosed", "not-json"],
+    )
+    def test_invalid_json_names_line(self, tmp_path, line, message):
         path = tmp_path / "img.jsonl"
         path.write_text(
             '{"id": "a", "image": "x.jpg", "caption": "a cat"}\n'
-            "\n"
-            '{"id": "b", "image": "y.jpg", "caption": "a dog"}\n',
+            + line
+            + "\n",
             encoding="utf-8",
         )
-        assert [c.id for c in load_image_captions(path)] == ["a", "b"]
+        with pytest.raises(CorpusFormatError) as raised:
+            load_image_captions(path)
+        assert str(raised.value) == f"{path}: line 2: invalid JSON: {message}"
 
-    def test_invalid_json_names_line(self, tmp_path):
+    def test_byte_order_mark_named(self, tmp_path):
         path = tmp_path / "img.jsonl"
-        path.write_text(
-            '{"id": "a", "image": "x.jpg", "caption": "a cat"}\n{oops\n',
-            encoding="utf-8",
+        path.write_bytes(b'\xef\xbb\xbf{"id": "a", "image": "x.jpg", "caption": "a cat"}\n')
+        with pytest.raises(CorpusFormatError) as raised:
+            load_image_captions(path)
+        assert str(raised.value) == (
+            f"{path}: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
         )
-        with pytest.raises(CorpusFormatError, match=r"line 2: invalid JSON"):
-            load_image_captions(path)
 
-    def test_non_object_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ['["not", "an", "object"]', "[1]", "NaN", "7", '"text"', "null"]
+    )
+    def test_non_object_line_rejected(self, tmp_path, line):
         path = tmp_path / "img.jsonl"
-        path.write_text('["not", "an", "object"]\n', encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match=r"line 1: expected an object"):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as raised:
             load_image_captions(path)
+        assert str(raised.value) == f"{path}: line 1: expected an object"
 
     def test_missing_caption_names_field_and_line(self, tmp_path):
         path = tmp_path / "img.jsonl"

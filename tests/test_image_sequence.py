@@ -111,7 +111,7 @@ def canonical_bank():
 def make_sample(image_pool, seq_len, targets):
     """The first ``seq_len`` images of the pool, in pool order."""
     return ImageSequenceSample(
-        images=tuple(image_pool[:seq_len]),
+        pool=image_pool,
         indices=tuple(range(seq_len)),
         targets=tuple(targets),
     )
@@ -226,15 +226,15 @@ class TestSampleContracts:
             sample_sequence(image_pool, 4, random.Random(0), max_targets=0)
 
     def test_sample_validation(self, image_pool):
-        images, indices = tuple(image_pool[:4]), (0, 1, 2, 3)
+        pool, indices = image_pool, (0, 1, 2, 3)
         with pytest.raises(ConfigError, match="strictly increasing"):
-            ImageSequenceSample(images=images, indices=indices, targets=(3, 2))
+            ImageSequenceSample(pool=pool, indices=indices, targets=(3, 2))
         with pytest.raises(ConfigError, match="outside"):
-            ImageSequenceSample(images=images, indices=indices, targets=(5,))
+            ImageSequenceSample(pool=pool, indices=indices, targets=(5,))
         with pytest.raises(ConfigError, match="at least one target"):
-            ImageSequenceSample(images=images, indices=indices, targets=())
-        with pytest.raises(ConfigError, match="3 pool indices for 4 images"):
-            ImageSequenceSample(images=images, indices=(0, 1, 2), targets=(1,))
+            ImageSequenceSample(pool=pool, indices=indices, targets=())
+        with pytest.raises(ConfigError, match="at least one image"):
+            ImageSequenceSample(pool=pool, indices=(), targets=(1,))
 
     def test_empty_caption_rejected(self):
         with pytest.raises(ConfigError, match="empty caption"):
