@@ -13,9 +13,9 @@ human timestamps are involved.
 (grounding: locate one queried caption). Times render as boundary
 position codes or as seconds at 0.1 s display precision, and the
 synthetic timeline is D = the sum of real clip durations.
-``clip_record`` returns records with an empty id; ``clip_corpus`` builds
-run them through ``Corpus.record``, which seeds, numbers and names each
-record (``seq2time.corpus``).
+``clip_record`` returns a record's fields but its id; ``clip_corpus``
+builds draw them through ``Corpus.record``, which seeds, numbers and
+names each record (``seq2time.corpus``).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from functools import lru_cache
 from itertools import accumulate, pairwise
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, _sample_indices, json_plain
-from .dataset_io import CaptionedClip, InstructionRecord
+from .corpus import Corpus, RecordFields, _sample_indices, json_plain
+from .dataset_io import CaptionedClip
 from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
     TimeRepresentation,
@@ -249,8 +249,9 @@ def clip_record(
     templates: TemplateBank,
     time_repr: TimeRepresentation,
     rng: random.Random,
-) -> InstructionRecord:
-    """The ``task`` record of ``sample``, its templates drawn from ``rng``.
+) -> RecordFields:
+    """The ``task`` record of ``sample``, its templates drawn from ``rng``:
+    its (media, task, question, answer, meta).
 
     DVC lists every clip's span and caption, one line per clip, in order;
     TVG draws one clip uniformly and puts its caption in the question and
@@ -264,13 +265,12 @@ def clip_record(
         spans, captions = spans[pick : pick + 1], captions[pick : pick + 1]
         values, meta = {"<CAPTION>": captions[0]}, {"target_clip": sample.clips[pick].id}
     q_tpl, a_tpl = templates.sample(task.value, "single", rng)
-    return InstructionRecord(
-        id="",
-        media=tuple(clip.video for clip in sample.clips),
-        task=task.name,
-        question=render_template(q_tpl, values),
-        answer=_answer(task, a_tpl, spans, captions, time_repr),
-        meta={
+    return (
+        tuple(clip.video for clip in sample.clips),
+        task.name,
+        render_template(q_tpl, values),
+        _answer(task, a_tpl, spans, captions, time_repr),
+        {
             "total_frames": sample.total_frames,
             "duration_s": sample.pseudo_duration_s,
             "intervals": [seconds for _, seconds in spans],
@@ -311,7 +311,7 @@ class ClipCorpusConfig:
             )
 
 
-def _draw(corpus: Corpus, task: ClipTask, rng: random.Random) -> InstructionRecord:
+def _draw(corpus: Corpus, task: ClipTask, rng: random.Random) -> RecordFields:
     """The ``task`` record of a sample composed from a ``clip_corpus`` pool."""
     config = corpus.config
     n_clips = rng.randint(config.clip_min, config.clip_max)
@@ -390,6 +390,6 @@ def build_clip_corpus(
     pool: Sequence[CaptionedClip],
     templates: TemplateBank | None = None,
     jobs: int = 1,
-) -> Iterator[InstructionRecord]:
+) -> Iterator:
     """Emit exactly ``n_instances`` records, each with a uniformly drawn task."""
     yield from clip_corpus(config, pool, templates).records(jobs)

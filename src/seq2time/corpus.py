@@ -96,6 +96,10 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return list(selected)
 
 
+# a builder's draw: a record's (media, task, question, answer, meta), all but its id
+RecordFields = tuple[tuple[str, ...], str, str, str, dict]
+
+
 @dataclass(frozen=True)
 class Corpus:
     """One build: a builder's record draw and everything it reads."""
@@ -103,7 +107,7 @@ class Corpus:
     namespace: str  # of the record seeds: "image-seq" or "clip-seq"
     prefix: str  # of the record ids: "is" or "cs"
     tasks: type[Enum]
-    draw: Callable[[Corpus, Any, random.Random], InstructionRecord]
+    draw: Callable[[Corpus, Any, random.Random], RecordFields]
     config: Any  # ImageCorpusConfig or ClipCorpusConfig
     pool: tuple  # the clips, or the images and their paths
     templates: TemplateBank
@@ -115,20 +119,17 @@ class Corpus:
         Its rng is seeded by ``derive_record_seed``; the first draw picks
         its task, each task at the same rate (``rng.choices`` over the
         tasks in value order with equal weights, which ``choices`` turns
-        into these cumulative weights), and ``draw`` draws the rest.
+        into these cumulative weights), and ``draw`` draws the other fields.
+        The seed and the ordinal close the record's ``meta``.
         """
         seed = self.config.seed
         rng = random.Random(derive_record_seed(seed, ordinal, self.namespace))
         members, cum_weights = _task_draw(self.tasks)
-        record = self.draw(self, rng.choices(members, cum_weights=cum_weights)[0], rng)
-        return InstructionRecord(
-            f"{self.prefix}-{seed}-{ordinal:08d}",
-            record.media,
-            record.task,
-            record.question,
-            record.answer,
-            {**record.meta, "seed": seed, "ordinal": ordinal},
-        )
+        task = rng.choices(members, cum_weights=cum_weights)[0]
+        media, task_name, question, answer, meta = self.draw(self, task, rng)
+        meta.update(seed=seed, ordinal=ordinal)
+        record_id = f"{self.prefix}-{seed}-{ordinal:08d}"
+        return InstructionRecord(record_id, media, task_name, question, answer, meta)
 
     def records(self, jobs: int = 1) -> Iterator[InstructionRecord]:
         for chunk in run_ranges(_generate, self, self.config.n_instances, jobs):

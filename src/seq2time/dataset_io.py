@@ -4,11 +4,11 @@ Input corpora are JSON-lines. Image rows carry ``{"id", "image",
 "caption"}`` and load as :class:`CaptionedImage`; clip rows carry
 ``{"id", "video", "label", "caption", "duration_s", "fps"}`` and load as
 :class:`CaptionedClip`. These readers and the evaluation ones take their
-rows through :func:`unique_rows`, the one row-id rule. Output
-instruction records are JSON-lines with a fixed key order (id, media,
-task, question, answer, meta) and no float re-formatting, so equal
-inputs produce byte-identical files and builds can be regression-tested
-by hash.
+rows through :func:`unique_rows`, the one row-id rule. An output
+instruction record is an :class:`InstructionRecord` tuple; ``encode_line``
+writes it as one JSON line with its fields in order (id, media, task,
+question, answer, meta) and no float re-formatting, so equal inputs
+produce byte-identical files and builds can be regression-tested by hash.
 """
 
 from __future__ import annotations
@@ -18,62 +18,29 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, CorpusFormatError
 
 RECORD_KEY_ORDER = ("id", "media", "task", "question", "answer", "meta")
 
 
-@dataclass(frozen=True)
-class InstructionRecord:
-    """One question/answer training instance plus its provenance metadata."""
+class InstructionRecord(namedtuple("InstructionRecord", RECORD_KEY_ORDER)):
+    """One question/answer training instance plus its provenance metadata: a
+    tuple, cheap to build and read, checked once to hold a question and answer."""
 
-    id: str
-    media: tuple[str, ...]
-    task: str
-    question: str
-    answer: str
-    meta: dict
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.question or not self.answer:
-            raise CorpusFormatError(
-                f"record {self.id!r} has an empty question or answer"
-            )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "media": list(self.media),
-            "task": self.task,
-            "question": self.question,
-            "answer": self.answer,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "InstructionRecord":
-        missing = [k for k in RECORD_KEY_ORDER if k not in obj]
-        if missing:
-            raise CorpusFormatError(f"record missing fields: {', '.join(missing)}")
-        kinds = {"media": list, "meta": dict}  # every other field is text
-        wrong = [k for k in RECORD_KEY_ORDER if not isinstance(obj[k], kinds.get(k, str))]
-        if "media" not in wrong and not all(isinstance(m, str) for m in obj["media"]):
-            wrong.append("media")
-        if wrong:
-            raise CorpusFormatError(f"record fields of wrong type: {', '.join(wrong)}")
-        return cls(
-            id=obj["id"],
-            media=tuple(obj["media"]),
-            task=obj["task"],
-            question=obj["question"],
-            answer=obj["answer"],
-            meta=obj["meta"],
-        )
+    def __new__(
+        cls, id: str, media: Sequence[str], task: str, question: str, answer: str, meta: dict
+    ) -> InstructionRecord:
+        if not question or not answer:
+            raise CorpusFormatError(f"record {id!r} has an empty question or answer")
+        return tuple.__new__(cls, (id, media, task, question, answer, meta))
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -235,8 +202,9 @@ def load_clip_captions(path: str | Path) -> list[CaptionedClip]:
 
 
 def encode_line(record) -> str:
-    """One JSONL line, newline included, for an InstructionRecord or a plain dict."""
-    obj = record.to_json_obj() if hasattr(record, "to_json_obj") else record
+    """One JSONL line, newline included, for an InstructionRecord (its fields
+    as an object, in ``RECORD_KEY_ORDER``) or a plain dict."""
+    obj = record._asdict() if isinstance(record, InstructionRecord) else record
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
@@ -263,11 +231,11 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def write_jsonl(records: Iterable, path: str | Path) -> int:
-    """Write records (InstructionRecord or plain dict) one per line.
+    """Write records (InstructionRecord or plain dict) one per line, each
+    as ``encode_line`` gives it.
 
-    Returns the record count. Output is UTF-8, newline-terminated, with
-    the fixed record key order preserved for byte-stable files, and
-    replaces ``path`` only once every record is written.
+    Returns the record count. Output is UTF-8 and replaces ``path`` only
+    once every record is written.
     """
     count = 0
     with open_replacing(path) as fh:
@@ -301,13 +269,24 @@ class CorpusStats:
 
 
 def corpus_stats(path: str | Path) -> CorpusStats:
-    """Per-task record counts and mean question/answer lengths of a file."""
+    """Per-task record counts and mean question/answer lengths of a file.
+
+    A row missing a record field, holding one of the wrong type, or with an
+    empty question or answer is refused by its line number."""
     counts: dict[str, int] = {}
-    q_chars = 0
-    a_chars = 0
+    q_chars = a_chars = 0
+    kinds = {"media": list, "meta": dict}  # every other field is text
     for lineno, obj in iter_jsonl_with_lines(path):
         try:
-            record = InstructionRecord.from_json_obj(obj)
+            missing = [k for k in RECORD_KEY_ORDER if k not in obj]
+            if missing:
+                raise CorpusFormatError(f"record missing fields: {', '.join(missing)}")
+            wrong = [k for k in RECORD_KEY_ORDER if not isinstance(obj[k], kinds.get(k, str))]
+            if "media" not in wrong and not all(isinstance(m, str) for m in obj["media"]):
+                wrong.append("media")
+            if wrong:
+                raise CorpusFormatError(f"record fields of wrong type: {', '.join(wrong)}")
+            record = InstructionRecord(*[obj[k] for k in RECORD_KEY_ORDER])
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
         counts[record.task] = counts.get(record.task, 0) + 1

@@ -18,8 +18,8 @@ tokens, or the bare integer (``render_index``), and parse back with
 would itself read as a position, and any answer template whose answers
 would not parse back to their own targets and captions.
 
-``image_record`` returns records with an empty id; ``image_corpus``
-builds run them through ``Corpus.record``, which seeds, numbers and
+``image_record`` returns a record's fields but its id; ``image_corpus``
+builds draw them through ``Corpus.record``, which seeds, numbers and
 names each record (``seq2time.corpus``).
 """
 
@@ -34,8 +34,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, _sample_indices, json_plain
-from .dataset_io import CaptionedImage, InstructionRecord
+from .corpus import Corpus, RecordFields, _sample_indices, json_plain
+from .dataset_io import CaptionedImage
 from .errors import ConfigError, TemplateError
 from .position_token import (
     CODE_PATTERN,
@@ -191,8 +191,9 @@ def image_record(
     time_repr: TimeRepresentation,
     rng: random.Random,
     paths: Sequence[str],
-) -> InstructionRecord:
-    """The ``task`` record of ``sample``, its templates drawn from ``rng``.
+) -> RecordFields:
+    """The ``task`` record of ``sample``, its templates drawn from ``rng``:
+    its (media, task, question, answer, meta).
 
     IIG and IIC answer on the sample's targets. ALR first draws a
     direction, then an anchor uniformly, re-drawing an anchor whose
@@ -220,18 +221,12 @@ def image_record(
         values = {"<INDEX>": ", ".join(indices)}
     arity = "single" if len(targets) == 1 else "multi"
     q_tpl, a_tpl = templates.sample(task.value, arity, rng)
-    return InstructionRecord(
-        id="",
-        media=_gather(paths, sample.indices),
-        task=task.name,
-        question=render_template(q_tpl, values),
-        answer=_answer(task, a_tpl, indices, captions),
-        meta={
-            "seq_len": seq_len,
-            "targets": list(targets),
-            **meta,
-            "time_repr": time_repr.value,
-        },
+    return (
+        _gather(paths, sample.indices),
+        task.name,
+        render_template(q_tpl, values),
+        _answer(task, a_tpl, indices, captions),
+        {"seq_len": seq_len, "targets": list(targets), **meta, "time_repr": time_repr.value},
     )
 
 
@@ -259,7 +254,7 @@ class ImageCorpusConfig:
             )
 
 
-def _draw(corpus: Corpus, task: PretextTask, rng: random.Random) -> InstructionRecord:
+def _draw(corpus: Corpus, task: PretextTask, rng: random.Random) -> RecordFields:
     """The ``task`` record of a sample drawn from an ``image_corpus`` pool:
     the images, and their paths."""
     config, (images, paths) = corpus.config, corpus.pool
@@ -343,7 +338,7 @@ def build_image_corpus(
     pool: Sequence[CaptionedImage],
     templates: TemplateBank | None = None,
     jobs: int = 1,
-) -> Iterator[InstructionRecord]:
+) -> Iterator:
     """Emit exactly ``n_instances`` records, each with a uniformly drawn task.
 
     ``jobs`` > 1 fans records out across processes; output order (and

@@ -78,11 +78,6 @@ class TimeInterval:
             )
 
 
-def vocabulary() -> tuple[str, ...]:
-    """The full token vocabulary: exactly the ten strings "<0>".."<9>"."""
-    return _TOKENS
-
-
 def encode_ratio(numerator: int, denominator: int) -> int:
     """Encode the exact rational numerator/denominator in [0, 1] as a code.
 

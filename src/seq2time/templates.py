@@ -11,7 +11,9 @@ angle-bracket markers (``<CAPTION>``, ``<INDEX>``, ``<CAPTION1>``,
 ``<CAPTION2>``, ``<DIRECTION>``, ``<EVENTS>``, ``<INTERVAL>``); they never
 collide with digit position tokens, which are single digits. The bank
 validates on load that every template carries all slots its task needs,
-and no slot its task leaves unfilled.
+and no slot its task leaves unfilled; and that none is empty (a record
+needs a question) or holds a lone surrogate escape (``"\\ud800"``, which
+no UTF-8 output can hold).
 Whether an answer template parses back is checked where the parsing
 rules are known: each build renders every answer template it can draw
 with probe values and reads it back with the scorer's parsers, at setup.
@@ -26,6 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from .dataset_io import _SURROGATE
 from .errors import TemplateError
 
 _SLOT_RE = re.compile(r"<(?:CAPTION[12]?|INDEX|DIRECTION|EVENTS|INTERVAL)>")
@@ -133,6 +136,13 @@ class TemplateBank:
                                 f"{task}/{arity}/{kind} template holds {slot}, "
                                 f"a slot its task never fills: {tpl!r}"
                             )
+                    if not tpl:
+                        raise TemplateError(f"{task}/{arity}/{kind} template is empty")
+                    if _SURROGATE.search(tpl):
+                        raise TemplateError(
+                            f"{task}/{arity}/{kind} template holds a lone surrogate "
+                            f"escape, which is not text: {tpl!r}"
+                        )
 
     def _entry(self, task: str, arity: str) -> dict:
         entry = self._data.get(task, {}).get(arity)

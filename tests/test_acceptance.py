@@ -23,6 +23,7 @@ from seq2time.clip_sequence import (
     clip_record,
     compose_sequence,
 )
+from seq2time.dataset_io import InstructionRecord
 from seq2time.evaluation import (
     Event,
     _matched_counts,
@@ -49,7 +50,6 @@ from seq2time.position_token import (
     encode_relative,
     quantization_error_report,
     render_code,
-    vocabulary,
 )
 from seq2time.templates import TemplateBank, find_missing_in_order
 
@@ -82,15 +82,17 @@ def timeit_once() -> float:
 
 
 def test_criterion_02_vocabulary_size_and_code_bijection():
-    vocab = vocabulary()
-    assert len(vocab) == 10
-    assert list(vocab) == [f"<{d}>" for d in range(10)]
     seen = set()
+    tokens = set()
     for value in range(10_000):
         rendered = render_code(value)
         assert code_from_string(rendered) == value
         seen.add(rendered)
+        tokens.update(rendered[i : i + 3] for i in range(0, 12, 3))
     assert len(seen) == 10_000  # injective over the whole code space
+    # every rendered code is four of exactly these ten tokens
+    assert sorted(tokens) == [f"<{d}>" for d in range(10)]
+    assert all(len(rendered) == 12 for rendered in seen)
     report(2, "10-token vocabulary; 10000-code render/parse bijection")
 
 
@@ -189,7 +191,8 @@ def test_criterion_06_alr_adjacency_holds_on_every_record(image_pool):
         rng = random.Random(seed)
         for _ in range(5_000):
             sample = sample_sequence(image_pool, 96, rng)
-            record = image_record(PretextTask.ALR, sample, bank, time_repr, rng, paths)
+            fields = image_record(PretextTask.ALR, sample, bank, time_repr, rng, paths)
+            record = InstructionRecord("", *fields)
             anchor = record.meta["anchor"]
             (neighbor,) = record.meta["targets"]
             offset = neighbor - anchor
@@ -249,7 +252,7 @@ def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
     for trial in range(200):
         sample = compose_sequence(clip_pool, rng.randint(2, 10), 96, (0.5, 2.0), rng)
         truth = [(a.start, a.end) for a in derive_annotations(sample)]
-        record = clip_record(ClipTask.DVC, sample, bank, RPT, rng)
+        record = InstructionRecord("", *clip_record(ClipTask.DVC, sample, bank, RPT, rng))
         parsed = parse_predictions(record.answer, RPT, sample.pseudo_duration_s)
         assert len(parsed.events) == len(truth)
         budget = 1e-4 * sample.pseudo_duration_s + 1e-9

@@ -769,6 +769,37 @@ class TestCustomTemplateBanks:
         assert f"{task}/single/questions template holds {slot}" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "kind, task, kind_of_template, template, message",
+        [
+            (
+                "image", "iig", "questions", "Which image shows <CAPTION>?\ud800",
+                "iig/single/questions template holds a lone surrogate escape",
+            ),
+            ("clip", "dvc", "questions", "", "dvc/single/questions template is empty"),
+        ],
+        ids=["lone-surrogate", "empty"],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_template_no_record_can_hold(
+        self, capsys, request, tmp_path, kind, task, kind_of_template, template, message, jobs
+    ):
+        # refused when the bank loads: not a traceback or a data error mid-build
+        out_path = tmp_path / "corpus.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            f"build-{kind}-seq",
+            "--source", str(request.getfixturevalue(f"{kind}_source")),
+            "--output", str(out_path),
+            "--n", "40",
+            "--jobs", jobs,
+            "--templates",
+            str(_bank_with(tmp_path, task, "single", template, kind_of_template)),
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not out_path.exists()
+
 
 class TestConfigFile:
     def _write_config(self, tmp_path, image_source, n=5):
@@ -1297,20 +1328,30 @@ class TestStats:
         assert "corpus file not found" in err
 
     @pytest.mark.parametrize(
-        "field, value", [("task", ["x"]), ("question", 5), ("media", 5)]
+        "field, value, message",
+        [
+            ("task", ["x"], "record fields of wrong type: task"),
+            ("question", 5, "record fields of wrong type: question"),
+            ("media", 5, "record fields of wrong type: media"),
+            ("media", ["a.jpg", 5], "record fields of wrong type: media"),
+            ("meta", None, "record missing fields: meta"),  # None drops the field
+            ("answer", "", "record 'r1' has an empty question or answer"),
+        ],
     )
-    def test_wrong_typed_field_is_data_error(self, capsys, tmp_path, field, value):
+    def test_wrong_typed_field_is_data_error(
+        self, capsys, tmp_path, field, value, message
+    ):
         record = {
             "id": "r1", "media": ["a.jpg"], "task": "IIG",
             "question": "q", "answer": "a", "meta": {},
         }
+        bad = {k: v for k, v in {**record, field: value}.items() if v is not None}
         path = tmp_path / "corpus.jsonl"
-        write_jsonl([record, {**record, field: value}], path)
+        write_jsonl([record, bad], path)
         code, out, err = run_cli(capsys, "stats", str(path))
         assert code == 4
         assert out == ""
-        assert f"{path}: line 2:" in err
-        assert f"wrong type: {field}" in err
+        assert f"{path}: line 2: {message}" in err
 
 
 class TestNonUtf8Input:

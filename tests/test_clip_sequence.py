@@ -1,12 +1,12 @@
 """Clip concatenation, frame apportionment, and the two video tasks."""
 
-import json
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seq2time import clip_sequence
 from seq2time.clip_sequence import (
     MAX_CLIPS,
     MIN_CLIPS,
@@ -19,9 +19,9 @@ from seq2time.clip_sequence import (
     apportion_frames,
     build_clip_corpus,
     clip_corpus,
-    clip_record,
     compose_sequence,
 )
+from seq2time.dataset_io import InstructionRecord, encode_line
 from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import parse_predictions
 from seq2time.position_token import (
@@ -35,6 +35,11 @@ from seq2time.position_token import (
 from seq2time.templates import TemplateBank
 
 from conftest import derive_annotations
+
+
+def clip_record(*args):
+    """The fields ``clip_sequence.clip_record`` returns, read by name."""
+    return InstructionRecord("", *clip_sequence.clip_record(*args))
 
 
 def make_clip(i, caption, duration, label=None):
@@ -517,9 +522,7 @@ class TestBuildClipCorpus:
         config = ClipCorpusConfig(n_instances=40, seed=12)
         sequential = list(build_clip_corpus(config, clip_pool, jobs=1))
         parallel = list(build_clip_corpus(config, clip_pool, jobs=2))
-        as_bytes = lambda records: "\n".join(
-            json.dumps(r.to_json_obj(), ensure_ascii=False) for r in records
-        )
+        as_bytes = lambda records: "".join(map(encode_line, records))
         assert as_bytes(parallel) == as_bytes(sequential)
 
     def test_task_mix_proportions(self, clip_pool):

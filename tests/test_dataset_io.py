@@ -1,6 +1,7 @@
 """Corpus loading and serialization."""
 
 import json
+import pickle
 
 import pytest
 
@@ -9,6 +10,7 @@ from seq2time.dataset_io import (
     CorpusStats,
     InstructionRecord,
     corpus_stats,
+    encode_line,
     iter_jsonl_with_lines,
     load_clip_captions,
     load_image_captions,
@@ -31,24 +33,28 @@ class TestInstructionRecord:
         )
 
     def test_key_order(self):
-        obj = self._record().to_json_obj()
-        assert tuple(obj) == RECORD_KEY_ORDER
+        assert InstructionRecord._fields == RECORD_KEY_ORDER
+        assert tuple(self._record()._asdict()) == RECORD_KEY_ORDER
 
-    def test_round_trip(self):
+    @pytest.mark.parametrize("question, answer", [("", "a"), ("q", ""), ("", "")])
+    def test_empty_question_rejected(self, question, answer):
+        with pytest.raises(
+            CorpusFormatError, match="^record 'x' has an empty question or answer$"
+        ):
+            InstructionRecord("x", (), "IIG", question, answer, {})
+
+    def test_pickle_round_trip(self):
+        # records(jobs=2) returns records from pool workers this way
         record = self._record()
-        assert InstructionRecord.from_json_obj(record.to_json_obj()) == record
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert type(copy) is InstructionRecord
 
-    def test_missing_fields_listed(self):
-        with pytest.raises(CorpusFormatError, match="missing fields: answer, meta"):
-            InstructionRecord.from_json_obj(
-                {"id": "x", "media": [], "task": "IIG", "question": "q"}
-            )
-
-    def test_empty_question_rejected(self):
-        with pytest.raises(CorpusFormatError, match="empty question or answer"):
-            InstructionRecord(
-                id="x", media=(), task="IIG", question="", answer="a", meta={}
-            )
+    def test_encode_line_writes_the_dict_form(self):
+        record = self._record()
+        obj = {**record._asdict(), "media": list(record.media)}
+        assert encode_line(record) == json.dumps(obj, ensure_ascii=False) + "\n"
+        assert encode_line(record) == encode_line(obj)
 
 
 class TestLoaders:
@@ -233,9 +239,9 @@ class TestWriteJsonl:
         path = tmp_path / "out.jsonl"
         records = self._records()
         assert write_jsonl(records, path) == 5
-        assert [
-            InstructionRecord.from_json_obj(o) for _, o in iter_jsonl_with_lines(path)
-        ] == records
+        assert [o for _, o in iter_jsonl_with_lines(path)] == [
+            {**r._asdict(), "media": list(r.media)} for r in records
+        ]
 
     def test_key_order_on_disk(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -308,3 +314,33 @@ class TestCorpusStats:
         stats = corpus_stats(path)
         assert stats.total == 0
         assert stats.mean_question_chars == 0.0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (
+                {"id": "r2", "media": [], "task": "IIG", "question": "q"},
+                "record missing fields: answer, meta",
+            ),
+            (
+                {"id": "r2", "media": [], "task": "IIG", "question": "q", "answer": ""},
+                "record missing fields: meta",
+            ),
+            (
+                {"id": "r2", "media": [], "task": "IIG", "question": "q", "answer": "",
+                 "meta": {}},
+                "record 'r2' has an empty question or answer",
+            ),
+            (
+                {"id": "r2", "media": ["a.jpg", 5], "task": 3, "question": "q",
+                 "answer": "a", "meta": []},
+                "record fields of wrong type: task, meta, media",
+            ),
+        ],
+    )
+    def test_bad_row_names_line(self, tmp_path, row, message):
+        path = tmp_path / "out.jsonl"
+        write_jsonl([InstructionRecord("r1", (), "IIG", "q", "a", {}), row], path)
+        with pytest.raises(CorpusFormatError) as excinfo:
+            corpus_stats(path)
+        assert str(excinfo.value) == f"{path}: line 2: {message}"

@@ -1,15 +1,15 @@
 """Image pretext-task generators: grounding, captioning, adjacency."""
 
 import concurrent.futures
-import json
 import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seq2time import corpus
+from seq2time import corpus, image_sequence
 from seq2time.corpus import _sample_indices, derive_record_seed
+from seq2time.dataset_io import InstructionRecord, encode_line
 from seq2time.errors import ConfigError
 from seq2time.image_sequence import (
     CaptionedImage,
@@ -18,7 +18,6 @@ from seq2time.image_sequence import (
     PretextTask,
     build_image_corpus,
     image_corpus,
-    image_record,
     parse_index_mentions,
     render_index,
     sample_sequence,
@@ -30,6 +29,11 @@ from seq2time.position_token import (
     encode_relative,
 )
 from seq2time.templates import TemplateBank
+
+
+def image_record(*args):
+    """The fields ``image_sequence.image_record`` returns, read by name."""
+    return InstructionRecord("", *image_sequence.image_record(*args))
 
 
 class ScriptedRandom(random.Random):
@@ -570,9 +574,7 @@ class TestBuildImageCorpus:
         config = ImageCorpusConfig(n_instances=40, seed=11)
         sequential = list(build_image_corpus(config, image_pool, jobs=1))
         parallel = list(build_image_corpus(config, image_pool, jobs=2))
-        as_bytes = lambda records: "\n".join(
-            json.dumps(r.to_json_obj(), ensure_ascii=False) for r in records
-        )
+        as_bytes = lambda records: "".join(map(encode_line, records))
         assert as_bytes(parallel) == as_bytes(sequential)
 
     def test_workers_capped_at_cores(self, image_pool, tmp_path, monkeypatch):

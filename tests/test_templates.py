@@ -140,8 +140,22 @@ class TestValidation:
                 {"tvg": {"single": {"questions": ["<CAPTION>"] * 10, "answers": [None] * 10}}},
                 "tvg/single/answers variant is not text: None",
             ),
+            # a DVC question needs no slot, but a record needs a question
+            (
+                {"dvc": {"single": {"questions": [""] * 10, "answers": ["<EVENTS>"] * 10}}},
+                "dvc/single/questions template is empty",
+            ),
+            (
+                {"tvg": {"single": {"questions": ["<CAPTION>"] * 10,
+                                    "answers": ["<INTERVAL>\ud800"] * 10}}},
+                "tvg/single/answers template holds a lone surrogate escape, which "
+                "is not text: '<INTERVAL>\\ud800'",
+            ),
         ],
-        ids=["task-list", "arity-string", "question-int", "answer-null"],
+        ids=[
+            "task-list", "arity-string", "question-int", "answer-null", "empty-question",
+            "lone-surrogate-answer",
+        ],
     )
     def test_wrong_shape_names_the_entry(self, data, where):
         with pytest.raises(TemplateError) as excinfo:
