@@ -34,6 +34,7 @@ class InstructionRecord(namedtuple("InstructionRecord", RECORD_KEY_ORDER)):
     tuple, cheap to build and read, checked once to hold a question and answer."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
 
     def __new__(
         cls, id: str, media: Sequence[str], task: str, question: str, answer: str, meta: dict

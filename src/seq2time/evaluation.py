@@ -76,6 +76,7 @@ class Event(namedtuple("Event", "start end caption")):
     checked here, once, and a tuple is cheap to build and read."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
 
     def __new__(cls, start: float, end: float, caption: str) -> Event:
         if not 0.0 <= start <= end:

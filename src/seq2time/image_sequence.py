@@ -68,8 +68,8 @@ def _gather(items: Sequence, indices: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class ImageSequenceSample:
-    """An ordered draw of images: the pool they were drawn from, their
-    positions in it, and the 1-based target positions.
+    """The draw ``sample_sequence`` makes, unchecked here: the pool, the
+    images' positions in it, and the sorted, distinct 1-based targets.
 
     The sample keeps indices, not images: a record reads only the
     captions it names (``caption``), and ``images`` gathers the rest on
@@ -79,17 +79,6 @@ class ImageSequenceSample:
     pool: Sequence[CaptionedImage] = field(repr=False)
     indices: tuple[int, ...]
     targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.indices)
-        if n < 1:
-            raise ConfigError("sample needs at least one image")
-        if not self.targets:
-            raise ConfigError("sample needs at least one target")
-        if list(self.targets) != sorted(set(self.targets)):
-            raise ConfigError(f"targets must be strictly increasing, got {self.targets}")
-        if self.targets[0] < 1 or self.targets[-1] > n:
-            raise ConfigError(f"targets {self.targets} outside 1..{n}")
 
     @property
     def seq_len(self) -> int:

@@ -57,8 +57,8 @@ class TimeRepresentation(Enum):
     FREE_FORM = "free_form"  # seconds like "12.3", or a bare integer index
 
 
-# the scorer uses neither: TimeInterval and IntervalUnit remain only for
-# perfbench/check.py, which passes IntervalUnit.SECONDS, and for tests
+# only perfbench/check.py and tests use these; TimeInterval checks nothing, as
+# the evaluation.Event that EventPrediction builds from it checks 0 <= start <= end
 class IntervalUnit(Enum):
     SECONDS = "seconds"
 
@@ -70,12 +70,6 @@ class TimeInterval:
     start: float
     end: float
     unit: IntervalUnit = IntervalUnit.SECONDS
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.start <= self.end:
-            raise DomainError(
-                f"interval requires 0 <= start <= end, got ({self.start}, {self.end})"
-            )
 
 
 def encode_ratio(numerator: int, denominator: int) -> int:

@@ -11,7 +11,7 @@ angle-bracket markers (``<CAPTION>``, ``<INDEX>``, ``<CAPTION1>``,
 ``<CAPTION2>``, ``<DIRECTION>``, ``<EVENTS>``, ``<INTERVAL>``); they never
 collide with digit position tokens, which are single digits. The bank
 validates on load that every template carries all slots its task needs,
-and no slot its task leaves unfilled; and that none is empty (a record
+and no slot its task leaves unfilled; and that none is blank (a record
 needs a question) or holds a lone surrogate escape (``"\\ud800"``, which
 no UTF-8 output can hold).
 Whether an answer template parses back is checked where the parsing
@@ -136,8 +136,9 @@ class TemplateBank:
                                 f"{task}/{arity}/{kind} template holds {slot}, "
                                 f"a slot its task never fills: {tpl!r}"
                             )
-                    if not tpl:
-                        raise TemplateError(f"{task}/{arity}/{kind} template is empty")
+                    if not tpl.strip():
+                        blank = f"blank: {tpl!r}" if tpl else "empty"
+                        raise TemplateError(f"{task}/{arity}/{kind} template is {blank}")
                     if _SURROGATE.search(tpl):
                         raise TemplateError(
                             f"{task}/{arity}/{kind} template holds a lone surrogate "

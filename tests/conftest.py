@@ -10,12 +10,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from seq2time.clip_sequence import CaptionedClip, ClipSequenceSample
 from seq2time.dataset_io import write_jsonl
 from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import CaptionedImage
 from seq2time.position_token import MAX_RPT_LENGTH, TimeInterval, TimeRepresentation
+
+# every run draws the same examples and saves none, so two tier-1 runs agree;
+# each test's own @settings budget still applies
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _ADJECTIVES = ("amber", "rusty", "pale", "shiny", "crooked", "quiet", "vivid")
 _NOUNS = (

@@ -777,8 +777,10 @@ class TestCustomTemplateBanks:
                 "iig/single/questions template holds a lone surrogate escape",
             ),
             ("clip", "dvc", "questions", "", "dvc/single/questions template is empty"),
+            ("clip", "dvc", "questions", " ", "dvc/single/questions template is blank: ' '"),
+            ("clip", "dvc", "questions", "\t\n", "dvc/single/questions template is blank"),
         ],
-        ids=["lone-surrogate", "empty"],
+        ids=["lone-surrogate", "empty", "space", "tab-newline"],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_template_no_record_can_hold(

@@ -43,6 +43,19 @@ class TestInstructionRecord:
         ):
             InstructionRecord("x", (), "IIG", question, answer, {})
 
+    @pytest.mark.parametrize("question, answer", [("", "a"), ("q", ""), ("", "")])
+    def test_make_and_replace_check_too(self, question, answer):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        match = "^record 'x' has an empty question or answer$"
+        with pytest.raises(CorpusFormatError, match=match):
+            InstructionRecord("x", (), "IIG", "q", "a", {})._replace(
+                question=question, answer=answer
+            )
+        with pytest.raises(CorpusFormatError, match=match):
+            InstructionRecord._make(("x", (), "IIG", question, answer, {}))
+        record = self._record()._replace(question="q2")
+        assert type(record) is InstructionRecord and record.question == "q2"
+
     def test_pickle_round_trip(self):
         # records(jobs=2) returns records from pool workers this way
         record = self._record()

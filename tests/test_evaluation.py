@@ -191,11 +191,25 @@ class TestEvent:
     @pytest.mark.parametrize(
         "start, end",
         [(-1.0, 2.0), (-0.5, -0.1), (5.0, 1.0), (math.nan, 2.0), (0.0, math.nan),
-         (math.nan, math.nan)],
+         (math.nan, math.nan), (3.0, 2.0)],
     )
     def test_rejects_times_outside_order(self, start, end):
-        with pytest.raises(DomainError, match=r"0 <= start <= end"):
+        message = f"^interval requires 0 <= start <= end, got \\({start}, {end}\\)$"
+        with pytest.raises(DomainError, match=message):
             Event(start, end, "x")
+        # a TimeInterval checks nothing; the Event built from it does
+        interval = TimeInterval(start, end, IntervalUnit.SECONDS)
+        with pytest.raises(DomainError, match=message):
+            EventPrediction(interval, "x")
+
+    def test_make_and_replace_check_too(self):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        with pytest.raises(DomainError, match=r"got \(5.0, 1.0\)$"):
+            Event(0.0, 1.0, "c")._replace(start=5.0)
+        with pytest.raises(DomainError, match=r"got \(-1.0, 2.0\)$"):
+            Event._make((-1.0, 2.0, "c"))
+        assert Event(0.0, 1.0, "c")._replace(end=3.0) == Event(0.0, 3.0, "c")
+        assert type(Event._make((0.0, 1.0, "c"))) is Event
 
     def test_event_prediction_builds_the_same_event(self):
         interval = TimeInterval(2.0, 7.5, IntervalUnit.SECONDS)

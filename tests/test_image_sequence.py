@@ -229,17 +229,6 @@ class TestSampleContracts:
         with pytest.raises(ConfigError, match="max_targets"):
             sample_sequence(image_pool, 4, random.Random(0), max_targets=0)
 
-    def test_sample_validation(self, image_pool):
-        pool, indices = image_pool, (0, 1, 2, 3)
-        with pytest.raises(ConfigError, match="strictly increasing"):
-            ImageSequenceSample(pool=pool, indices=indices, targets=(3, 2))
-        with pytest.raises(ConfigError, match="outside"):
-            ImageSequenceSample(pool=pool, indices=indices, targets=(5,))
-        with pytest.raises(ConfigError, match="at least one target"):
-            ImageSequenceSample(pool=pool, indices=indices, targets=())
-        with pytest.raises(ConfigError, match="at least one image"):
-            ImageSequenceSample(pool=pool, indices=(), targets=(1,))
-
     def test_empty_caption_rejected(self):
         with pytest.raises(ConfigError, match="empty caption"):
             CaptionedImage(id="x", image="x.jpg", caption=" ")

@@ -12,7 +12,6 @@ from seq2time.position_token import (
     MAX_CODE,
     SCALE,
     ErrorModel,
-    TimeInterval,
     code_from_string,
     code_to_index,
     decode_relative,
@@ -160,14 +159,6 @@ class TestProperties:
     def test_index_recovery_below_half_quantum(self, length, data):
         index = data.draw(st.integers(min_value=1, max_value=length))
         assert code_to_index(encode_relative(index, length), length) == index
-
-
-class TestTimeInterval:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            TimeInterval(3.0, 2.0)
-        with pytest.raises(DomainError):
-            TimeInterval(-1.0, 2.0)
 
 
 class TestQuantizationAnalyzer:

@@ -145,6 +145,13 @@ class TestValidation:
                 {"dvc": {"single": {"questions": [""] * 10, "answers": ["<EVENTS>"] * 10}}},
                 "dvc/single/questions template is empty",
             ),
+            *(
+                (
+                    {"dvc": {"single": {"questions": [blank] * 10, "answers": ["<EVENTS>"] * 10}}},
+                    f"dvc/single/questions template is blank: {blank!r}",
+                )
+                for blank in (" ", "\n", "\t", " \u2028 ")
+            ),
             (
                 {"tvg": {"single": {"questions": ["<CAPTION>"] * 10,
                                     "answers": ["<INTERVAL>\ud800"] * 10}}},
@@ -154,6 +161,7 @@ class TestValidation:
         ],
         ids=[
             "task-list", "arity-string", "question-int", "answer-null", "empty-question",
+            "space-question", "newline-question", "tab-question", "separator-question",
             "lone-surrogate-answer",
         ],
     )
