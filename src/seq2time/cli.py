@@ -275,7 +275,7 @@ def _cmd_eval(args) -> int:
     time_repr = _time_repr(args.time_repr)
     thresholds = _thresholds(args.thresholds, DEFAULT_F1_THRESHOLDS)
     r1 = _thresholds(args.iou, DEFAULT_R1_THRESHOLDS)
-    report = evaluate_run(pred, gt, time_repr, thresholds, r1)
+    report = evaluate_run(pred, gt, time_repr, thresholds, r1, args.jobs)
     lines = [f"temporal_f1 {report.f1:.6f}"]
     for th in sorted(report.r_at_1):
         lines.append(f"r@1(iou={th:g}) {report.r_at_1[th]:.6f}")
@@ -406,6 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--thresholds", help="F1 IoU thresholds, comma-separated")
     p.add_argument("--iou", help="R@1 IoU thresholds, comma-separated")
+    p.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="worker processes (default: all cores)",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -7,7 +7,8 @@ and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
 that can run anywhere (``run_ranges``): in the parent, 16 at a time, at
 ``jobs=1`` or when 16 cover the build; otherwise in a process pool, with
 ``max(16, n // (8 * jobs))`` per range. Ranges come back in ordinal
-order, so the output never depends on ``jobs``.
+order, so the output never depends on ``jobs``. ``evaluation`` runs its
+per-video score rows through ``run_ranges`` the same way.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ RECORD_KEY_ORDER = ("id", "media", "task", "question", "answer", "meta")
 
 class InstructionRecord(namedtuple("InstructionRecord", RECORD_KEY_ORDER)):
     """One question/answer training instance plus its provenance metadata: a
-    tuple, cheap to build and read, checked once to hold a question and answer."""
+    tuple, cheap to build and read, checked once to hold a non-blank question and answer."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
@@ -39,7 +39,7 @@ class InstructionRecord(namedtuple("InstructionRecord", RECORD_KEY_ORDER)):
     def __new__(
         cls, id: str, media: Sequence[str], task: str, question: str, answer: str, meta: dict
     ) -> InstructionRecord:
-        if not question or not answer:
+        if not question.strip() or not answer.strip():
             raise CorpusFormatError(f"record {id!r} has an empty question or answer")
         return tuple.__new__(cls, (id, media, task, question, answer, meta))
 
@@ -272,8 +272,8 @@ class CorpusStats:
 def corpus_stats(path: str | Path) -> CorpusStats:
     """Per-task record counts and mean question/answer lengths of a file.
 
-    A row missing a record field, holding one of the wrong type, or with an
-    empty question or answer is refused by its line number."""
+    A row missing a record field, holding one of the wrong type, or with a
+    blank question or answer is refused by its line number."""
     counts: dict[str, int] = {}
     q_chars = a_chars = 0
     kinds = {"media": list, "meta": dict}  # every other field is text

@@ -43,6 +43,12 @@ Metrics:
   caption, pooled, and type-token ratio, averaged over videos, with
   tokens = lowercased maximal alphanumeric runs.
   TTR is tokenizer-sensitive; the rule is embedded in the report.
+
+Every number of a run's report is a sum of per-video numbers, so
+``evaluate_run`` scores each video to a row of numbers and folds the rows
+in sorted-id order. ``corpus.run_ranges``, the builds' runner, makes the
+rows: in process at ``jobs=1`` or for 16 videos or fewer, else in a pool
+whose workers inherit the loaded files by fork and send back only rows.
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from .corpus import run_ranges
 from .dataset_io import is_positive_number, unique_rows
 from .errors import CorpusFormatError, DomainError
 from .position_token import CODE_PATTERN, SCALE, TimeRepresentation
@@ -63,11 +70,12 @@ DEFAULT_F1_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 DEFAULT_R1_THRESHOLDS = (0.5, 0.7)
 TOKENIZATION_RULE = "lowercase; tokens are maximal alphanumeric runs"
 
+# a line holds no line break, so the caption group runs to its end, and ``strip``
+# (``\s`` and ``str.isspace`` agree) costs less than a lazy group before ``\s*$``
 _FREE_FORM_LINE = re.compile(
-    r"^\s*(\d+(?:\.\d+)?)\s*-\s*(\d+(?:\.\d+)?)\s*seconds?\s*[,:]*\s*(.*?)\s*$",
-    re.IGNORECASE,
+    r"^\s*(\d+(?:\.\d+)?)\s*-\s*(\d+(?:\.\d+)?)\s*seconds?\s*[,:]*(.*)", re.IGNORECASE
 )
-_RPT_LINE = re.compile(rf"^\s*({CODE_PATTERN})({CODE_PATTERN})\s*(.*?)\s*$")
+_RPT_LINE = re.compile(rf"^\s*({CODE_PATTERN})({CODE_PATTERN})(.*)")
 _WORD = re.compile(r"[^\W_]+")
 
 
@@ -90,8 +98,7 @@ def EventPrediction(interval, caption: str) -> Event:
     return Event(interval.start, interval.end, caption)
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     """Parsed events plus the count of non-blank lines that did not parse."""
 
     events: tuple[Event, ...]
@@ -143,8 +150,9 @@ def parse_predictions(
                 continue
         if start > end:
             start, end = end, start
-        events.append(Event(start, end, caption))
-    return ParseResult(events=tuple(events), skipped_lines=skipped)
+        # both times are non-negative and now in order: Event's check holds
+        events.append(tuple.__new__(Event, (start, end, caption.strip())))
+    return ParseResult(tuple(events), skipped)
 
 
 def iou(a: Event, b: Event) -> float:
@@ -179,15 +187,22 @@ def recall_at_1(
         raise DomainError(
             f"{len(predictions)} predictions for {len(ground_truth)} queries"
         )
-    if not ground_truth:
+    _check_queries(len(ground_truth))
+    pairs = [(pred, gt) for pred, gt in zip(predictions, ground_truth) if pred is not None]
+    hits = _r1_hits(pairs, thresholds)
+    return {float(th): h / len(ground_truth) for th, h in zip(thresholds, hits)}
+
+
+def _check_queries(n_queries: int) -> None:
+    if not n_queries:
         raise DomainError("recall@1 is undefined for an empty query set")
-    ious = [
-        0.0 if pred is None else iou(pred, gt)
-        for pred, gt in zip(predictions, ground_truth)
-    ]
-    return {
-        float(th): sum(1 for v in ious if v >= th) / len(ious) for th in thresholds
-    }
+
+
+def _r1_hits(pairs: Iterable, thresholds: Sequence[float]) -> list[int]:
+    """The R@1 hit rule: per threshold, the aligned (pred, gt) pairs whose
+    IoU reaches it. A query without a prediction has no pair: a miss."""
+    ious = [iou(pred, gt) for pred, gt in pairs]
+    return [sum(v >= th for v in ious) for th in thresholds]
 
 
 def _iou_rows(preds: Sequence, gts: Sequence) -> list[list[tuple[float, int]]]:
@@ -220,7 +235,7 @@ def _matched_counts(
     for th in sorted({float(t) for t in thresholds}, reverse=True):
         if matches < most:
             adjacency = [[j for v, j in row if v >= th] for row in rows]
-            for root in sorted(set(range(len(rows))) - set(owner)):
+            for root in [u for u in range(len(rows)) if u not in owner]:
                 matches += _augment(root, adjacency, owner)
                 if matches == most:
                     break
@@ -260,15 +275,13 @@ def _augment(root: int, adjacency: list[list[int]], owner: list[int]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ThresholdScore:
+class ThresholdScore(NamedTuple):
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class TemporalF1Result:
+class TemporalF1Result(NamedTuple):
     per_threshold: dict[float, ThresholdScore]
     f1: float  # mean of per-threshold F1
 
@@ -281,27 +294,23 @@ def temporal_f1(
     """One video's event-level F1, averaged over IoU thresholds."""
     _check_thresholds(thresholds)
     counts = _matched_counts(pred_events, gt_events, thresholds)
+    n_pred, n_gt = len(pred_events), len(gt_events)
     per_threshold: dict[float, ThresholdScore] = {}
     for th in thresholds:
-        matched = counts[float(th)]
-        precision = matched / len(pred_events) if pred_events else 0.0
-        recall = matched / len(gt_events) if gt_events else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision > 0.0 and recall > 0.0
-            else 0.0
-        )
+        matched = counts[float(th)]  # if 0, a side may be empty: every score is 0
+        precision = matched / n_pred if matched else 0.0
+        recall = matched / n_gt if matched else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if matched else 0.0
         per_threshold[float(th)] = ThresholdScore(precision, recall, f1)
     mean_f1 = sum(s.f1 for s in per_threshold.values()) / len(per_threshold)
-    return TemporalF1Result(per_threshold=per_threshold, f1=mean_f1)
+    return TemporalF1Result(per_threshold, mean_f1)
 
 
 def tokenize(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class RichnessResult:
+class RichnessResult(NamedTuple):
     l_avg: float  # mean tokens per caption
     ttr: float    # distinct tokens / total tokens
 
@@ -314,22 +323,27 @@ def aggregate_richness(
     Videos contributing no tokens are skipped in the TTR average; if no
     video has tokens the ratio is undefined and raises.
     """
-    total_tokens = 0
-    total_captions = 0
+    return _pooled_richness(map(_video_richness, captions_per_video))
+
+
+def _video_richness(captions: Sequence[str]) -> tuple[int, int, float | None]:
+    """The richness rule for one video: token and caption counts, and TTR (None
+    without tokens). No token spans a newline, so one ``tokenize`` does all."""
+    tokens = tokenize("\n".join(captions))
+    return len(tokens), len(captions), len(set(tokens)) / len(tokens) if tokens else None
+
+
+def _pooled_richness(videos: Iterable[tuple[int, int, float | None]]) -> RichnessResult:
+    total_tokens = total_captions = 0
     ttrs: list[float] = []
-    for captions in captions_per_video:
-        video_tokens: list[str] = []
-        for caption in captions:
-            video_tokens.extend(tokenize(caption))
-        total_tokens += len(video_tokens)
-        total_captions += len(captions)
-        if video_tokens:
-            ttrs.append(len(set(video_tokens)) / len(video_tokens))
+    for n_tokens, n_captions, ttr in videos:
+        total_tokens += n_tokens
+        total_captions += n_captions
+        if ttr is not None:
+            ttrs.append(ttr)
     if not ttrs or total_captions == 0:
         raise DomainError("richness is undefined when no video has caption tokens")
-    return RichnessResult(
-        l_avg=total_tokens / total_captions, ttr=sum(ttrs) / len(ttrs)
-    )
+    return RichnessResult(total_tokens / total_captions, sum(ttrs) / len(ttrs))
 
 
 @dataclass(frozen=True)
@@ -413,12 +427,30 @@ def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
     return videos
 
 
+def _score_videos(state: tuple, ordinals: range) -> list[tuple]:
+    """One row of numbers per video ``ids[k]``: skipped lines, events parsed,
+    F1, the precision, recall and F1 at each distinct F1 threshold (one flat
+    list), R@1 hits per R@1 threshold, ``_video_richness`` of its captions."""
+    preds, gts, ids, time_repr, thresholds, r1_thresholds = state
+    rows = []
+    for k in ordinals:
+        (output, duration), gt_events = preds[ids[k]], gts[ids[k]]
+        events, skipped = parse_predictions(output, time_repr, duration)
+        result = temporal_f1(events, gt_events, thresholds)
+        scores = [x for score in result.per_threshold.values() for x in score]
+        hits = _r1_hits(zip(events, gt_events), r1_thresholds)
+        rows.append((skipped, len(events), result.f1, scores, hits,
+                     _video_richness([event.caption for event in events])))
+    return rows
+
+
 def evaluate_run(
     pred_file: str | Path,
     gt_file: str | Path,
     time_repr: TimeRepresentation,
     thresholds: Sequence[float] = DEFAULT_F1_THRESHOLDS,
     r1_thresholds: Sequence[float] = DEFAULT_R1_THRESHOLDS,
+    jobs: int = 1,
 ) -> MetricsReport:
     """Score a prediction file against ground truth, video by video.
 
@@ -426,7 +458,8 @@ def evaluate_run(
     queries are formed by pairing the i-th ground-truth event with the
     i-th predicted event of the same video (missing predictions count as
     misses), pooled across videos. Richness fields are None when the
-    predictions carry no caption tokens at all.
+    predictions carry no caption tokens at all. ``jobs`` worker processes
+    score the videos (``run_ranges``); the report is the same for any.
     """
     preds = load_predictions(pred_file)
     gts = load_ground_truth(gt_file)
@@ -441,47 +474,39 @@ def evaluate_run(
         raise CorpusFormatError("; ".join(parts))
     if not gts:
         raise DomainError("cannot evaluate an empty run")
+    _check_thresholds(thresholds)
+    _check_thresholds(r1_thresholds)
+    n_queries = sum(map(len, gts.values()))
+    _check_queries(n_queries)
 
-    # per-threshold sums over videos in sorted-id order, from 0 as sum() does
-    f1_sum = 0
-    f1_sums = {float(th): 0 for th in thresholds}
-    precision_sums, recall_sums = dict(f1_sums), dict(f1_sums)
-    query_preds: list[Event | None] = []
-    query_gts: list[Event] = []
-    captions_per_video: list[list[str]] = []
-    skipped = 0
-    n_pred_total = 0
-    for video_id in sorted(gts):
-        output, duration = preds[video_id]
-        parsed = parse_predictions(output, time_repr, duration)
-        skipped += parsed.skipped_lines
-        gt_events = gts[video_id]
-        result = temporal_f1(parsed.events, gt_events, thresholds)
-        f1_sum += result.f1
-        for th, score in result.per_threshold.items():
-            f1_sums[th] += score.f1
-            precision_sums[th] += score.precision
-            recall_sums[th] += score.recall
-        for i, gt_event in enumerate(gt_events):
-            query_gts.append(gt_event)
-            query_preds.append(parsed.events[i] if i < len(parsed.events) else None)
-        captions_per_video.append([e.caption for e in parsed.events])
-        n_pred_total += len(parsed.events)
+    # sums over the rows in sorted-id order, from 0 as sum() does
+    ids = sorted(gts)
+    state = (preds, gts, ids, time_repr, thresholds, r1_thresholds)
+    keys = dict.fromkeys(map(float, thresholds))  # temporal_f1's keys, in its order
+    f1_sum = n_pred = skipped = 0
+    sums, hits, richness = [0] * (3 * len(keys)), [0] * len(r1_thresholds), []
+    for chunk in run_ranges(_score_videos, state, len(ids), jobs):
+        for video_skipped, video_n_pred, f1, scores, video_hits, video_richness in chunk:
+            skipped += video_skipped
+            n_pred += video_n_pred
+            f1_sum += f1
+            sums = [a + b for a, b in zip(sums, scores)]
+            hits = [a + b for a, b in zip(hits, video_hits)]
+            richness.append(video_richness)
 
-    n_videos = len(gts)
+    n_videos = len(ids)
     try:
-        rich = aggregate_richness(captions_per_video)
-        l_avg, ttr = rich.l_avg, rich.ttr
+        l_avg, ttr = _pooled_richness(richness)
     except DomainError:
         l_avg, ttr = None, None
     return MetricsReport(
         n_videos=n_videos,
         f1=f1_sum / n_videos,
-        f1_per_threshold={th: v / n_videos for th, v in f1_sums.items()},
-        precision_per_threshold={th: v / n_videos for th, v in precision_sums.items()},
-        recall_per_threshold={th: v / n_videos for th, v in recall_sums.items()},
-        r_at_1=recall_at_1(query_preds, query_gts, r1_thresholds),
-        n_pred=n_pred_total / n_videos,
+        f1_per_threshold=dict(zip(keys, [v / n_videos for v in sums[2::3]])),
+        precision_per_threshold=dict(zip(keys, [v / n_videos for v in sums[0::3]])),
+        recall_per_threshold=dict(zip(keys, [v / n_videos for v in sums[1::3]])),
+        r_at_1={float(th): h / n_queries for th, h in zip(r1_thresholds, hits)},
+        n_pred=n_pred / n_videos,
         l_avg=l_avg,
         ttr=ttr,
         skipped_lines=skipped,

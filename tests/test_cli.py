@@ -1080,12 +1080,16 @@ _EVAL_MODES = {
 }
 
 
+@pytest.mark.parametrize(
+    "jobs", [[], ["--jobs", "1"], ["--jobs", "2"]], ids=["default-jobs", "jobs-1", "jobs-2"]
+)
 @pytest.mark.parametrize("time_repr, mode", sorted(EVAL_DIGESTS))
-def test_eval_report_matches_pinned_digest(capsys, tmp_path, time_repr, mode):
+def test_eval_report_matches_pinned_digest(capsys, tmp_path, time_repr, mode, jobs):
+    # 300 videos: at --jobs 2 the rows come from a pool, folded in id order
     pred, gt = _pinned_eval_run(tmp_path, time_repr)
     code, out, _ = run_cli(
         capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt),
-        "--time-repr", time_repr, *_EVAL_MODES[mode],
+        "--time-repr", time_repr, *_EVAL_MODES[mode], *jobs,
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_DIGESTS[time_repr, mode]
@@ -1124,6 +1128,16 @@ class TestEvalCommands:
         payload = json.loads(out)
         assert payload["temporal_f1"] == pytest.approx(0.5)
         assert payload["n_videos"] == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_config_error(self, capsys, tmp_path, jobs):
+        pred, gt = _write_eval_run(tmp_path)
+        code, out, err = run_cli(
+            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt), "--jobs", jobs
+        )
+        assert (code, out) == (2, "")
+        assert f"jobs must be >= 1, got {jobs}" in err
+        assert "Traceback" not in err
 
     def test_custom_thresholds(self, capsys, tmp_path):
         pred, gt = _write_eval_run(tmp_path)
@@ -1354,6 +1368,15 @@ class TestStats:
         assert code == 4
         assert out == ""
         assert f"{path}: line 2: {message}" in err
+
+    def test_blank_question_and_answer_are_data_errors(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        row = {"id": "a", "media": ["x"], "task": "IIG", "question": " ", "answer": "\t",
+               "meta": {}}
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "stats", str(path))
+        assert (code, out) == (4, "")
+        assert f"{path}: line 1: record 'a' has an empty question or answer" in err
 
 
 class TestNonUtf8Input:

@@ -1,15 +1,22 @@
-"""The CLI's contract over edited template banks, checked as one property.
+"""The CLI's contract over generated inputs, each part checked as one property.
 
-A bank is the packaged one with one (task, arity, kind) list edited: one
-entry or all of them replaced, prefixed or suffixed with a known hazard.
-Whatever the edit, a build either writes records that parse back to their
-own targets with the scorer's parsers, or refuses the bank (exit 2)
-without a traceback and without writing anything.
+Template banks: a bank is the packaged one with one (task, arity, kind)
+list edited: one entry or all of them replaced, prefixed or suffixed with a
+known hazard. Whatever the edit, a build either writes records that parse
+back to their own targets with the scorer's parsers, or refuses the bank
+(exit 2) without a traceback and without writing anything.
+
+Eval inputs: prediction and ground-truth files of 1-40 videos, with
+garbage, blank, inverted and overflowing lines, and at most one fault in
+the files (an id missing, extra or repeated, a bad event or duration).
+``eval-dvc`` either prints the same report at ``--jobs 1`` and ``--jobs 2``
+or refuses the files (exit 2 or 4), with nothing on stdout and no traceback.
 """
 
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,3 +150,90 @@ class TestEditedTemplateBanks:
         assert "Traceback" not in proc.stderr
         assert "iig/single/questions template holds a lone surrogate escape" in proc.stderr
         assert not out_path.exists()
+
+
+PRED_LINES = (
+    "0 - 5 seconds, kneading dough",
+    "2.5 - 9.75 SECOND: Stirring soup",
+    "5.5 - 2 seconds, inverted times",
+    "7 - 7 seconds, a point",
+    "0 - 1 seconds,",  # a blank caption
+    "1" * 400 + " - 2 seconds, a time too long for a float",
+    "<0><0><0><0><5><0><0><0> first half",
+    "<9><0><0><0><1><0><0><0> inverted codes",
+    "<0><4><1> truncated code",
+    "Sure, here are the events:",
+    " ",
+    "\u2028",
+)
+GT_EVENTS = (
+    {"start": 0, "end": 5, "caption": "kneading dough"},
+    {"start": 2.5, "end": 9.75, "caption": ""},
+    {"start": 4, "end": 4, "caption": " "},
+    {"start": 0.5, "end": 100.0},
+)
+ID_FAULTS = ("missing id", "extra id", "repeated pred id", "repeated gt id")
+BAD_EVENTS = {
+    "inverted event": {"start": 6, "end": 3, "caption": "x"},
+    "infinite event": {"start": 0, "end": math.inf, "caption": "x"},
+    "text time": {"start": "1", "end": 2, "caption": "x"},
+}
+BAD_DURATIONS = {"zero duration": 0, "infinite duration": math.inf}
+
+
+@st.composite
+def eval_runs(draw):
+    """(pred rows, gt rows, time repr, extra flags) of one run."""
+    preds, gts = [], []
+    for k in range(draw(st.integers(1, 40))):
+        lines = draw(st.lists(st.sampled_from(PRED_LINES), max_size=6))
+        duration = draw(st.sampled_from([10.0, 61.5, 5, 1e308]))
+        preds.append({"video_id": f"v{k}", "output": "\n".join(lines), "duration_s": duration})
+        events = draw(st.lists(st.sampled_from(GT_EVENTS), max_size=5))
+        gts.append({"video_id": f"v{k}", "events": events})
+    fault = draw(st.sampled_from([None] * 9 + [*ID_FAULTS, *BAD_EVENTS, *BAD_DURATIONS]))
+    k = draw(st.integers(0, len(preds) - 1))
+    if fault == "missing id":
+        del preds[k]
+    elif fault == "extra id":
+        preds.append({**preds[k], "video_id": "v-extra"})
+    elif fault in ("repeated pred id", "repeated gt id"):
+        rows = preds if fault == "repeated pred id" else gts
+        rows.append(rows[k])
+    elif fault in BAD_EVENTS:
+        gts[k]["events"] = [*gts[k]["events"], BAD_EVENTS[fault]]
+    elif fault in BAD_DURATIONS:
+        preds[k]["duration_s"] = BAD_DURATIONS[fault]
+    time_repr = draw(st.sampled_from(["rpt", "free-form"]))
+    flags = draw(st.sampled_from([[], ["--json"], ["--thresholds", "0.1,0.5,0.5", "--iou", "1"]]))
+    return preds, gts, time_repr, flags
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEvalInputs:
+    @given(run=eval_runs())
+    @example(run=([{"video_id": "v0", "output": "x", "duration_s": 1.0}],
+                  [{"video_id": "v0", "events": []}], "rpt", []))
+    @settings(max_examples=80, deadline=None)
+    def test_same_report_at_both_jobs_or_refused(self, run):
+        preds, gts, time_repr, flags = run
+        with tempfile.TemporaryDirectory() as directory:
+            pred_path, gt_path = Path(directory) / "pred.jsonl", Path(directory) / "gt.jsonl"
+            for path, rows in ((pred_path, preds), (gt_path, gts)):
+                path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+            argv = ["eval-dvc", "--pred", str(pred_path), "--gt", str(gt_path),
+                    "--time-repr", time_repr, *flags]
+            serial = run_main([*argv, "--jobs", "1"])
+            fanned = run_main([*argv, "--jobs", "2"])
+        code, out, err = serial
+        assert code in (0, 2, 4), err
+        assert "Traceback" not in err
+        if code != 0:
+            assert out == ""
+        assert fanned == serial

@@ -36,8 +36,12 @@ class TestInstructionRecord:
         assert InstructionRecord._fields == RECORD_KEY_ORDER
         assert tuple(self._record()._asdict()) == RECORD_KEY_ORDER
 
-    @pytest.mark.parametrize("question, answer", [("", "a"), ("q", ""), ("", "")])
+    @pytest.mark.parametrize(
+        "question, answer",
+        [("", "a"), ("q", ""), ("", ""), (" ", "a"), ("q", "\t"), (" \n", "\u2028")],
+    )
     def test_empty_question_rejected(self, question, answer):
+        # whitespace-only text is as empty as ""
         with pytest.raises(
             CorpusFormatError, match="^record 'x' has an empty question or answer$"
         ):

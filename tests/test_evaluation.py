@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seq2time.errors import CorpusFormatError, DomainError
+from seq2time.errors import ConfigError, CorpusFormatError, DomainError
 from seq2time.evaluation import (
     DEFAULT_F1_THRESHOLDS,
     _iou_rows,
@@ -788,3 +788,104 @@ class TestEvaluateRun:
         )
         report = evaluate_run(pred_path, gt_path, FREE)
         assert report.r_at_1 == {0.5: 0.5, 0.7: 0.5}
+
+
+def _write_jobs_run(tmp_path, n_videos, output=None, events=None):
+    """``n_videos`` videos of jittered, missing, extra and garbage lines; an
+    ``output`` or ``events`` given replaces every video's."""
+    rng = random.Random(n_videos)
+    pred_rows, gt_rows = [], []
+    for v in range(n_videos):
+        truth = []
+        for _ in range(rng.randint(0, 6)):
+            start = rng.uniform(0, 50)
+            truth.append({"start": start, "end": start + rng.uniform(0, 20), "caption": "x"})
+        lines = [
+            f"{max(0.0, e['start'] + rng.uniform(-2, 2)):.2f} - {e['end'] + rng.uniform(-2, 2):.2f}"
+            f" seconds, {rng.choice(['Cut the onion', 'stir', '', 'ΑΣ pour Pour'])}"
+            for e in truth if rng.random() < 0.8
+        ] + ["garbage"] * rng.randint(0, 2)
+        rng.shuffle(lines)
+        video_id = f"v{v:02d}"
+        pred_rows.append({"video_id": video_id, "output": "\n".join(lines) if output is None
+                          else output, "duration_s": 80.0})
+        gt_rows.append({"video_id": video_id, "events": truth if events is None else events})
+    pred_path, gt_path = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+    write_jsonl(pred_rows, pred_path)
+    write_jsonl(gt_rows, gt_path)
+    return pred_path, gt_path
+
+
+class TestEvaluateRunJobs:
+    """``jobs`` only splits the rows; the fold in id order gives the same bits."""
+
+    def _same_at_both(self, pred_path, gt_path, monkeypatch, pooled, **kw):
+        import seq2time.corpus as corpus
+
+        calls = []
+        real = corpus._pooled
+        monkeypatch.setattr(corpus, "_pooled", lambda *a: calls.append(1) or real(*a))
+        serial = evaluate_run(pred_path, gt_path, FREE, jobs=1, **kw)
+        fanned = evaluate_run(pred_path, gt_path, FREE, jobs=2, **kw)
+        assert bool(calls) == pooled
+        assert fanned == serial
+        assert repr(fanned) == repr(serial)  # float bits, signs of zeros included
+        return serial
+
+    @pytest.mark.parametrize("n_videos, pooled", [(1, False), (16, False), (17, True), (40, True)])
+    def test_jobs_2_equals_jobs_1(self, tmp_path, monkeypatch, n_videos, pooled):
+        report = self._same_at_both(*_write_jobs_run(tmp_path, n_videos), monkeypatch, pooled)
+        assert report.n_videos == n_videos
+
+    def test_custom_and_repeated_thresholds(self, tmp_path, monkeypatch):
+        paths = _write_jobs_run(tmp_path, 30)
+        report = self._same_at_both(
+            *paths, monkeypatch, True, thresholds=(0.1, 0.5, 0.5), r1_thresholds=(1.0, 0.05)
+        )
+        assert list(report.f1_per_threshold) == [0.1, 0.5]
+
+    def test_all_garbage_outputs(self, tmp_path, monkeypatch):
+        paths = _write_jobs_run(tmp_path, 20, output="no events here\nnor here")
+        report = self._same_at_both(*paths, monkeypatch, True)
+        assert (report.l_avg, report.ttr, report.n_pred) == (None, None, 0.0)
+        assert report.skipped_lines == 40
+
+    def test_a_video_without_events(self, tmp_path, monkeypatch):
+        pred_path, gt_path = _write_jobs_run(tmp_path, 20)
+        rows = [json.loads(line) for line in gt_path.read_text().splitlines()]
+        rows[3]["events"] = []
+        write_jsonl(rows, gt_path)
+        self._same_at_both(pred_path, gt_path, monkeypatch, True)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_queries_at_all_is_undefined(self, tmp_path, jobs):
+        paths = _write_jobs_run(tmp_path, 20, events=[])
+        with pytest.raises(DomainError, match="^recall@1 is undefined for an empty query set$"):
+            evaluate_run(*paths, FREE, jobs=jobs)
+
+    def test_checks_come_before_any_scoring(self, tmp_path):
+        # the parent's order: F1 thresholds, R@1 thresholds, the query set, then jobs
+        paths = _write_jobs_run(tmp_path, 20, events=[])
+        with pytest.raises(DomainError, match="at least one IoU threshold"):
+            evaluate_run(*paths, FREE, thresholds=(), r1_thresholds=(0,), jobs=0)
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            evaluate_run(*paths, FREE, r1_thresholds=(0,), jobs=0)
+        with pytest.raises(DomainError, match="empty query set"):
+            evaluate_run(*paths, FREE, jobs=0)
+        with pytest.raises(ConfigError, match="^jobs must be >= 1, got 0$"):
+            evaluate_run(*_write_jobs_run(tmp_path, 20), FREE, jobs=0)
+
+    def test_rows_fold_to_the_report(self, tmp_path):
+        # the report equals the old whole-run computation through the public metrics
+        pred_path, gt_path = _write_jobs_run(tmp_path, 25)
+        preds, gts = load_predictions(pred_path), load_ground_truth(gt_path)
+        query_preds, query_gts, captions = [], [], []
+        for video_id in sorted(gts):
+            events = parse_predictions(preds[video_id][0], FREE).events
+            for i, gt_event in enumerate(gts[video_id]):
+                query_gts.append(gt_event)
+                query_preds.append(events[i] if i < len(events) else None)
+            captions.append([e.caption for e in events])
+        report = evaluate_run(pred_path, gt_path, FREE, jobs=2)
+        assert report.r_at_1 == recall_at_1(query_preds, query_gts)
+        assert (report.l_avg, report.ttr) == tuple(aggregate_richness(captions))
