@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .clip_sequence import ClipCorpusConfig, clip_corpus
+from .corpus import usable_cores
 from .dataset_io import corpus_stats, load_clip_captions, load_image_captions
 from .errors import (
     ConfigError,
@@ -194,7 +195,7 @@ def _cmd_build(args) -> int:
     options["seed"] = _option(args, config, "seed", int, 0)
     options["time_repr"] = _option(args, config, "time_repr", str, "rpt")
     time_repr = _time_repr(options["time_repr"])
-    options["jobs"] = _option(args, config, "jobs", int, os.cpu_count() or 1)
+    options["jobs"] = _option(args, config, "jobs", int, usable_cores())
     options["templates"] = _option(args, config, "templates", str, None)
     max_targets = options.get("max_targets", 0)
     if max_targets > MAX_STANDARD_TARGETS and not args.allow_nonstandard:
@@ -326,7 +327,7 @@ def _add_build_common(sub: argparse.ArgumentParser, config_type: type, options: 
         choices=sorted(_TIME_REPRS),
         help="position rendering (default rpt)",
     )
-    sub.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    sub.add_argument("--jobs", type=int, help="worker processes (default: all usable cores)")
     sub.add_argument("--templates", help="custom template bank JSON")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(config_type)}
     for key, text in options.items():
@@ -407,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", help="F1 IoU thresholds, comma-separated")
     p.add_argument("--iou", help="R@1 IoU thresholds, comma-separated")
     p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker processes (default: all cores)",
+        "--jobs", type=int, default=usable_cores(),
+        help="worker processes (default: all usable cores)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_eval)

@@ -8,7 +8,8 @@ that can run anywhere (``run_ranges``): in the parent, 16 at a time, at
 ``jobs=1`` or when 16 cover the build; otherwise in a process pool, with
 ``max(16, n // (8 * jobs))`` per range. Ranges come back in ordinal
 order, so the output never depends on ``jobs``. ``evaluation`` runs its
-per-video score rows through ``run_ranges`` the same way.
+per-video score rows through ``run_ranges`` the same way, in this
+process up to a larger ``serial_max``.
 """
 
 from __future__ import annotations
@@ -204,13 +205,20 @@ def _run_in_worker(task: Callable, ordinals: range):
     return task(_STATE, ordinals)
 
 
-def run_ranges(task: Callable, state: Any, n: int, jobs: int) -> Iterator:
+def usable_cores() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one), not all the host's cores: the default and the cap of ``jobs``."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def run_ranges(task: Callable, state: Any, n: int, jobs: int, serial_max: int = 16) -> Iterator:
     """``task(state, ordinals)`` over consecutive ranges of ``range(n)``, in
     order: ranges of 16, run lazily in this process, at ``jobs=1`` or when
-    16 cover ``n``; else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
+    ``n <= serial_max``; else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or n <= 16:
+    if jobs == 1 or n <= serial_max:
         return (task(state, range(i, min(i + 16, n))) for i in range(0, n, 16))
     size = max(16, n // (8 * jobs))
     ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]
@@ -221,7 +229,7 @@ def _pooled(task: Callable, state: Any, jobs: int, ranges: list[range]) -> Itera
     from concurrent.futures import ProcessPoolExecutor  # only fan-out needs it
 
     # a fork-started pool launches every worker up front, so never ask for
-    # more than there are ranges or cores
-    workers = min(jobs, len(ranges), os.cpu_count() or 1)
+    # more than there are ranges or usable cores
+    workers = min(jobs, len(ranges), usable_cores())
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
         yield from pool.map(partial(_run_in_worker, task), ranges)

@@ -47,8 +47,9 @@ Metrics:
 Every number of a run's report is a sum of per-video numbers, so
 ``evaluate_run`` scores each video to a row of numbers and folds the rows
 in sorted-id order. ``corpus.run_ranges``, the builds' runner, makes the
-rows: in process at ``jobs=1`` or for 16 videos or fewer, else in a pool
-whose workers inherit the loaded files by fork and send back only rows.
+rows: in process at ``jobs=1`` or for ``SERIAL_MAX_VIDEOS`` videos or fewer,
+else in a pool whose workers inherit the loaded files by fork and send
+back only rows.
 """
 
 from __future__ import annotations
@@ -427,6 +428,13 @@ def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
     return videos
 
 
+# At most this many videos score in this process whatever ``jobs`` is: on
+# 2 cores a pool's start-up and extra CPU (+30% or more) bought no wall
+# time below about 2.5k perfbench videos and won from 3k (BENCH_23.json,
+# "eval_crossover"). Not re-measured on larger hosts.
+SERIAL_MAX_VIDEOS = 2500
+
+
 def _score_videos(state: tuple, ordinals: range) -> list[tuple]:
     """One row of numbers per video ``ids[k]``: skipped lines, events parsed,
     F1, the precision, recall and F1 at each distinct F1 threshold (one flat
@@ -459,7 +467,8 @@ def evaluate_run(
     i-th predicted event of the same video (missing predictions count as
     misses), pooled across videos. Richness fields are None when the
     predictions carry no caption tokens at all. ``jobs`` worker processes
-    score the videos (``run_ranges``); the report is the same for any.
+    score the videos (``run_ranges``) when there are more than
+    ``SERIAL_MAX_VIDEOS``; the report is the same for any.
     """
     preds = load_predictions(pred_file)
     gts = load_ground_truth(gt_file)
@@ -485,7 +494,7 @@ def evaluate_run(
     keys = dict.fromkeys(map(float, thresholds))  # temporal_f1's keys, in its order
     f1_sum = n_pred = skipped = 0
     sums, hits, richness = [0] * (3 * len(keys)), [0] * len(r1_thresholds), []
-    for chunk in run_ranges(_score_videos, state, len(ids), jobs):
+    for chunk in run_ranges(_score_videos, state, len(ids), jobs, SERIAL_MAX_VIDEOS):
         for video_skipped, video_n_pred, f1, scores, video_hits, video_richness in chunk:
             skipped += video_skipped
             n_pred += video_n_pred

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import seq2time.evaluation as evaluation
 from seq2time.cli import main
 from seq2time.evaluation import parse_predictions
 from seq2time.image_sequence import parse_index_mentions
@@ -230,7 +231,9 @@ class TestEvalInputs:
             argv = ["eval-dvc", "--pred", str(pred_path), "--gt", str(gt_path),
                     "--time-repr", time_repr, *flags]
             serial = run_main([*argv, "--jobs", "1"])
-            fanned = run_main([*argv, "--jobs", "2"])
+            with pytest.MonkeyPatch.context() as patch:  # so that --jobs 2 starts a pool
+                patch.setattr(evaluation, "SERIAL_MAX_VIDEOS", 16)
+                fanned = run_main([*argv, "--jobs", "2"])
         code, out, err = serial
         assert code in (0, 2, 4), err
         assert "Traceback" not in err

@@ -4,11 +4,13 @@ cannot move a byte; and the range runner every build runs on."""
 import concurrent.futures
 import dataclasses
 import hashlib
+import os
 
 import pytest
 
+import seq2time.corpus as corpus
 from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
-from seq2time.corpus import derive_record_seed, run_ranges
+from seq2time.corpus import derive_record_seed, run_ranges, usable_cores
 from seq2time.dataset_io import encode_line
 from seq2time.errors import ConfigError
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus
@@ -155,6 +157,24 @@ class TestRunRanges:
         assert [len(ordinals) for ordinals in ranges] == [
             min(16, n - start) for start in range(0, n, 16)
         ]
+
+    @pytest.mark.parametrize("n, pooled", [(40, False), (41, True)])
+    def test_serial_max_moves_the_pool_threshold(self, monkeypatch, n, pooled):
+        calls = []
+        real = corpus._pooled
+        monkeypatch.setattr(corpus, "_pooled", lambda *a: calls.append(1) or real(*a))
+        results = list(run_ranges(_range_task, "state", n, 2, serial_max=40))
+        assert [i for _, ordinals in results for i in ordinals] == list(range(n))
+        assert bool(calls) == pooled
+
+    def test_usable_cores_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cores() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cores() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_small_build_starts_no_pool(self, monkeypatch, clip_pool, tmp_path, jobs):

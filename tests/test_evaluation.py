@@ -816,15 +816,25 @@ def _write_jobs_run(tmp_path, n_videos, output=None, events=None):
     return pred_path, gt_path
 
 
+def _count_pools(monkeypatch) -> list:
+    import seq2time.corpus as corpus
+
+    calls = []
+    real = corpus._pooled
+    monkeypatch.setattr(corpus, "_pooled", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 class TestEvaluateRunJobs:
-    """``jobs`` only splits the rows; the fold in id order gives the same bits."""
+    """``jobs`` only splits the rows; the fold in id order gives the same bits.
+    ``SERIAL_MAX_VIDEOS`` is lowered to 16, ``run_ranges``'s default, so
+    that these small runs reach the pool."""
 
     def _same_at_both(self, pred_path, gt_path, monkeypatch, pooled, **kw):
-        import seq2time.corpus as corpus
+        import seq2time.evaluation as evaluation
 
-        calls = []
-        real = corpus._pooled
-        monkeypatch.setattr(corpus, "_pooled", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(evaluation, "SERIAL_MAX_VIDEOS", 16)
+        calls = _count_pools(monkeypatch)
         serial = evaluate_run(pred_path, gt_path, FREE, jobs=1, **kw)
         fanned = evaluate_run(pred_path, gt_path, FREE, jobs=2, **kw)
         assert bool(calls) == pooled
@@ -836,6 +846,17 @@ class TestEvaluateRunJobs:
     def test_jobs_2_equals_jobs_1(self, tmp_path, monkeypatch, n_videos, pooled):
         report = self._same_at_both(*_write_jobs_run(tmp_path, n_videos), monkeypatch, pooled)
         assert report.n_videos == n_videos
+
+    @pytest.mark.parametrize("extra, pooled", [(0, False), (1, True)])
+    def test_pool_starts_only_above_serial_max(self, tmp_path, monkeypatch, extra, pooled):
+        from seq2time.evaluation import SERIAL_MAX_VIDEOS
+
+        event = {"start": 1.0, "end": 2.0, "caption": "x"}
+        paths = _write_jobs_run(tmp_path, SERIAL_MAX_VIDEOS + extra, "1 - 2 seconds, x", [event])
+        calls = _count_pools(monkeypatch)
+        report = evaluate_run(*paths, FREE, jobs=2)
+        assert bool(calls) == pooled
+        assert (report.n_videos, report.f1) == (SERIAL_MAX_VIDEOS + extra, 1.0)
 
     def test_custom_and_repeated_thresholds(self, tmp_path, monkeypatch):
         paths = _write_jobs_run(tmp_path, 30)
