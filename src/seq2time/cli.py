@@ -203,7 +203,10 @@ def _cmd_build(args) -> int:
             f"--max-targets {max_targets} exceeds the standard cap of "
             f"{MAX_STANDARD_TARGETS}; pass --allow-nonstandard to override"
         )
-    pool = args.load_pool(_existing_path(options["source"], "source"))
+    source = _existing_path(options["source"], "source")
+    if options["templates"] is not None:
+        _existing_path(options["templates"], "template bank")
+    pool = args.load_pool(source)
     bank = TemplateBank.load(options["templates"])
     build = args.config_type(
         n_instances=options["n"], seed=options["seed"], time_repr=time_repr, **build_options

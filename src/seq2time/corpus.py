@@ -5,11 +5,10 @@ seeds its rng from them, draws its task, lets the builder draw the rest
 and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
 ``cs`` for clip sequences). So the ordinals split into contiguous ranges
 that can run anywhere (``run_ranges``): in the parent, 16 at a time, at
-``jobs=1`` or when 16 cover the build; otherwise in a process pool, with
-``max(16, n // (8 * jobs))`` per range. Ranges come back in ordinal
-order, so the output never depends on ``jobs``. ``evaluation`` runs its
-per-video score rows through ``run_ranges`` the same way, in this
-process up to a larger ``serial_max``.
+``jobs=1`` or for at most ``SERIAL_MAX`` items; otherwise in a process
+pool, with ``max(16, n // (8 * jobs))`` per range. Ranges come back in
+ordinal order, so the output never depends on ``jobs``. ``evaluation``
+runs its per-video score rows through ``run_ranges`` the same way.
 """
 
 from __future__ import annotations
@@ -212,13 +211,18 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def run_ranges(task: Callable, state: Any, n: int, jobs: int, serial_max: int = 16) -> Iterator:
+# At most this many items run in this process at any ``jobs``: about where a
+# pool starts to win wall time on 2 cores, for builds and eval (BENCH_24.json).
+SERIAL_MAX = 2500
+
+
+def run_ranges(task: Callable, state: Any, n: int, jobs: int) -> Iterator:
     """``task(state, ordinals)`` over consecutive ranges of ``range(n)``, in
     order: ranges of 16, run lazily in this process, at ``jobs=1`` or when
-    ``n <= serial_max``; else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
+    ``n <= SERIAL_MAX``; else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or n <= serial_max:
+    if jobs == 1 or n <= SERIAL_MAX:
         return (task(state, range(i, min(i + 16, n))) for i in range(0, n, 16))
     size = max(16, n // (8 * jobs))
     ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]

@@ -47,9 +47,9 @@ Metrics:
 Every number of a run's report is a sum of per-video numbers, so
 ``evaluate_run`` scores each video to a row of numbers and folds the rows
 in sorted-id order. ``corpus.run_ranges``, the builds' runner, makes the
-rows: in process at ``jobs=1`` or for ``SERIAL_MAX_VIDEOS`` videos or fewer,
-else in a pool whose workers inherit the loaded files by fork and send
-back only rows.
+rows: in process at ``jobs=1`` or for ``corpus.SERIAL_MAX`` videos or
+fewer, else in a pool whose workers inherit the loaded files by fork and
+send back only rows.
 """
 
 from __future__ import annotations
@@ -428,13 +428,6 @@ def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
     return videos
 
 
-# At most this many videos score in this process whatever ``jobs`` is: on
-# 2 cores a pool's start-up and extra CPU (+30% or more) bought no wall
-# time below about 2.5k perfbench videos and won from 3k (BENCH_23.json,
-# "eval_crossover"). Not re-measured on larger hosts.
-SERIAL_MAX_VIDEOS = 2500
-
-
 def _score_videos(state: tuple, ordinals: range) -> list[tuple]:
     """One row of numbers per video ``ids[k]``: skipped lines, events parsed,
     F1, the precision, recall and F1 at each distinct F1 threshold (one flat
@@ -466,9 +459,9 @@ def evaluate_run(
     queries are formed by pairing the i-th ground-truth event with the
     i-th predicted event of the same video (missing predictions count as
     misses), pooled across videos. Richness fields are None when the
-    predictions carry no caption tokens at all. ``jobs`` worker processes
-    score the videos (``run_ranges``) when there are more than
-    ``SERIAL_MAX_VIDEOS``; the report is the same for any.
+    predictions carry no caption tokens at all. ``run_ranges`` scores the
+    videos, in up to ``jobs`` worker processes for large runs; the report
+    is the same for any ``jobs``.
     """
     preds = load_predictions(pred_file)
     gts = load_ground_truth(gt_file)
@@ -494,7 +487,7 @@ def evaluate_run(
     keys = dict.fromkeys(map(float, thresholds))  # temporal_f1's keys, in its order
     f1_sum = n_pred = skipped = 0
     sums, hits, richness = [0] * (3 * len(keys)), [0] * len(r1_thresholds), []
-    for chunk in run_ranges(_score_videos, state, len(ids), jobs, SERIAL_MAX_VIDEOS):
+    for chunk in run_ranges(_score_videos, state, len(ids), jobs):
         for video_skipped, video_n_pred, f1, scores, video_hits, video_richness in chunk:
             skipped += video_skipped
             n_pred += video_n_pred

@@ -330,7 +330,7 @@ def build_image_corpus(
 ) -> Iterator:
     """Emit exactly ``n_instances`` records, each with a uniformly drawn task.
 
-    ``jobs`` > 1 fans records out across processes; output order (and
+    ``jobs`` > 1 fans large builds out across processes; output order (and
     bytes) match the sequential run because each record depends only on
     its ordinal.
     """

@@ -2,11 +2,11 @@
 
 A 1-based position ``i`` in a sequence of length ``L`` becomes the code
 ``round(i/L, 4) * 10000``, a plain int in 0..9999 (``encode_relative``).
-Only this module knows its text form, four of the ten digit tokens
-``<0>`` .. ``<9>``: the 7th image of 96 is code 729, rendered
-``<0><7><2><9>`` (``render_code``, parsed back by ``code_from_string``).
-Absolute timestamps scale the fraction code / 10000 (``decode_relative``)
-by the video duration.
+Its text form is four of the ten digit tokens ``<0>`` .. ``<9>``: the 7th
+image of 96 is code 729, rendered ``<0><7><2><9>`` (``render_code``), read
+by ``code_from_string`` and, from the digits of a ``CODE_PATTERN`` match,
+by ``evaluation``. Absolute timestamps scale the fraction code / 10000
+(``decode_relative``) by the video duration.
 
 The value 1.0000 does not fit in four digits; it is clamped to 0.9999 so
 every code is exactly four tokens wide. The clamp affects every ratio

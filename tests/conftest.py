@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import seq2time.corpus as corpus
 from seq2time.clip_sequence import CaptionedClip, ClipSequenceSample
 from seq2time.dataset_io import write_jsonl
 from seq2time.errors import InvariantViolation
@@ -70,6 +71,23 @@ def _image_caption(k: int) -> str:
     v = _VERBS[(k // (len(_ADJECTIVES) * len(_NOUNS))) % len(_VERBS)]
     p = _PLACES[(k // (len(_ADJECTIVES) * len(_NOUNS) * len(_VERBS))) % len(_PLACES)]
     return f"a {a} {n} {v} {p}"
+
+
+@pytest.fixture
+def pool_starts(monkeypatch) -> list:
+    """Gets one entry per process pool that ``corpus.run_ranges`` starts."""
+    pools = []
+    real = corpus._pooled
+    monkeypatch.setattr(corpus, "_pooled", lambda *a: pools.append(1) or real(*a))
+    return pools
+
+
+@pytest.fixture
+def pool_above_16(monkeypatch, pool_starts) -> list:
+    """``pool_starts``, with ``corpus.SERIAL_MAX`` lowered to 16: small runs
+    of 17 or more items at ``jobs`` above 1 then go through a pool."""
+    monkeypatch.setattr(corpus, "SERIAL_MAX", 16)
+    return pool_starts
 
 
 @pytest.fixture(scope="session")

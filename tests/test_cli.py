@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import seq2time.cli as cli
-import seq2time.evaluation as evaluation
 from seq2time.cli import main
 from seq2time.clip_sequence import ClipCorpusConfig, build_clip_corpus
-from seq2time.corpus import Corpus
+from seq2time.corpus import Corpus, usable_cores
 from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import CaptionedImage, ImageCorpusConfig, build_image_corpus
@@ -463,7 +462,7 @@ class TestCorpusWriter:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("kind", sorted(BUILDS))
-    def test_matches_library_path(self, capsys, request, tmp_path, kind, jobs):
+    def test_matches_library_path(self, capsys, request, tmp_path, pool_above_16, kind, jobs):
         subcommand, make_config, build = BUILDS[kind]
         source = request.getfixturevalue(f"{kind}_source")
         out_path, reference = tmp_path / "corpus.jsonl", tmp_path / "reference.jsonl"
@@ -478,6 +477,7 @@ class TestCorpusWriter:
             "--json",
         )
         assert code == 0
+        assert bool(pool_above_16) == (jobs == 2)
         pool = request.getfixturevalue(f"{kind}_pool")
         write_jsonl(build(make_config(n_instances=40, seed=6), pool), reference)
         assert out_path.read_bytes() == reference.read_bytes()
@@ -490,7 +490,7 @@ class TestCorpusWriter:
     # ordinals); fork-started workers inherit the patched class
     @pytest.mark.parametrize("n, jobs, fail_at", [(40, 1, 20), (300, 2, 150)])
     def test_invariant_violation_keeps_existing_output(
-        self, capsys, image_source, tmp_path, monkeypatch, n, jobs, fail_at
+        self, capsys, image_source, tmp_path, monkeypatch, pool_above_16, n, jobs, fail_at
     ):
         real = Corpus.record
 
@@ -511,6 +511,7 @@ class TestCorpusWriter:
             "--jobs", str(jobs),
         )
         assert code == 3
+        assert bool(pool_above_16) == (jobs == 2)
         assert "synthetic failure" in err
         assert out_path.read_bytes() == b"previous corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
@@ -658,6 +659,25 @@ class TestCustomTemplateBanks:
         )
         assert (code, out) == (2, "")
         assert message in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config-key"])
+    @pytest.mark.parametrize("kind", ["image", "clip"])
+    def test_missing_bank_file_is_a_config_error(self, capsys, request, tmp_path, kind, given):
+        # named like every other missing input file, before the source is read
+        bank, out_path = tmp_path / "gone" / "bank.json", tmp_path / "corpus.jsonl"
+        source = request.getfixturevalue(f"{kind}_source")
+        options = {"source": str(source), "output": str(out_path), "n": 5}
+        if given == "flag":
+            argv = [part for key, value in options.items() for part in (f"--{key}", str(value))]
+            argv += ["--templates", str(bank)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({**options, "templates": str(bank)}), encoding="utf-8")
+            argv = ["--config", str(config)]
+        code, out, err = run_cli(capsys, f"build-{kind}-seq", *argv)
+        assert (code, out) == (2, "")
+        assert f"template bank file not found: {bank}" in err
         assert not out_path.exists()
 
     def test_image_answer_reading_as_a_position(self, capsys, image_source, tmp_path):
@@ -1085,16 +1105,19 @@ _EVAL_MODES = {
     "jobs", [[], ["--jobs", "1"], ["--jobs", "2"]], ids=["default-jobs", "jobs-1", "jobs-2"]
 )
 @pytest.mark.parametrize("time_repr, mode", sorted(EVAL_DIGESTS))
-def test_eval_report_matches_pinned_digest(capsys, tmp_path, monkeypatch, time_repr, mode, jobs):
-    # 300 videos score in process at any --jobs, so lower the bound: at the
-    # default and --jobs 2 the rows come from a pool, folded in id order
-    monkeypatch.setattr(evaluation, "SERIAL_MAX_VIDEOS", 16)
+def test_eval_report_matches_pinned_digest(
+    capsys, tmp_path, pool_above_16, time_repr, mode, jobs
+):
+    # 300 videos score in process at any --jobs, so lower the bound: at
+    # --jobs 2, and at the default on more than one core, the rows come
+    # from a pool, folded in id order
     pred, gt = _pinned_eval_run(tmp_path, time_repr)
     code, out, _ = run_cli(
         capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt),
         "--time-repr", time_repr, *_EVAL_MODES[mode], *jobs,
     )
     assert code == 0
+    assert bool(pool_above_16) == (jobs == ["--jobs", "2"] or not jobs and usable_cores() > 1)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_DIGESTS[time_repr, mode]
 
 

@@ -508,10 +508,11 @@ class TestBuildClipCorpus:
         for k in (0, 3, 7):
             assert build[k] == corpus.record(k)
 
-    def test_parallel_matches_sequential(self, clip_pool):
+    def test_parallel_matches_sequential(self, clip_pool, pool_above_16):
         config = ClipCorpusConfig(n_instances=40, seed=12)
         sequential = list(build_clip_corpus(config, clip_pool, jobs=1))
         parallel = list(build_clip_corpus(config, clip_pool, jobs=2))
+        assert pool_above_16
         as_bytes = lambda records: "".join(map(encode_line, records))
         assert as_bytes(parallel) == as_bytes(sequential)
 

@@ -6,6 +6,13 @@ known hazard. Whatever the edit, a build either writes records that parse
 back to their own targets with the scorer's parsers, or refuses the bank
 (exit 2) without a traceback and without writing anything.
 
+Build configs: both builders at the edges of their options (``--n`` of
+0, 1, 16, 17 and 40, ``--seq-len`` and ``--total-frames`` at and past
+their least and greatest values, both time representations). A build
+exits 0, 2, 3 or 4 without a traceback; on failure the output file is as
+it was; on success every record parses back to its own ``meta``, and the
+bytes are the same at ``--jobs 1`` and, through a pool, at ``--jobs 2``.
+
 Eval inputs: prediction and ground-truth files of 1-40 videos, with
 garbage, blank, inverted and overflowing lines, and at most one fault in
 the files (an id missing, extra or repeated, a bad event or duration).
@@ -26,13 +33,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import seq2time.evaluation as evaluation
 from seq2time.cli import main
 from seq2time.evaluation import parse_predictions
 from seq2time.image_sequence import parse_index_mentions
-from seq2time.position_token import TimeRepresentation
+from seq2time.position_token import MAX_RPT_LENGTH, TimeRepresentation
 from seq2time.templates import REQUIRED_SLOTS
 
 from conftest import write_clip_source, write_image_source
@@ -108,6 +114,13 @@ def assert_parses_back(record: dict) -> None:
         assert parsed == meta["targets"], record
 
 
+def run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestEditedTemplateBanks:
     @given(edit=edits(), time_repr=st.sampled_from([r.value for r in TimeRepresentation]))
     @example(edit=("dvc", "single", "questions", None, "replace", " "), time_repr="rpt")
@@ -151,6 +164,65 @@ class TestEditedTemplateBanks:
         assert "Traceback" not in proc.stderr
         assert "iig/single/questions template holds a lone surrogate escape" in proc.stderr
         assert not out_path.exists()
+
+
+@st.composite
+def build_configs(draw):
+    """(builder, flags): the config edges of one build."""
+    builder = draw(st.sampled_from(["image", "clip"]))
+    flags = ["--n", str(draw(st.sampled_from([0, 1, 16, 17, 40]))),
+             "--time-repr", draw(st.sampled_from(["rpt", "free-form"]))]
+    if builder == "image":  # seq_len 2 needs max_targets 1 or 2
+        seq_len = draw(st.sampled_from([1, 2, MAX_RPT_LENGTH, MAX_RPT_LENGTH + 1]))
+        flags += ["--seq-len", str(seq_len), "--max-targets", draw(st.sampled_from(["1", "5"]))]
+    else:  # at least clip_max (10) frames; float frame quotas stay exact below 2**53
+        total_frames = draw(st.sampled_from([9, 10, 2**53 - 1, 2**53]))
+        flags += ["--total-frames", str(total_frames)]
+    return builder, flags
+
+
+@pytest.fixture(scope="module")
+def edge_sources(large_image_pool, clip_pool, tmp_path_factory):
+    """A pool of ``MAX_RPT_LENGTH`` images, so the longest sequence can be drawn."""
+    directory = tmp_path_factory.mktemp("edge-sources")
+    return {
+        "image": write_image_source(large_image_pool, directory / "images.jsonl"),
+        "clip": write_clip_source(clip_pool, directory / "clips.jsonl"),
+    }
+
+
+class TestBuildConfigs:
+    @given(config=build_configs())
+    @example(config=("image", ["--n", "17", "--time-repr", "rpt", "--seq-len",
+                               str(MAX_RPT_LENGTH), "--max-targets", "5"]))
+    @example(config=("clip", ["--n", "40", "--time-repr", "free-form", "--total-frames", "10"]))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_bytes_at_both_jobs_or_refused(self, edge_sources, pool_above_16, config):
+        builder, flags = config
+        runs = []
+        with tempfile.TemporaryDirectory() as directory:
+            out_path = Path(directory) / "corpus.jsonl"
+            for jobs in ("1", "2"):
+                out_path.write_bytes(b"previous corpus\n")
+                pools = len(pool_above_16)
+                result = run_main([f"build-{builder}-seq", "--source", str(edge_sources[builder]),
+                                   "--output", str(out_path), *flags, "--jobs", jobs])
+                runs.append((result, out_path.read_bytes(), len(pool_above_16) > pools))
+        (serial, written, _), (fanned, fanned_written, pooled) = runs
+        code, _, err = serial
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        assert (fanned, fanned_written) == (serial, written)
+        if code != 0:
+            assert written == b"previous corpus\n"
+            return
+        n = int(flags[1])
+        assert pooled == (n > 16)
+        records = [json.loads(line) for line in written.decode("utf-8").splitlines()]
+        assert len(records) == n
+        for record in records:
+            assert_parses_back(record)
 
 
 PRED_LINES = (
@@ -210,19 +282,13 @@ def eval_runs(draw):
     return preds, gts, time_repr, flags
 
 
-def run_main(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 class TestEvalInputs:
     @given(run=eval_runs())
     @example(run=([{"video_id": "v0", "output": "x", "duration_s": 1.0}],
                   [{"video_id": "v0", "events": []}], "rpt", []))
-    @settings(max_examples=80, deadline=None)
-    def test_same_report_at_both_jobs_or_refused(self, run):
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_report_at_both_jobs_or_refused(self, pool_above_16, run):
         preds, gts, time_repr, flags = run
         with tempfile.TemporaryDirectory() as directory:
             pred_path, gt_path = Path(directory) / "pred.jsonl", Path(directory) / "gt.jsonl"
@@ -231,12 +297,13 @@ class TestEvalInputs:
             argv = ["eval-dvc", "--pred", str(pred_path), "--gt", str(gt_path),
                     "--time-repr", time_repr, *flags]
             serial = run_main([*argv, "--jobs", "1"])
-            with pytest.MonkeyPatch.context() as patch:  # so that --jobs 2 starts a pool
-                patch.setattr(evaluation, "SERIAL_MAX_VIDEOS", 16)
-                fanned = run_main([*argv, "--jobs", "2"])
+            pools = len(pool_above_16)
+            fanned = run_main([*argv, "--jobs", "2"])
         code, out, err = serial
         assert code in (0, 2, 4), err
         assert "Traceback" not in err
         if code != 0:
             assert out == ""
+        else:  # a run of 17 videos or more scores them in a pool at --jobs 2
+            assert (len(pool_above_16) > pools) == (len(gts) > 16)
         assert fanned == serial

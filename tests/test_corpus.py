@@ -92,9 +92,9 @@ def test_escaping_media_build_matches_pinned_digest(image_pool, tmp_path):
 @pytest.mark.parametrize("marks", sorted(PATH_MARKS))
 @pytest.mark.parametrize("kind", ["image", "clip"])
 def test_written_bytes_are_encode_line_over_records(
-    image_pool, clip_pool, tmp_path, kind, marks, jobs
+    image_pool, clip_pool, tmp_path, pool_above_16, kind, marks, jobs
 ):
-    # 37 records: ranges of 16, 16 and 5 at either jobs
+    # 37 records: ranges of 16, 16 and 5 at either jobs, from a pool at jobs 2
     if kind == "image":
         pool = marked(image_pool, "image", PATH_MARKS[marks])
         build = image_corpus(ImageCorpusConfig(n_instances=37, seed=3), pool)
@@ -105,6 +105,7 @@ def test_written_bytes_are_encode_line_over_records(
     assert build.plain_media == (marks in {"line-separator", "e-acute", "ascii"})
     path = tmp_path / "corpus.jsonl"
     build.write(path, jobs)
+    assert bool(pool_above_16) == (jobs == 2)
     assert path.read_bytes() == "".join(map(encode_line, build.records())).encode()
 
 
@@ -146,10 +147,11 @@ def _no_pool(*args, **kwargs):
 class TestRunRanges:
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 40])
-    def test_every_ordinal_once_in_range_order(self, monkeypatch, n, jobs):
+    def test_every_ordinal_once_in_range_order(self, monkeypatch, pool_above_16, n, jobs):
         if jobs == 1 or n <= 16:  # ranges this process runs itself
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         results = list(run_ranges(_range_task, "state", n, jobs))
+        assert bool(pool_above_16) == (jobs > 1 and n > 16)
         assert all(state == "state" for state, _ in results)
         ranges = [ordinals for _, ordinals in results]
         assert [i for ordinals in ranges for i in ordinals] == list(range(n))
@@ -158,14 +160,16 @@ class TestRunRanges:
             min(16, n - start) for start in range(0, n, 16)
         ]
 
-    @pytest.mark.parametrize("n, pooled", [(40, False), (41, True)])
-    def test_serial_max_moves_the_pool_threshold(self, monkeypatch, n, pooled):
-        calls = []
-        real = corpus._pooled
-        monkeypatch.setattr(corpus, "_pooled", lambda *a: calls.append(1) or real(*a))
-        results = list(run_ranges(_range_task, "state", n, 2, serial_max=40))
-        assert [i for _, ordinals in results for i in ordinals] == list(range(n))
-        assert bool(calls) == pooled
+    @pytest.mark.parametrize("extra, pooled", [(0, False), (1, True)])
+    def test_build_pools_only_above_serial_max(
+        self, pool_starts, clip_pool, tmp_path, extra, pooled
+    ):
+        build = clip_corpus(ClipCorpusConfig(n_instances=corpus.SERIAL_MAX + extra), clip_pool)
+        build.write(tmp_path / "two.jsonl", jobs=2)
+        assert len(pool_starts) == pooled
+        build.write(tmp_path / "one.jsonl", jobs=1)
+        assert len(pool_starts) == pooled
+        assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
 
     def test_usable_cores_follows_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)

@@ -816,73 +816,60 @@ def _write_jobs_run(tmp_path, n_videos, output=None, events=None):
     return pred_path, gt_path
 
 
-def _count_pools(monkeypatch) -> list:
-    import seq2time.corpus as corpus
-
-    calls = []
-    real = corpus._pooled
-    monkeypatch.setattr(corpus, "_pooled", lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
 class TestEvaluateRunJobs:
     """``jobs`` only splits the rows; the fold in id order gives the same bits.
-    ``SERIAL_MAX_VIDEOS`` is lowered to 16, ``run_ranges``'s default, so
-    that these small runs reach the pool."""
+    ``pool_above_16`` lowers the cutoff so that these small runs reach the
+    pool."""
 
-    def _same_at_both(self, pred_path, gt_path, monkeypatch, pooled, **kw):
-        import seq2time.evaluation as evaluation
-
-        monkeypatch.setattr(evaluation, "SERIAL_MAX_VIDEOS", 16)
-        calls = _count_pools(monkeypatch)
+    def _same_at_both(self, pred_path, gt_path, pools, pooled, **kw):
         serial = evaluate_run(pred_path, gt_path, FREE, jobs=1, **kw)
         fanned = evaluate_run(pred_path, gt_path, FREE, jobs=2, **kw)
-        assert bool(calls) == pooled
+        assert bool(pools) == pooled
         assert fanned == serial
         assert repr(fanned) == repr(serial)  # float bits, signs of zeros included
         return serial
 
     @pytest.mark.parametrize("n_videos, pooled", [(1, False), (16, False), (17, True), (40, True)])
-    def test_jobs_2_equals_jobs_1(self, tmp_path, monkeypatch, n_videos, pooled):
-        report = self._same_at_both(*_write_jobs_run(tmp_path, n_videos), monkeypatch, pooled)
+    def test_jobs_2_equals_jobs_1(self, tmp_path, pool_above_16, n_videos, pooled):
+        report = self._same_at_both(*_write_jobs_run(tmp_path, n_videos), pool_above_16, pooled)
         assert report.n_videos == n_videos
 
     @pytest.mark.parametrize("extra, pooled", [(0, False), (1, True)])
-    def test_pool_starts_only_above_serial_max(self, tmp_path, monkeypatch, extra, pooled):
-        from seq2time.evaluation import SERIAL_MAX_VIDEOS
+    def test_pool_starts_only_above_serial_max(self, tmp_path, pool_starts, extra, pooled):
+        from seq2time.corpus import SERIAL_MAX
 
         event = {"start": 1.0, "end": 2.0, "caption": "x"}
-        paths = _write_jobs_run(tmp_path, SERIAL_MAX_VIDEOS + extra, "1 - 2 seconds, x", [event])
-        calls = _count_pools(monkeypatch)
+        paths = _write_jobs_run(tmp_path, SERIAL_MAX + extra, "1 - 2 seconds, x", [event])
         report = evaluate_run(*paths, FREE, jobs=2)
-        assert bool(calls) == pooled
-        assert (report.n_videos, report.f1) == (SERIAL_MAX_VIDEOS + extra, 1.0)
+        assert len(pool_starts) == pooled
+        assert (report.n_videos, report.f1) == (SERIAL_MAX + extra, 1.0)
 
-    def test_custom_and_repeated_thresholds(self, tmp_path, monkeypatch):
+    def test_custom_and_repeated_thresholds(self, tmp_path, pool_above_16):
         paths = _write_jobs_run(tmp_path, 30)
         report = self._same_at_both(
-            *paths, monkeypatch, True, thresholds=(0.1, 0.5, 0.5), r1_thresholds=(1.0, 0.05)
+            *paths, pool_above_16, True, thresholds=(0.1, 0.5, 0.5), r1_thresholds=(1.0, 0.05)
         )
         assert list(report.f1_per_threshold) == [0.1, 0.5]
 
-    def test_all_garbage_outputs(self, tmp_path, monkeypatch):
+    def test_all_garbage_outputs(self, tmp_path, pool_above_16):
         paths = _write_jobs_run(tmp_path, 20, output="no events here\nnor here")
-        report = self._same_at_both(*paths, monkeypatch, True)
+        report = self._same_at_both(*paths, pool_above_16, True)
         assert (report.l_avg, report.ttr, report.n_pred) == (None, None, 0.0)
         assert report.skipped_lines == 40
 
-    def test_a_video_without_events(self, tmp_path, monkeypatch):
+    def test_a_video_without_events(self, tmp_path, pool_above_16):
         pred_path, gt_path = _write_jobs_run(tmp_path, 20)
         rows = [json.loads(line) for line in gt_path.read_text().splitlines()]
         rows[3]["events"] = []
         write_jsonl(rows, gt_path)
-        self._same_at_both(pred_path, gt_path, monkeypatch, True)
+        self._same_at_both(pred_path, gt_path, pool_above_16, True)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_queries_at_all_is_undefined(self, tmp_path, jobs):
+    def test_no_queries_at_all_is_undefined(self, tmp_path, pool_above_16, jobs):
         paths = _write_jobs_run(tmp_path, 20, events=[])
         with pytest.raises(DomainError, match="^recall@1 is undefined for an empty query set$"):
             evaluate_run(*paths, FREE, jobs=jobs)
+        assert not pool_above_16  # refused before any video is scored
 
     def test_checks_come_before_any_scoring(self, tmp_path):
         # the parent's order: F1 thresholds, R@1 thresholds, the query set, then jobs
@@ -896,7 +883,7 @@ class TestEvaluateRunJobs:
         with pytest.raises(ConfigError, match="^jobs must be >= 1, got 0$"):
             evaluate_run(*_write_jobs_run(tmp_path, 20), FREE, jobs=0)
 
-    def test_rows_fold_to_the_report(self, tmp_path):
+    def test_rows_fold_to_the_report(self, tmp_path, pool_above_16):
         # the report equals the old whole-run computation through the public metrics
         pred_path, gt_path = _write_jobs_run(tmp_path, 25)
         preds, gts = load_predictions(pred_path), load_ground_truth(gt_path)
@@ -908,5 +895,6 @@ class TestEvaluateRunJobs:
                 query_preds.append(events[i] if i < len(events) else None)
             captions.append([e.caption for e in events])
         report = evaluate_run(pred_path, gt_path, FREE, jobs=2)
+        assert pool_above_16
         assert report.r_at_1 == recall_at_1(query_preds, query_gts)
         assert (report.l_avg, report.ttr) == tuple(aggregate_richness(captions))
