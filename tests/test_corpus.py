@@ -8,7 +8,6 @@ import os
 
 import pytest
 
-import seq2time.corpus as corpus
 from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
 from seq2time.corpus import derive_record_seed, run_ranges, usable_cores
 from seq2time.dataset_io import encode_line
@@ -164,7 +163,8 @@ class TestRunRanges:
     def test_build_pools_only_above_serial_max(
         self, pool_starts, clip_pool, tmp_path, extra, pooled
     ):
-        build = clip_corpus(ClipCorpusConfig(n_instances=corpus.SERIAL_MAX + extra), clip_pool)
+        # 2,500 records, the documented cutoff, run in process at any jobs
+        build = clip_corpus(ClipCorpusConfig(n_instances=2500 + extra), clip_pool)
         build.write(tmp_path / "two.jsonl", jobs=2)
         assert len(pool_starts) == pooled
         build.write(tmp_path / "one.jsonl", jobs=1)

@@ -836,13 +836,12 @@ class TestEvaluateRunJobs:
 
     @pytest.mark.parametrize("extra, pooled", [(0, False), (1, True)])
     def test_pool_starts_only_above_serial_max(self, tmp_path, pool_starts, extra, pooled):
-        from seq2time.corpus import SERIAL_MAX
-
+        # 2,500 videos, the documented cutoff, score in process at any jobs
         event = {"start": 1.0, "end": 2.0, "caption": "x"}
-        paths = _write_jobs_run(tmp_path, SERIAL_MAX + extra, "1 - 2 seconds, x", [event])
+        paths = _write_jobs_run(tmp_path, 2500 + extra, "1 - 2 seconds, x", [event])
         report = evaluate_run(*paths, FREE, jobs=2)
         assert len(pool_starts) == pooled
-        assert (report.n_videos, report.f1) == (SERIAL_MAX + extra, 1.0)
+        assert (report.n_videos, report.f1) == (2500 + extra, 1.0)
 
     def test_custom_and_repeated_thresholds(self, tmp_path, pool_above_16):
         paths = _write_jobs_run(tmp_path, 30)

@@ -11,14 +11,16 @@ one warm-up run of each:
 * ``in_process``: ``--jobs 1``, ranges of 16 records in the CLI's process;
 * ``pool``: the default ``--jobs`` (the usable cores) with
   ``corpus.SERIAL_MAX`` set to 0, so ``run_ranges`` forks a pool whatever
-  the size, as every build above 16 records did before the cutoff.
+  the size, the path of every build above 16 records when the cutoff
+  was 16.
 
 Both paths start the same launcher, a fresh interpreter that imports
-``seq2time`` from ``src`` and calls ``cli.main``. A run is timed by wall
-clock, and its CPU is the user + system time of the CLI process and the
-workers it waited for (``os.wait4``). Inputs are perfbench's (the seed-5
-image and clip pools of ``perfbench/inputs.py``, ``--seed 7``), so sizes
-match the benchmark's workloads. Stdout is one JSON object: the tree's
+``seq2time`` from ``src`` and calls ``cli.main``, through perfbench's
+``procs.spawn``: a run's wall time, and its CPU as the user + system time
+of the CLI process and the workers it waited for (``os.wait4``). Inputs
+are perfbench's (the seed-5 image and clip pools of
+``perfbench/inputs.py``, ``--seed 7``), so sizes match the benchmark's
+workloads. Stdout is one JSON object: the tree's
 ``SERIAL_MAX`` (its default ``--jobs`` takes the in-process path up to
 that many records), and per case the medians, quartiles and samples of
 both paths, the pairs the pool won, and whether both paths wrote the
@@ -30,21 +32,18 @@ cases across runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
+from procs import sha256, spawn  # noqa: E402  (perfbench/procs.py)
 from seq2time import corpus  # noqa: E402
 
 SIZES = (100, 300, 1_000, 1_500, 2_000, 2_500, 3_000)
@@ -66,21 +65,6 @@ LAUNCHER = (
 )
 
 
-def run(argv: list[str], output: Path) -> tuple[float, float, str]:
-    """(wall s, CPU s, sha256 of ``output``) of one CLI run. Its stderr goes
-    to a file, so that a blocking ``os.wait4`` can reap it with its rusage."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    err_path = output.with_suffix(".err")
-    with open(err_path, "wb") as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"{' '.join(argv[3:])} failed:\n{err_path.read_text()}")
-    return wall, usage.ru_utime + usage.ru_stime, hashlib.sha256(output.read_bytes()).hexdigest()
-
-
 def summary(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
@@ -99,11 +83,13 @@ def measure(builder: str, source: Path, n: int, work: Path) -> dict:
             argv = [sys.executable, "-c", LAUNCHER, cutoff, subcommand, "--source",
                     str(source), "--output", str(output), "--n", str(n),
                     "--seed", str(BUILD_SEED), *flags, *jobs]
-            wall, cpu, digest = run(argv, output)
-            digests[path].add(digest)
+            run = spawn(argv, output.with_suffix(".out"))
+            if run.returncode != 0:
+                raise SystemExit(f"{' '.join(argv[3:])} failed:\n{run.stderr}")
+            digests[path].add(sha256(output))
             if pair >= 0:
-                times[path]["wall_s"].append(wall)
-                times[path]["cpu_s"].append(cpu)
+                times[path]["wall_s"].append(run.wall_s)
+                times[path]["cpu_s"].append(run.cpu_s)
     case = {"builder": builder, "records": n,
             "sha256_identical": len(digests["in_process"] | digests["pool"]) == 1}
     for metric in ("wall_s", "cpu_s"):
