@@ -284,6 +284,8 @@ class ClipCorpusConfig:
     rate_max: float = 2.0
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
+    # a record's cost in corpus.SERIAL_MAX units: 0.7-1.2 at any config (BENCH_24.json)
+    record_weight = 1.0
 
     def __post_init__(self) -> None:
         if self.n_instances < 0:

@@ -5,8 +5,9 @@ seeds its rng from them, draws its task, lets the builder draw the rest
 and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
 ``cs`` for clip sequences). So the ordinals split into contiguous ranges
 that can run anywhere (``run_ranges``): in the parent, 16 at a time, at
-``jobs=1`` or for at most ``SERIAL_MAX`` items; otherwise in a process
-pool, with ``max(16, n // (8 * jobs))`` per range. Ranges come back in
+``jobs=1`` or for at most ``SERIAL_MAX`` items of work (a config's
+``record_weight`` each); otherwise in a process pool, with
+``max(16, n // (8 * jobs))`` per range. Ranges come back in
 ordinal order, so the output never depends on ``jobs``. ``evaluation``
 runs its per-video score rows through ``run_ranges`` the same way.
 """
@@ -133,7 +134,8 @@ class Corpus:
         return InstructionRecord(record_id, media, task_name, question, answer, meta)
 
     def records(self, jobs: int = 1) -> Iterator[InstructionRecord]:
-        for chunk in run_ranges(_generate, self, self.config.n_instances, jobs):
+        n, weight = self.config.n_instances, self.config.record_weight
+        for chunk in run_ranges(_generate, self, n, jobs, weight):
             yield from chunk
 
     def write(self, path: str | Path, jobs: int = 1) -> CorpusStats:
@@ -143,7 +145,8 @@ class Corpus:
         the parent only writes the bytes in order and adds up the counts,
         so the stats equal what ``corpus_stats(path)`` would read back.
         """
-        chunks = run_ranges(_encode, self, self.config.n_instances, jobs)
+        n, weight = self.config.n_instances, self.config.record_weight
+        chunks = run_ranges(_encode, self, n, jobs, weight)
         counts: Counter[str] = Counter()
         question_chars = answer_chars = 0
         with open_replacing(path) as fh:
@@ -211,18 +214,21 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# At most this many items run in this process at any ``jobs``: about where a
-# pool starts to win wall time on 2 cores, for builds and eval (BENCH_24.json).
+# At most this much work runs in this process at any ``jobs``, in items of
+# weight 1 (a 96-image or a clip record, an eval video): about where a pool
+# starts to win wall time. Measured on 2 cores only, at --seq-len and
+# --total-frames 96 (BENCH_24.json "build_crossover", BENCH_23.json).
 SERIAL_MAX = 2500
 
 
-def run_ranges(task: Callable, state: Any, n: int, jobs: int) -> Iterator:
+def run_ranges(task: Callable, state: Any, n: int, jobs: int, weight: float = 1) -> Iterator:
     """``task(state, ordinals)`` over consecutive ranges of ``range(n)``, in
     order: ranges of 16, run lazily in this process, at ``jobs=1`` or when
-    ``n <= SERIAL_MAX``; else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
+    ``n * weight <= SERIAL_MAX`` (``weight``: an item's cost in its units);
+    else ranges of ``max(16, n // (8 * jobs))`` in a pool."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or n <= SERIAL_MAX:
+    if jobs == 1 or n * weight <= SERIAL_MAX:
         return (task(state, range(i, min(i + 16, n))) for i in range(0, n, 16))
     size = max(16, n // (8 * jobs))
     ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]

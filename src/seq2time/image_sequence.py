@@ -242,6 +242,13 @@ class ImageCorpusConfig:
                 f"max_targets must be in 1..{self.seq_len}, got {self.max_targets}"
             )
 
+    @property
+    def record_weight(self) -> float:
+        """A record's cost in ``corpus.SERIAL_MAX`` units, where a 96-image
+        record weighs 1: its images, plus a fixed part that costs about as
+        much as 150 images (BENCH_24.json "record_cost")."""
+        return (150 + self.seq_len) / 246
+
 
 def _draw(corpus: Corpus, task: PretextTask, rng: random.Random) -> RecordFields:
     """The ``task`` record of a sample drawn from an ``image_corpus`` pool:

@@ -37,7 +37,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seq2time.cli import main
 from seq2time.evaluation import parse_predictions
-from seq2time.image_sequence import parse_index_mentions
+from seq2time.image_sequence import ImageCorpusConfig, parse_index_mentions
 from seq2time.position_token import MAX_RPT_LENGTH, TimeRepresentation
 from seq2time.templates import REQUIRED_SLOTS
 
@@ -196,6 +196,7 @@ class TestBuildConfigs:
     @example(config=("image", ["--n", "17", "--time-repr", "rpt", "--seq-len",
                                str(MAX_RPT_LENGTH), "--max-targets", "5"]))
     @example(config=("clip", ["--n", "40", "--time-repr", "free-form", "--total-frames", "10"]))
+    @example(config=("clip", ["--n", "40", "--time-repr", "rpt", "--total-frames", str(2**53)]))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_bytes_at_both_jobs_or_refused(self, edge_sources, pool_above_16, config):
@@ -211,14 +212,24 @@ class TestBuildConfigs:
                 runs.append((result, out_path.read_bytes(), len(pool_above_16) > pools))
         (serial, written, _), (fanned, fanned_written, pooled) = runs
         code, _, err = serial
-        assert code in (0, 2, 3, 4), err
+        n, length = int(flags[1]), int(flags[5])
+        # a known fault: apportion_frames's float quotas stop summing exactly
+        # from 2**53 frames, so a build there exits 3 (an invariant violation)
+        # once a record's counts miss the total, where the config should be
+        # refused with 2; no other config may exit 3
+        known_fault = builder == "clip" and length >= 2**53
+        assert code in ((0, 2, 3) if known_fault else (0, 2, 4)), err
         assert "Traceback" not in err
         assert (fanned, fanned_written) == (serial, written)
         if code != 0:
             assert written == b"previous corpus\n"
             return
-        n = int(flags[1])
-        assert pooled == (n > 16)
+        # the pool starts above 16 items of work: a clip record weighs 1, an
+        # image record more or less as its sequence is longer or shorter than 96
+        work = n
+        if builder == "image":
+            work *= ImageCorpusConfig(0, seq_len=length, max_targets=1).record_weight
+        assert pooled == (work > 16)
         records = [json.loads(line) for line in written.decode("utf-8").splitlines()]
         assert len(records) == n
         for record in records:

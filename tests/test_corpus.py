@@ -159,6 +159,14 @@ class TestRunRanges:
             min(16, n - start) for start in range(0, n, 16)
         ]
 
+    @pytest.mark.parametrize("n, weight, pooled", [(8, 2, False), (9, 2, True), (32, 0.5, False)])
+    def test_weight_counts_toward_the_cutoff(self, monkeypatch, pool_above_16, n, weight, pooled):
+        if not pooled:
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        results = list(run_ranges(_range_task, "state", n, 2, weight))
+        assert len(pool_above_16) == pooled
+        assert [i for _, ordinals in results for i in ordinals] == list(range(n))
+
     @pytest.mark.parametrize("extra, pooled", [(0, False), (1, True)])
     def test_build_pools_only_above_serial_max(
         self, pool_starts, clip_pool, tmp_path, extra, pooled

@@ -567,6 +567,21 @@ class TestBuildImageCorpus:
         as_bytes = lambda records: "".join(map(encode_line, records))
         assert as_bytes(parallel) == as_bytes(sequential)
 
+    @pytest.mark.parametrize("n, pooled", [(119, False), (120, True)])
+    def test_long_records_pool_sooner(self, large_image_pool, tmp_path, pool_starts, n, pooled):
+        # a 5,000-image record weighs 5150 / 246, so past 119 of them the
+        # work is above the 2,500 units of corpus.SERIAL_MAX
+        build = image_corpus(ImageCorpusConfig(n_instances=n, seq_len=5000), large_image_pool)
+        build.write(tmp_path / "two.jsonl", jobs=2)
+        assert len(pool_starts) == pooled
+        build.write(tmp_path / "one.jsonl", jobs=1)
+        assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+
+    def test_record_weight_is_one_at_96_images(self):
+        weights = [ImageCorpusConfig(0, seq_len=k, max_targets=1).record_weight
+                   for k in (2, 96, 342, 5000)]
+        assert weights == [152 / 246, 1, 2, 5150 / 246]
+
     def test_workers_capped_at_cores(self, image_pool, tmp_path, monkeypatch, pool_above_16):
         # a fork-started pool launches every worker up front, so a huge
         # jobs value must not ask for more workers than there are cores;
