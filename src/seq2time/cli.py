@@ -74,9 +74,7 @@ def _load_config_file(explicit: str | None) -> dict:
     path = explicit or os.environ.get("SEQ2TIME_CONFIG")
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+    p = _existing_path(path, "config")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
@@ -136,24 +134,19 @@ def _time_repr(text: str) -> TimeRepresentation:
 def _thresholds(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
     if text is None:
         return default
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+    try:  # the scorer checks the values
+        return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"bad threshold list {text!r}") from exc
-    if not values or any(not 0 < v <= 1 for v in values):
-        raise ConfigError(f"thresholds must lie in (0, 1], got {text!r}")
-    keys: dict[str, float] = {}  # the report names each threshold f"{v:g}"
-    for v in values:
-        first = keys.setdefault(f"{v:g}", v)
-        if first != v:
-            raise ConfigError(f"thresholds {first!r} and {v!r} both report as {v:g}")
-    return values
 
 
 def _existing_path(value: str, what: str) -> Path:
+    """``value`` as a path that exists and is not a directory (a FIFO will do)."""
     p = Path(value)
     if not p.exists():
         raise ConfigError(f"{what} file not found: {p}")
+    if p.is_dir():
+        raise ConfigError(f"{what} file is a directory: {p}")
     return p
 
 
@@ -280,17 +273,16 @@ def _cmd_eval(args) -> int:
     thresholds = _thresholds(args.thresholds, DEFAULT_F1_THRESHOLDS)
     r1 = _thresholds(args.iou, DEFAULT_R1_THRESHOLDS)
     report = evaluate_run(pred, gt, time_repr, thresholds, r1, args.jobs)
+    summary = report.to_dict()  # names each threshold as the report does
     lines = [f"temporal_f1 {report.f1:.6f}"]
-    for th in sorted(report.r_at_1):
-        lines.append(f"r@1(iou={th:g}) {report.r_at_1[th]:.6f}")
-    for th in sorted(report.f1_per_threshold):
-        lines.append(f"f1@{th:g} {report.f1_per_threshold[th]:.6f}")
+    lines += [f"r@1(iou={th}) {value:.6f}" for th, value in summary["r_at_1"].items()]
+    lines += [f"f1@{th} {value:.6f}" for th, value in summary["f1_per_threshold"].items()]
     lines.append(f"n_pred {report.n_pred:.4f}")
     if report.l_avg is not None:
         lines.append(f"l_avg {report.l_avg:.4f}")
         lines.append(f"ttr {report.ttr:.4f}")
     lines.append(f"skipped_lines {report.skipped_lines}")
-    _emit(args, report.to_dict(), "\n".join(lines))
+    _emit(args, summary, "\n".join(lines))
     return 0
 
 

@@ -43,6 +43,9 @@ from .templates import TemplateBank, render_template
 
 MIN_CLIPS = 2
 MAX_CLIPS = 10
+# frame totals from here on are refused: below it the float quotas of up to 15
+# weights (a sample has 10) err by under one frame in all, so the counts add up
+MAX_TOTAL_FRAMES = 2**49
 
 
 class ClipTask(Enum):
@@ -78,7 +81,8 @@ def apportion_frames(weights: Sequence[float], total: int) -> tuple[int, ...]:
 
     Largest-remainder method; remainder ties resolve by position. If the
     proportional share of a clip rounds to zero frames it is topped up to
-    one by taking a frame from the biggest allocation.
+    one by taking a frame from the biggest allocation. ``total`` must be
+    below ``MAX_TOTAL_FRAMES``.
     """
     if not weights:
         raise ConfigError("at least one weight is required")
@@ -88,6 +92,8 @@ def apportion_frames(weights: Sequence[float], total: int) -> tuple[int, ...]:
         raise ConfigError(
             f"cannot give {len(weights)} clips at least one of {total} frames"
         )
+    if total >= MAX_TOTAL_FRAMES:
+        raise ConfigError(f"cannot split {total} frames: totals must be below {MAX_TOTAL_FRAMES}")
     scale = sum(weights)
     quotas = [total * w / scale for w in weights]
     counts = [int(q) for q in quotas]
@@ -299,6 +305,8 @@ class ClipCorpusConfig:
             raise ConfigError(
                 f"total_frames {self.total_frames} below one frame per clip ({self.clip_max})"
             )
+        if self.total_frames >= MAX_TOTAL_FRAMES:
+            raise ConfigError(f"total_frames {self.total_frames} must be below {MAX_TOTAL_FRAMES}")
         if not 0 < self.rate_min <= self.rate_max < math.inf:
             raise ConfigError(
                 "rate_min and rate_max must satisfy 0 < rate_min <= rate_max, got "

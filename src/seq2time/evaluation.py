@@ -32,8 +32,11 @@ Metrics:
   their harmonic mean. The reported F1 averages thresholds {0.3, 0.5,
   0.7, 0.9}, and run-level F1 averages videos. Absolute values depend on
   this protocol, so it is spelled out here and in the report metadata.
-  Thresholds must lie in (0, 1], so a pair without overlap (IoU 0) is
-  never an edge and only overlapping pairs enter each video's IoU table.
+  Every threshold list obeys one rule (``_check_thresholds``, which
+  ``evaluate_run`` applies before it reads a file): at least one
+  threshold, each in (0, 1], and no two distinct ones that the report
+  names alike. So a pair without overlap (IoU 0) is never an edge and
+  only overlapping pairs enter each video's IoU table.
   The table is computed once and matched highest threshold first, and
   the search stops once every pred or every ground-truth event is
   matched; every threshold still gets an exact maximum matching, so no
@@ -70,6 +73,7 @@ from .position_token import CODE_PATTERN, SCALE, TimeRepresentation
 DEFAULT_F1_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 DEFAULT_R1_THRESHOLDS = (0.5, 0.7)
 TOKENIZATION_RULE = "lowercase; tokens are maximal alphanumeric runs"
+_report_name = "{:g}".format  # a threshold's key in ``MetricsReport.to_dict``
 
 # a line holds no line break, so the caption group runs to its end, and ``strip``
 # (``\s`` and ``str.isspace`` agree) costs less than a lazy group before ``\s*$``
@@ -164,11 +168,19 @@ def iou(a: Event, b: Event) -> float:
     return 0.0 if union <= 0.0 else intersection / union
 
 
-def _check_thresholds(thresholds: Sequence[float]) -> None:
+def _check_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
+    """``thresholds`` as floats; refused if empty, if one lies outside (0, 1]
+    (NaN too), or if two distinct ones would share one key in the report."""
     if not thresholds:
         raise DomainError("at least one IoU threshold is required")
     if not all(0 < th <= 1 for th in thresholds):
         raise DomainError(f"IoU thresholds must lie in (0, 1], got {list(thresholds)}")
+    thresholds, named = tuple(map(float, thresholds)), {}
+    for th in thresholds:
+        name = _report_name(th)
+        if named.setdefault(name, th) != th:
+            raise DomainError(f"thresholds {named[name]!r} and {th!r} both report as {name}")
+    return thresholds
 
 
 def recall_at_1(
@@ -181,9 +193,9 @@ def recall_at_1(
     ``predictions[i]`` answers the query whose truth is
     ``ground_truth[i]``; a missing prediction may be passed as None and
     counts as a miss. Empty query sets are an error, not a silent zero,
-    and so are thresholds outside (0, 1] or none at all.
+    and so are thresholds the one rule refuses (``_check_thresholds``).
     """
-    _check_thresholds(thresholds)
+    thresholds = _check_thresholds(thresholds)
     if len(predictions) != len(ground_truth):
         raise DomainError(
             f"{len(predictions)} predictions for {len(ground_truth)} queries"
@@ -191,7 +203,7 @@ def recall_at_1(
     _check_queries(len(ground_truth))
     pairs = [(pred, gt) for pred, gt in zip(predictions, ground_truth) if pred is not None]
     hits = _r1_hits(pairs, thresholds)
-    return {float(th): h / len(ground_truth) for th, h in zip(thresholds, hits)}
+    return {th: h / len(ground_truth) for th, h in zip(thresholds, hits)}
 
 
 def _check_queries(n_queries: int) -> None:
@@ -233,7 +245,7 @@ def _matched_counts(
     rows = _iou_rows(pred_events, gt_events)
     owner, matches, counts = [-1] * len(gt_events), 0, {}
     most = min(len(rows), len(owner))
-    for th in sorted({float(t) for t in thresholds}, reverse=True):
+    for th in sorted(set(thresholds), reverse=True):
         if matches < most:
             adjacency = [[j for v, j in row if v >= th] for row in rows]
             for root in [u for u in range(len(rows)) if u not in owner]:
@@ -293,16 +305,16 @@ def temporal_f1(
     thresholds: Sequence[float] = DEFAULT_F1_THRESHOLDS,
 ) -> TemporalF1Result:
     """One video's event-level F1, averaged over IoU thresholds."""
-    _check_thresholds(thresholds)
+    thresholds = _check_thresholds(thresholds)
     counts = _matched_counts(pred_events, gt_events, thresholds)
     n_pred, n_gt = len(pred_events), len(gt_events)
     per_threshold: dict[float, ThresholdScore] = {}
     for th in thresholds:
-        matched = counts[float(th)]  # if 0, a side may be empty: every score is 0
+        matched = counts[th]  # if 0, a side may be empty: every score is 0
         precision = matched / n_pred if matched else 0.0
         recall = matched / n_gt if matched else 0.0
         f1 = 2.0 * precision * recall / (precision + recall) if matched else 0.0
-        per_threshold[float(th)] = ThresholdScore(precision, recall, f1)
+        per_threshold[th] = ThresholdScore(precision, recall, f1)
     mean_f1 = sum(s.f1 for s in per_threshold.values()) / len(per_threshold)
     return TemporalF1Result(per_threshold, mean_f1)
 
@@ -363,23 +375,12 @@ class MetricsReport:
     tokenization: str = TOKENIZATION_RULE
 
     def to_dict(self) -> dict:
-        def keyed(d: dict[float, float]) -> dict[str, float]:
-            return {f"{k:g}": v for k, v in sorted(d.items())}
-
-        return {
-            "n_videos": self.n_videos,
-            "temporal_f1": self.f1,
-            "f1_per_threshold": keyed(self.f1_per_threshold),
-            "precision_per_threshold": keyed(self.precision_per_threshold),
-            "recall_per_threshold": keyed(self.recall_per_threshold),
-            "r_at_1": keyed(self.r_at_1),
-            "n_pred": self.n_pred,
-            "l_avg": self.l_avg,
-            "ttr": self.ttr,
-            "skipped_lines": self.skipped_lines,
-            "time_repr": self.time_repr,
-            "tokenization": self.tokenization,
-        }
+        """The fields, ``f1`` as ``temporal_f1``, thresholds sorted and named."""
+        data = dict(vars(self))
+        data["temporal_f1"] = data.pop("f1")
+        for k in ("f1_per_threshold", "precision_per_threshold", "recall_per_threshold", "r_at_1"):
+            data[k] = {_report_name(th): v for th, v in sorted(data[k].items())}
+        return data
 
 
 def _event_time(event: dict, key: str) -> float:
@@ -463,6 +464,7 @@ def evaluate_run(
     videos, in up to ``jobs`` worker processes for large runs; the report
     is the same for any ``jobs``.
     """
+    thresholds, r1_thresholds = _check_thresholds(thresholds), _check_thresholds(r1_thresholds)
     preds = load_predictions(pred_file)
     gts = load_ground_truth(gt_file)
     missing = sorted(set(gts) - set(preds))
@@ -476,15 +478,13 @@ def evaluate_run(
         raise CorpusFormatError("; ".join(parts))
     if not gts:
         raise DomainError("cannot evaluate an empty run")
-    _check_thresholds(thresholds)
-    _check_thresholds(r1_thresholds)
     n_queries = sum(map(len, gts.values()))
     _check_queries(n_queries)
 
     # sums over the rows in sorted-id order, from 0 as sum() does
     ids = sorted(gts)
     state = (preds, gts, ids, time_repr, thresholds, r1_thresholds)
-    keys = dict.fromkeys(map(float, thresholds))  # temporal_f1's keys, in its order
+    keys = dict.fromkeys(thresholds)  # temporal_f1's keys, in its order
     f1_sum = n_pred = skipped = 0
     sums, hits, richness = [0] * (3 * len(keys)), [0] * len(r1_thresholds), []
     for chunk in run_ranges(_score_videos, state, len(ids), jobs):
@@ -507,7 +507,7 @@ def evaluate_run(
         f1_per_threshold=dict(zip(keys, [v / n_videos for v in sums[2::3]])),
         precision_per_threshold=dict(zip(keys, [v / n_videos for v in sums[0::3]])),
         recall_per_threshold=dict(zip(keys, [v / n_videos for v in sums[1::3]])),
-        r_at_1={float(th): h / n_queries for th, h in zip(r1_thresholds, hits)},
+        r_at_1={th: h / n_queries for th, h in zip(r1_thresholds, hits)},
         n_pred=n_pred / n_videos,
         l_avg=l_avg,
         ttr=ttr,

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,20 @@ class TestBuildClipSeq:
         )
         assert code == 2
         assert "rate_min and rate_max" in err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("total", [2**49, 2**53, 10**18])
+    def test_frame_total_from_2_to_the_49_is_a_config_error(
+        self, capsys, clip_source, tmp_path, total
+    ):
+        # float frame quotas could miss such a total; refused at load, not at exit 3
+        output = tmp_path / "out.jsonl"
+        code, out, err = run_cli(
+            capsys, "build-clip-seq", "--source", str(clip_source),
+            "--output", str(output), "--n", "40", "--total-frames", str(total),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: total_frames {total} must be below {2**49}\n"
         assert not output.exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -1205,17 +1220,30 @@ class TestEvalCommands:
             sum(single["temporal_f1"] for single in alone.values()) / len(alone)
         )
 
-    def test_bad_thresholds(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,2", "IoU thresholds must lie in (0, 1], got [0.5, 2.0]"),
+            (" , ", "at least one IoU threshold is required"),
+            ("0.5,nan", "IoU thresholds must lie in (0, 1], got [0.5, nan]"),
+            ("0.5;0.7", "bad threshold list '0.5;0.7'"),
+        ],
+        ids=["out-of-range", "none", "nan", "unparsable"],
+    )
+    @pytest.mark.parametrize("pred_file", ["well-formed", "malformed"])
+    def test_bad_thresholds(self, capsys, tmp_path, text, message, pred_file):
+        # the scorer checks the list, and before it reads either file
         pred, gt = _write_eval_run(tmp_path)
-        code, _, err = run_cli(
+        if pred_file == "malformed":
+            pred.write_text("not json\n", encoding="utf-8")
+        code, out, err = run_cli(
             capsys,
             "eval-dvc",
             "--pred", str(pred),
             "--gt", str(gt),
-            "--thresholds", "0.5,2",
+            "--thresholds", text,
         )
-        assert code == 2
-        assert "thresholds" in err
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--thresholds", "--iou"])
     def test_thresholds_with_one_report_key(self, capsys, tmp_path, flag):
@@ -1463,6 +1491,55 @@ class TestNonUtf8Input:
         code, out, err = run_cli(capsys, "stats", str(corpus))
         assert (code, out) == (4, "")
         assert f"{corpus}: not UTF-8 text" in err
+
+
+class TestDirectoryInput:
+    """A directory given as an input file exits 2 naming that input, before
+    any file is read or written; any other existing path is read as a file."""
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["build-image-seq", "--source", "DIR"], "source"),
+            (["build-image-seq", "--templates", "DIR"], "template bank"),
+            (["build-image-seq", "--config", "DIR"], "config"),
+            (["build-image-seq"], "config"),  # SEQ2TIME_CONFIG names DIR
+            (["eval-dvc", "--pred", "DIR"], "prediction"),
+            (["eval-dvc", "--gt", "DIR"], "ground truth"),
+            (["stats", "DIR"], "corpus"),
+        ],
+        ids=["source", "templates", "config", "env-config", "pred", "gt", "stats-corpus"],
+    )
+    def test_directory_is_a_config_error(
+        self, capsys, monkeypatch, image_source, tmp_path, argv, what
+    ):
+        directory, out_path = tmp_path / "a-directory", tmp_path / "corpus.jsonl"
+        directory.mkdir()
+        if argv == ["build-image-seq"]:
+            monkeypatch.setenv("SEQ2TIME_CONFIG", str(directory))
+        pred, gt = _write_eval_run(tmp_path)
+        valid = {  # a later flag overrides these
+            "build-image-seq": ["--source", image_source, "--output", out_path, "--n", 5],
+            "eval-dvc": ["--pred", pred, "--gt", gt],
+            "stats": [],
+        }[argv[0]]
+        given = [str(directory) if part == "DIR" else part for part in argv[1:]]
+        code, out, err = run_cli(capsys, argv[0], *map(str, valid), *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} file is a directory: {directory}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_a_named_pipe_is_read_as_a_file(self, capsys, tmp_path):
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        record = {"id": "r", "media": ["a.jpg"], "task": "IIG", "question": "q?",
+                  "answer": "a", "meta": {}}
+        writer = threading.Thread(target=fifo.write_text, args=(json.dumps(record) + "\n",))
+        writer.start()
+        code, out, _ = run_cli(capsys, "stats", str(fifo))
+        writer.join()
+        assert (code, out.splitlines()[:2]) == (0, ["records 1", "IIG 1"])
 
 
 class TestSourceRows:

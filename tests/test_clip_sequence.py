@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from seq2time import clip_sequence
 from seq2time.clip_sequence import (
     MAX_CLIPS,
+    MAX_TOTAL_FRAMES,
     MIN_CLIPS,
     CaptionedClip,
     ClipCorpusConfig,
@@ -126,6 +127,8 @@ class TestApportionFrames:
             apportion_frames((1.0, 0.0), 10)
         with pytest.raises(ConfigError, match="at least one of"):
             apportion_frames((1.0, 1.0, 1.0), 2)
+        with pytest.raises(ConfigError, match=f"totals must be below {MAX_TOTAL_FRAMES}$"):
+            apportion_frames((1.0, 1.0, 1.0), MAX_TOTAL_FRAMES)
 
     @given(
         st.lists(
@@ -135,6 +138,18 @@ class TestApportionFrames:
     )
     def test_partition_properties(self, weights, data):
         total = data.draw(st.integers(min_value=len(weights), max_value=500))
+        counts = apportion_frames(weights, total)
+        assert sum(counts) == total
+        assert all(c >= 1 for c in counts)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=15),
+        st.integers(min_value=MAX_TOTAL_FRAMES - 2**40, max_value=MAX_TOTAL_FRAMES - 1),
+    )
+    def test_counts_add_up_just_below_the_bound(self, weights, total):
+        # float quotas err by under one frame in all below MAX_TOTAL_FRAMES;
+        # from 2**52 on, random weight lists were seen to miss the total
         counts = apportion_frames(weights, total)
         assert sum(counts) == total
         assert all(c >= 1 for c in counts)
@@ -476,6 +491,10 @@ class TestClipCorpusConfig:
             ClipCorpusConfig(n_instances=1, clip_max=11)
         with pytest.raises(ConfigError, match="below one frame"):
             ClipCorpusConfig(n_instances=1, total_frames=8)
+        ClipCorpusConfig(n_instances=1, total_frames=MAX_TOTAL_FRAMES - 1)
+        for bad in (MAX_TOTAL_FRAMES, 2**53, 10**18):
+            with pytest.raises(ConfigError, match=f"must be below {MAX_TOTAL_FRAMES}$"):
+                ClipCorpusConfig(n_instances=1, total_frames=bad)
         with pytest.raises(ConfigError, match="rate_min and rate_max"):
             ClipCorpusConfig(n_instances=1, rate_min=0.0, rate_max=1.0)
         with pytest.raises(ConfigError, match="rate_min and rate_max"):

@@ -325,6 +325,12 @@ class TestRecallAt1:
         with pytest.raises(DomainError, match="at least one"):
             recall_at_1([ev(0, 10)], [ev(0, 10)], thresholds=())
 
+    def test_thresholds_sharing_a_report_key_rejected(self):
+        # the report keys each threshold f"{th:g}": 0.8000001 would overwrite 0.8
+        message = "^thresholds 0.8 and 0.8000001 both report as 0.8$"
+        with pytest.raises(DomainError, match=message):
+            recall_at_1([ev(0, 10)], [ev(0, 10)], thresholds=(0.8, 0.8000001))
+
 
 _POINTS = st.integers(0, 12) | st.floats(0, 12)
 _INTERVALS = st.tuples(_POINTS, _POINTS).map(lambda ends: sec(min(ends), max(ends)))
@@ -443,6 +449,16 @@ class TestTemporalF1:
         # a threshold <= 0 would count pairs that do not overlap
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
             temporal_f1([ev(0, 1)], [ev(0, 1)], thresholds=(0.5, bad))
+
+    def test_thresholds_sharing_a_report_key_rejected(self):
+        message = "^thresholds 0.3 and 0.30000001 both report as 0.3$"
+        with pytest.raises(DomainError, match=message):
+            temporal_f1([ev(0, 1)], [ev(0, 1)], thresholds=(0.3, 0.5, 0.30000001))
+
+    def test_equal_thresholds_and_integers_share_one_float_key(self):
+        result = temporal_f1([ev(0, 1)], [ev(0, 1)], thresholds=(1, 0.5, 1.0))
+        assert list(result.per_threshold) == [1.0, 0.5]
+        assert all(type(th) is float for th in result.per_threshold)
 
     # integer endpoints and thresholds such as 0.5 or 1/3 put IoU values
     # exactly on a threshold, where >= must still hold
@@ -688,6 +704,33 @@ class TestEvaluateRun:
         assert list(payload["f1_per_threshold"]) == ["0.3", "0.5", "0.7", "0.9"]
         assert list(payload["r_at_1"]) == ["0.5", "0.7"]
         assert "tokenization" in payload
+        assert sorted(payload) == [
+            "f1_per_threshold", "l_avg", "n_pred", "n_videos", "precision_per_threshold",
+            "r_at_1", "recall_per_threshold", "skipped_lines", "temporal_f1", "time_repr",
+            "tokenization", "ttr",
+        ]
+
+    @pytest.mark.parametrize("pred_file", ["well-formed", "malformed"])
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ({"thresholds": (0.5, 0.8, 0.8000001)}, "thresholds 0.8 and 0.8000001 both .* 0.8"),
+            ({"r1_thresholds": (0.7, 0.70000001)}, "thresholds 0.7 and 0.70000001 both .* 0.7"),
+            ({"thresholds": (0.5, 2)}, r"IoU thresholds must lie in \(0, 1\]"),
+            ({"r1_thresholds": ()}, "at least one IoU threshold"),
+        ],
+        ids=["f1-shared-key", "r1-shared-key", "f1-out-of-range", "r1-none"],
+    )
+    def test_thresholds_refused_before_the_files_are_read(
+        self, tmp_path, lists, message, pred_file
+    ):
+        # two thresholds with one report key would report one score under it,
+        # and the threshold rule comes before any row of either file
+        pred_path, gt_path = _write_three_video_run(tmp_path)
+        if pred_file == "malformed":
+            pred_path.write_text("not json\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=f"^{message}"):
+            evaluate_run(pred_path, gt_path, FREE, **lists)
 
     def test_caption_text_does_not_move_temporal_metrics(self, tmp_path):
         pred_path, gt_path = _write_three_video_run(tmp_path)
