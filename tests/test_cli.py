@@ -1535,10 +1535,14 @@ class TestDirectoryInput:
         os.mkfifo(fifo)
         record = {"id": "r", "media": ["a.jpg"], "task": "IIG", "question": "q?",
                   "answer": "a", "meta": {}}
-        writer = threading.Thread(target=fifo.write_text, args=(json.dumps(record) + "\n",))
+        # a daemon, so a writer whose pipe is never opened cannot keep the run alive
+        writer = threading.Thread(
+            target=fifo.write_text, args=(json.dumps(record) + "\n",), daemon=True
+        )
         writer.start()
         code, out, _ = run_cli(capsys, "stats", str(fifo))
-        writer.join()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
         assert (code, out.splitlines()[:2]) == (0, ["records 1", "IIG 1"])
 
 

@@ -148,8 +148,8 @@ class TestApportionFrames:
         st.integers(min_value=MAX_TOTAL_FRAMES - 2**40, max_value=MAX_TOTAL_FRAMES - 1),
     )
     def test_counts_add_up_just_below_the_bound(self, weights, total):
-        # float quotas err by under one frame in all below MAX_TOTAL_FRAMES;
-        # from 2**52 on, random weight lists were seen to miss the total
+        # below MAX_TOTAL_FRAMES the float quotas err by under one frame in
+        # all; near 2**52 random weight lists were seen to miss the total
         counts = apportion_frames(weights, total)
         assert sum(counts) == total
         assert all(c >= 1 for c in counts)

@@ -130,6 +130,44 @@ def run_main(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def build_at_both_jobs(argv, out_path: Path, pool_starts: list) -> tuple[int, str, str]:
+    """The ``--jobs 1`` (exit, stdout, stderr) of build ``argv``, run at
+    ``--jobs 1`` and 2 over a pre-seeded ``out_path``, after checking what
+    every build owes: exit 0, 2 or 4 without a traceback, the same result
+    and bytes at both, nothing else written beside the output, and on
+    failure no stdout and the old output kept. On exit 0, a pool started
+    exactly above 16 items of work, and ``--n`` records parse back."""
+    beside, runs = {*os.listdir(out_path.parent), out_path.name}, []
+    for jobs in ("1", "2"):
+        out_path.write_bytes(b"previous corpus\n")
+        pools = len(pool_starts)
+        result = run_main([*argv, "--output", str(out_path), "--jobs", jobs])
+        runs.append((result, out_path.read_bytes(), len(pool_starts) > pools))
+        assert set(os.listdir(out_path.parent)) == beside
+    (serial, written, _), (fanned, fanned_written, pooled) = runs
+    code, out, err = serial
+    assert code in (0, 2, 4), err
+    assert "Traceback" not in err
+    assert (fanned, fanned_written) == (serial, written)
+    if code != 0:
+        assert (out, written) == ("", b"previous corpus\n")
+        return serial
+    # a clip record weighs 1 item, an image record more or less as its
+    # sequence is longer or shorter than 96
+    options = dict(zip(argv[1::2], argv[2::2]))
+    work = n = int(options["--n"])
+    if argv[0] == "build-image-seq":
+        seq_len = int(options.get("--seq-len", 96))
+        work *= ImageCorpusConfig(0, seq_len=seq_len, max_targets=1).record_weight
+    assert pooled == (work > 16)
+    # JSONL lines end at b"\n" only: pool text may put U+2028 in a record
+    records = [json.loads(line) for line in written.split(b"\n")[:-1]]
+    assert len(records) == n
+    for record in records:
+        assert_parses_back(record)
+    return serial
+
+
 class TestEditedTemplateBanks:
     @given(edit=edits(), time_repr=st.sampled_from([r.value for r in TimeRepresentation]))
     @example(edit=("dvc", "single", "questions", None, "replace", " "), time_repr="rpt")
@@ -214,40 +252,15 @@ class TestBuildConfigs:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_bytes_at_both_jobs_or_refused(self, edge_sources, pool_above_16, config):
         builder, flags = config
-        runs = []
         with tempfile.TemporaryDirectory() as directory:
-            out_path = Path(directory) / "corpus.jsonl"
-            for jobs in ("1", "2"):
-                out_path.write_bytes(b"previous corpus\n")
-                pools = len(pool_above_16)
-                result = run_main([f"build-{builder}-seq", "--source", str(edge_sources[builder]),
-                                   "--output", str(out_path), *flags, "--jobs", jobs])
-                runs.append((result, out_path.read_bytes(), len(pool_above_16) > pools))
-                assert os.listdir(directory) == ["corpus.jsonl"]
-        (serial, written, _), (fanned, fanned_written, pooled) = runs
-        code, _, err = serial
-        n, length = int(flags[1]), int(flags[5])
-        assert code in (0, 2, 4), err
-        assert "Traceback" not in err
-        assert (fanned, fanned_written) == (serial, written)
+            argv = [f"build-{builder}-seq", "--source", str(edge_sources[builder]), *flags]
+            code, _, err = build_at_both_jobs(argv, Path(directory) / "corpus.jsonl",
+                                              pool_above_16)
+        total_frames = int(flags[5])
         if builder == "clip":  # 160 clips fill any sequence: only the frame total fails
-            assert code == (0 if 10 <= length < MAX_TOTAL_FRAMES else 2), err
-        if builder == "clip" and length >= MAX_TOTAL_FRAMES:  # refused at load
-            message = f"error: total_frames {length} must be below {MAX_TOTAL_FRAMES}\n"
-            assert err == message
-        if code != 0:
-            assert written == b"previous corpus\n"
-            return
-        # the pool starts above 16 items of work: a clip record weighs 1, an
-        # image record more or less as its sequence is longer or shorter than 96
-        work = n
-        if builder == "image":
-            work *= ImageCorpusConfig(0, seq_len=length, max_targets=1).record_weight
-        assert pooled == (work > 16)
-        records = [json.loads(line) for line in written.decode("utf-8").splitlines()]
-        assert len(records) == n
-        for record in records:
-            assert_parses_back(record)
+            assert code == (0 if 10 <= total_frames < MAX_TOTAL_FRAMES else 2), err
+        if builder == "clip" and total_frames >= MAX_TOTAL_FRAMES:  # refused at load
+            assert err == f"error: total_frames {total_frames} must be below {MAX_TOTAL_FRAMES}\n"
 
 
 TEXT_FIELDS = {"image": ("id", "image", "caption"), "clip": ("id", "video", "label", "caption")}
@@ -297,35 +310,11 @@ class TestCaptionPools:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_bytes_at_both_jobs_or_refused(self, pool_above_16, pool):
         builder, source_text, flags = pool
-        runs = []
         with tempfile.TemporaryDirectory() as directory:
-            source, out_path = Path(directory) / "source.jsonl", Path(directory) / "corpus.jsonl"
+            source = Path(directory) / "source.jsonl"
             source.write_text(source_text, encoding="ascii")
-            for jobs in ("1", "2"):
-                out_path.write_bytes(b"previous corpus\n")
-                pools = len(pool_above_16)
-                result = run_main([f"build-{builder}-seq", "--source", str(source),
-                                   "--output", str(out_path), *flags, "--jobs", jobs])
-                runs.append((result, out_path.read_bytes(), len(pool_above_16) > pools))
-                assert sorted(os.listdir(directory)) == ["corpus.jsonl", "source.jsonl"]
-        (serial, written, _), (fanned, fanned_written, pooled) = runs
-        code, out, err = serial
-        assert code in (0, 2, 4), err
-        assert "Traceback" not in err
-        assert (fanned, fanned_written) == (serial, written)
-        if code != 0:
-            assert (out, written) == ("", b"previous corpus\n")
-            return
-        n = int(flags[1])
-        work = n
-        if builder == "image":
-            work *= ImageCorpusConfig(0, seq_len=int(flags[5]), max_targets=1).record_weight
-        assert pooled == (work > 16)
-        # JSONL lines end at b"\n" only: pool text may put U+2028 in a record
-        records = [json.loads(line) for line in written.split(b"\n")[:-1]]
-        assert len(records) == n
-        for record in records:
-            assert_parses_back(record)
+            argv = [f"build-{builder}-seq", "--source", str(source), *flags]
+            build_at_both_jobs(argv, Path(directory) / "corpus.jsonl", pool_above_16)
 
 
 PRED_LINES = (
