@@ -12,7 +12,8 @@ human timestamps are involved.
 (dense captioning: list every event with its time span) or TVG
 (grounding: locate one queried caption). Times render as boundary
 position codes or as seconds at 0.1 s display precision, and the
-synthetic timeline is D = the sum of real clip durations.
+synthetic timeline is D = the sum of real clip durations, added left to
+right.
 ``clip_record`` returns a record's fields but its id; ``clip_corpus``
 builds draw them through ``Corpus.record``, which seeds, numbers and
 names each record (``seq2time.corpus``).
@@ -29,8 +30,8 @@ from functools import lru_cache
 from itertools import accumulate, pairwise
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, RecordFields, _sample_indices, json_plain
-from .dataset_io import CaptionedClip
+from .corpus import Corpus, RecordFields, _sample_indices
+from .dataset_io import CaptionedClip, json_plain
 from .errors import ConfigError, InvariantViolation, TemplateError
 from .position_token import (
     TimeRepresentation,
@@ -72,8 +73,13 @@ class ClipSequenceSample:
 
     @property
     def pseudo_duration_s(self) -> float:
-        """The synthetic timeline D: the sum of the clips' durations."""
-        return sum(c.duration_s for c in self.clips)
+        """The synthetic timeline D: the clips' durations added left to right
+        from 0, so its last bit is the same on every Python (``sum``
+        compensates from 3.12 on)."""
+        total = 0
+        for clip in self.clips:
+            total += clip.duration_s
+        return total
 
 
 def apportion_frames(weights: Sequence[float], total: int) -> tuple[int, ...]:
@@ -94,7 +100,9 @@ def apportion_frames(weights: Sequence[float], total: int) -> tuple[int, ...]:
         )
     if total >= MAX_TOTAL_FRAMES:
         raise ConfigError(f"cannot split {total} frames: totals must be below {MAX_TOTAL_FRAMES}")
-    scale = sum(weights)
+    scale = 0  # left to right from 0: sum() compensates from Python 3.12 on
+    for w in weights:
+        scale += w
     quotas = [total * w / scale for w in weights]
     counts = [int(q) for q in quotas]
     leftovers = sorted(

@@ -15,18 +15,16 @@ runs its per-video score rows through ``run_ranges`` the same way.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .dataset_io import CorpusStats, InstructionRecord, encode_line, open_replacing
 from .errors import ConfigError
@@ -47,29 +45,24 @@ def derive_record_seed(seed: int, ordinal: int, namespace: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# _sample_indices copies random.sample's code of this minor version
-_SAMPLE_COPIED = sys.version_info[:2] == (3, 11)
-
-
 def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     """``rng.sample(range(n), k)``: the same indices, in the same order, and
     ``rng`` left in the same state.
 
-    Copies both branches of CPython 3.11's ``random.sample``, with
-    ``_randbelow`` inlined as its ``getrandbits`` loop. Up to ``setsize``
-    (21, plus a set's table size for k above 5) it keeps the undrawn
-    indices in a list: the i-th index is ``pool[j]`` for j drawn below
-    m = n - i, and ``pool[m - 1]`` fills the gap. Above that it tracks the
-    chosen indices in a set, re-drawing j below n while it was chosen
-    before. Every other case calls ``rng.sample``: ``k`` outside 0..n (so
-    its own ``ValueError`` is raised), another Python version, and an rng
+    Copies both branches of ``random.sample``, whose drawing code is the
+    same on CPython 3.10 to 3.13, with ``_randbelow`` inlined as its
+    ``getrandbits`` loop. Up to ``setsize`` (21, plus a set's table size
+    for k above 5) it keeps the undrawn indices in a list: the i-th index
+    is ``pool[j]`` for j drawn below m = n - i, and ``pool[m - 1]`` fills
+    the gap. Above that it tracks the chosen indices in a set, re-drawing
+    j below n while it was chosen before. Two cases call ``rng.sample``:
+    ``k`` outside 0..n (so its own ``ValueError`` is raised), and an rng
     class with its own ``sample`` or ``_randbelow`` (a subclass that
     overrides only ``random()`` gets another ``_randbelow``).
     """
     cls = type(rng)
     if (
         not 0 <= k <= n
-        or not _SAMPLE_COPIED
         or cls.sample is not random.Random.sample
         or cls._randbelow is not random.Random._randbelow_with_getrandbits
     ):
@@ -158,37 +151,14 @@ class Corpus:
         return CorpusStats.from_sums(dict(counts), question_chars, answer_chars)
 
 
-# encode_line's json.dumps, and the escape it gives a text (in C, for less)
-_dumps = partial(json.dumps, ensure_ascii=False)
-_escape = json.encoder.encode_basestring
-
-
-def json_plain(texts: Iterable[str]) -> bool:
-    """Whether JSON writes every text as it is, between quotes: none holds
-    a quote, a backslash or a control character."""
-    return all(_escape(text) == f'"{text}"' for text in texts)
-
-
-def _plain_media_line(record: InstructionRecord) -> str:
-    """``encode_line(record)`` for a record with at least one medium, all
-    of them ``json_plain``: the paths are joined, not escaped again."""
-    return (
-        f'{{"id": {_escape(record.id)}, "media": ["'
-        + '", "'.join(record.media)
-        + f'"], "task": {_escape(record.task)}, "question": {_escape(record.question)}'
-        + f', "answer": {_escape(record.answer)}, "meta": {_dumps(record.meta)}}}\n'
-    )
-
-
 def _generate(corpus: Corpus, ordinals: range) -> list[InstructionRecord]:
     return [corpus.record(i) for i in ordinals]
 
 
 def _encode(corpus: Corpus, ordinals: range) -> tuple[bytes, Counter, int, int]:
     records = _generate(corpus, ordinals)
-    line = _plain_media_line if corpus.plain_media else encode_line
     return (
-        "".join(map(line, records)).encode(),
+        "".join([encode_line(record, corpus.plain_media) for record in records]).encode(),
         Counter(record.task for record in records),
         sum(len(record.question) for record in records),
         sum(len(record.answer) for record in records),

@@ -202,11 +202,27 @@ def load_clip_captions(path: str | Path) -> list[CaptionedClip]:
     ]
 
 
-def encode_line(record) -> str:
-    """One JSONL line, newline included, for an InstructionRecord (its fields
-    as an object, in ``RECORD_KEY_ORDER``) or a plain dict."""
-    obj = record._asdict() if isinstance(record, InstructionRecord) else record
-    return json.dumps(obj, ensure_ascii=False) + "\n"
+_escape = json.encoder.encode_basestring  # a text as JSON writes it, in C
+_dumps = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps's encoder, built once
+
+
+def json_plain(texts: Iterable[str]) -> bool:
+    """Whether JSON writes every text as it is, between quotes: none holds
+    a quote, a backslash or a control character."""
+    return all(_escape(text) == f'"{text}"' for text in texts)
+
+
+def encode_line(record: InstructionRecord, plain_media: bool = False) -> str:
+    """One JSONL line, newline included: the record's fields as an object in
+    ``RECORD_KEY_ORDER``, as ``json.dumps(record._asdict(), ensure_ascii=False)``
+    writes it. ``plain_media`` says the record has at least one medium and
+    every one is ``json_plain``: the paths are then joined, not escaped."""
+    media = '["' + '", "'.join(record.media) + '"]' if plain_media else _dumps(record.media)
+    return (
+        f'{{"id": {_escape(record.id)}, "media": {media}, "task": {_escape(record.task)}'
+        f', "question": {_escape(record.question)}, "answer": {_escape(record.answer)}'
+        f', "meta": {_dumps(record.meta)}}}\n'
+    )
 
 
 @contextmanager
@@ -231,9 +247,8 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
             tmp.unlink()
 
 
-def write_jsonl(records: Iterable, path: str | Path) -> int:
-    """Write records (InstructionRecord or plain dict) one per line, each
-    as ``encode_line`` gives it.
+def write_jsonl(records: Iterable[InstructionRecord], path: str | Path) -> int:
+    """Write records one per line, each as ``encode_line`` gives it.
 
     Returns the record count. Output is UTF-8 and replaces ``path`` only
     once every record is written.

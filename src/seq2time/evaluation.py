@@ -309,14 +309,15 @@ def temporal_f1(
     counts = _matched_counts(pred_events, gt_events, thresholds)
     n_pred, n_gt = len(pred_events), len(gt_events)
     per_threshold: dict[float, ThresholdScore] = {}
-    for th in thresholds:
+    f1_sum = 0  # left to right from 0: sum() compensates from Python 3.12 on
+    for th in dict.fromkeys(thresholds):  # a repeated threshold counts once
         matched = counts[th]  # if 0, a side may be empty: every score is 0
         precision = matched / n_pred if matched else 0.0
         recall = matched / n_gt if matched else 0.0
         f1 = 2.0 * precision * recall / (precision + recall) if matched else 0.0
         per_threshold[th] = ThresholdScore(precision, recall, f1)
-    mean_f1 = sum(s.f1 for s in per_threshold.values()) / len(per_threshold)
-    return TemporalF1Result(per_threshold, mean_f1)
+        f1_sum += f1
+    return TemporalF1Result(per_threshold, f1_sum / len(per_threshold))
 
 
 def tokenize(text: str) -> list[str]:
@@ -347,16 +348,16 @@ def _video_richness(captions: Sequence[str]) -> tuple[int, int, float | None]:
 
 
 def _pooled_richness(videos: Iterable[tuple[int, int, float | None]]) -> RichnessResult:
-    total_tokens = total_captions = 0
-    ttrs: list[float] = []
+    total_tokens = total_captions = ttr_sum = n_ttrs = 0
     for n_tokens, n_captions, ttr in videos:
         total_tokens += n_tokens
         total_captions += n_captions
         if ttr is not None:
-            ttrs.append(ttr)
-    if not ttrs or total_captions == 0:
+            ttr_sum += ttr
+            n_ttrs += 1
+    if not n_ttrs or total_captions == 0:
         raise DomainError("richness is undefined when no video has caption tokens")
-    return RichnessResult(total_tokens / total_captions, sum(ttrs) / len(ttrs))
+    return RichnessResult(total_tokens / total_captions, ttr_sum / n_ttrs)
 
 
 @dataclass(frozen=True)
@@ -481,7 +482,7 @@ def evaluate_run(
     n_queries = sum(map(len, gts.values()))
     _check_queries(n_queries)
 
-    # sums over the rows in sorted-id order, from 0 as sum() does
+    # sums over the rows in sorted-id order, left to right from 0
     ids = sorted(gts)
     state = (preds, gts, ids, time_repr, thresholds, r1_thresholds)
     keys = dict.fromkeys(thresholds)  # temporal_f1's keys, in its order

@@ -34,8 +34,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, RecordFields, _sample_indices, json_plain
-from .dataset_io import CaptionedImage
+from .corpus import Corpus, RecordFields, _sample_indices
+from .dataset_io import CaptionedImage, json_plain
 from .errors import ConfigError, TemplateError
 from .position_token import (
     CODE_PATTERN,
@@ -105,10 +105,9 @@ def sample_sequence(
     positions are a sorted uniform draw. Deterministic given pool order
     and rng state. The images are those ``rng.sample(list(pool), seq_len)``
     picks, and the targets those of ``rng.sample(range(1, seq_len + 1),
-    n)``, both drawn as indices without copying a population: on Python
-    3.11 by an inlined copy of ``random.sample``
-    (``corpus._sample_indices``), which makes the same ``getrandbits``
-    calls; otherwise, as there, by ``rng.sample`` over the index range.
+    n)``, both drawn as indices without copying a population, by an
+    inlined copy of ``random.sample`` (``corpus._sample_indices``) that
+    makes the same ``getrandbits`` calls.
     """
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")

@@ -14,7 +14,7 @@ from hypothesis import settings
 
 import seq2time.corpus as corpus
 from seq2time.clip_sequence import CaptionedClip, ClipSequenceSample
-from seq2time.dataset_io import write_jsonl
+from seq2time.dataset_io import InstructionRecord
 from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import CaptionedImage
 from seq2time.position_token import MAX_RPT_LENGTH, TimeInterval, TimeRepresentation
@@ -130,10 +130,22 @@ def clip_pool() -> list[CaptionedClip]:
     return pool
 
 
+def reference_line(record: InstructionRecord) -> str:
+    """The oracle of ``dataset_io.encode_line``: ``json.dumps`` of the
+    record's fields in order."""
+    return json.dumps(record._asdict(), ensure_ascii=False) + "\n"
+
+
+def write_rows(rows, path: Path) -> Path:
+    """A JSONL file of plain dict rows (caption sources, eval inputs, bad
+    records), one ``json.dumps`` line each, as UTF-8."""
+    path.write_bytes("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode())
+    return path
+
+
 def write_image_source(pool, path: Path) -> Path:
     rows = [{"id": c.id, "image": c.image, "caption": c.caption} for c in pool]
-    write_jsonl(rows, path)
-    return path
+    return write_rows(rows, path)
 
 
 def write_clip_source(pool, path: Path) -> Path:
@@ -148,8 +160,7 @@ def write_clip_source(pool, path: Path) -> Path:
         }
         for c in pool
     ]
-    write_jsonl(rows, path)
-    return path
+    return write_rows(rows, path)
 
 
 @pytest.fixture
@@ -192,9 +203,7 @@ def self_eval_files(records, directory: Path, stem: str) -> tuple[Path, Path]:
         )
     pred_path = directory / f"{stem}_pred.jsonl"
     gt_path = directory / f"{stem}_gt.jsonl"
-    write_jsonl(pred_rows, pred_path)
-    write_jsonl(gt_rows, gt_path)
-    return pred_path, gt_path
+    return write_rows(pred_rows, pred_path), write_rows(gt_rows, gt_path)
 
 
 def derive_annotations(sample: ClipSequenceSample) -> list[TimeInterval]:

@@ -22,7 +22,7 @@ from seq2time.errors import InvariantViolation
 from seq2time.image_sequence import CaptionedImage, ImageCorpusConfig, build_image_corpus
 from seq2time.position_token import render_code
 
-from conftest import write_clip_source, write_image_source
+from conftest import write_clip_source, write_image_source, write_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -305,7 +305,7 @@ class TestBuildImageSeq:
             for k in range(5001)
         ]
         source = tmp_path / "images.jsonl"
-        write_jsonl(rows, source)
+        write_rows(rows, source)
         out_path = tmp_path / "corpus.jsonl"
         args = [
             "build-image-seq",
@@ -579,7 +579,7 @@ class TestCorpusWriter:
         rows = [{"id": c.id, "image": c.image, "caption": c.caption} for c in image_pool]
         rows[321]["caption"] = caption
         source = tmp_path / "images.jsonl"
-        write_jsonl(rows, source)
+        write_rows(rows, source)
         out_path = tmp_path / "corpus.jsonl"
         out_path.write_bytes(b"previous corpus\n")
         code, _, err = run_cli(
@@ -626,7 +626,7 @@ class TestCorpusWriter:
         for row in rows:
             row["caption"] += " by <INDEX>"
         source = tmp_path / "images.jsonl"
-        write_jsonl(rows, source)
+        write_rows(rows, source)
         out_path = tmp_path / "corpus.jsonl"
         code, _, _ = run_cli(
             capsys,
@@ -984,7 +984,7 @@ def _write_eval_run(tmp_path):
     """v1 scores perfectly, v2 produces nothing parseable."""
     pred_path = tmp_path / "pred.jsonl"
     gt_path = tmp_path / "gt.jsonl"
-    write_jsonl(
+    write_rows(
         [
             {
                 "video_id": "v1",
@@ -998,7 +998,7 @@ def _write_eval_run(tmp_path):
         ],
         pred_path,
     )
-    write_jsonl(
+    write_rows(
         [
             {
                 "video_id": "v1",
@@ -1199,10 +1199,10 @@ class TestEvalCommands:
         # one video whose three predictions reach IoU 0.6, 0.4 and 0.95
         pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
         output = "0 - 6 seconds, a\n10 - 14 seconds, b\n20 - 29.5 seconds, c"
-        write_jsonl([{"video_id": "v1", "output": output, "duration_s": 30.0}], pred)
+        write_rows([{"video_id": "v1", "output": output, "duration_s": 30.0}], pred)
         events = [{"start": s, "end": s + 10.0, "caption": "x"}
                   for s in (0.0, 10.0, 20.0)]
-        write_jsonl([{"video_id": "v1", "events": events}], gt)
+        write_rows([{"video_id": "v1", "events": events}], gt)
 
         def report(ths):
             argv = ["eval-dvc", "--pred", str(pred), "--gt", str(gt), "--json"]
@@ -1270,7 +1270,7 @@ class TestEvalCommands:
 
     def test_non_ascii_digit_line_is_skipped(self, capsys, tmp_path):
         pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [{
                 "video_id": "v1",
                 "output": (
@@ -1281,7 +1281,7 @@ class TestEvalCommands:
             }],
             pred,
         )
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "events": [{"start": 0.0, "end": 10.0, "caption": "k"}]}],
             gt,
         )
@@ -1354,7 +1354,7 @@ class TestEvalCommands:
         path = {"pred": pred, "gt": gt}[which]
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         rows[1]["video_id"] = " "
-        write_jsonl(rows, path)
+        write_rows(rows, path)
         code, out, err = run_cli(capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt))
         assert (code, out) == (4, "")
         assert "line 2: field video_id must be non-empty text" in err
@@ -1417,7 +1417,7 @@ class TestStats:
         }
         bad = {k: v for k, v in {**record, field: value}.items() if v is not None}
         path = tmp_path / "corpus.jsonl"
-        write_jsonl([record, bad], path)
+        write_rows([record, bad], path)
         code, out, err = run_cli(capsys, "stats", str(path))
         assert code == 4
         assert out == ""

@@ -170,6 +170,14 @@ class TestComposeSequence:
                 sum(c.duration_s for c in sample.clips)
             )
 
+    def test_pseudo_duration_adds_left_to_right_from_zero(self):
+        # what sum() gave before Python 3.12; a compensated sum (math.fsum,
+        # or sum() from 3.12 on) gives 1.0, and the corpus bytes would follow it
+        clips = tuple(make_clip(i, "a person is waving", 0.1) for i in range(10))
+        sample = ClipSequenceSample(clips, (1.0,) * 10, (1,) * 10, 10)
+        assert sample.pseudo_duration_s == 0.9999999999999999
+        assert math.fsum(clip.duration_s for clip in clips) == 1.0
+
     def test_deterministic(self, clip_pool):
         one = compose_sequence(clip_pool, 5, 96, (0.5, 2.0), random.Random(3))
         two = compose_sequence(clip_pool, 5, 96, (0.5, 2.0), random.Random(3))

@@ -15,6 +15,8 @@ from seq2time.errors import ConfigError
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus
 from seq2time.position_token import TimeRepresentation
 
+from conftest import reference_line
+
 # sha256 of 500-record builds (seed 0, default options) from the conftest pools
 DIGESTS = {
     ("image", "rpt"): "ee4bd3f8b2ce3e939cf47a3d924674c97545fe1fe597b91035215d94a33ba1b8",
@@ -105,7 +107,9 @@ def test_written_bytes_are_encode_line_over_records(
     path = tmp_path / "corpus.jsonl"
     build.write(path, jobs)
     assert bool(pool_above_16) == (jobs == 2)
-    assert path.read_bytes() == "".join(map(encode_line, build.records())).encode()
+    expected = "".join(map(encode_line, build.records()))
+    assert path.read_bytes() == expected.encode()
+    assert expected == "".join(map(reference_line, build.records()))
 
 
 class TestDeriveRecordSeed:

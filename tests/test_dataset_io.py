@@ -4,6 +4,7 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seq2time.dataset_io import (
     RECORD_KEY_ORDER,
@@ -12,13 +13,14 @@ from seq2time.dataset_io import (
     corpus_stats,
     encode_line,
     iter_jsonl_with_lines,
+    json_plain,
     load_clip_captions,
     load_image_captions,
     write_jsonl,
 )
 from seq2time.errors import CorpusFormatError
 
-from conftest import write_clip_source, write_image_source
+from conftest import reference_line, write_clip_source, write_image_source, write_rows
 
 
 class TestInstructionRecord:
@@ -71,7 +73,38 @@ class TestInstructionRecord:
         record = self._record()
         obj = {**record._asdict(), "media": list(record.media)}
         assert encode_line(record) == json.dumps(obj, ensure_ascii=False) + "\n"
-        assert encode_line(record) == encode_line(obj)
+        assert encode_line(record, plain_media=True) == reference_line(record)
+
+
+# text with what JSON escapes (a quote, a backslash, control characters) and
+# what it writes as it is (U+2028, U+2029, non-BMP and other non-ASCII text)
+_RAW = "\x7f\u2028\u2029\u00e9\U0001f600"
+_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\t\n' + _RAW), st.characters()), max_size=12
+)
+_PLAIN = st.text(
+    st.one_of(st.sampled_from(_RAW), st.characters(min_codepoint=0x20, exclude_characters='"\\')),
+    max_size=12,
+)
+_RECORDS = st.builds(
+    InstructionRecord,
+    id=_TEXT,
+    media=st.one_of(st.lists(_TEXT, max_size=8), st.lists(_PLAIN, min_size=1, max_size=8)),
+    task=_TEXT,
+    question=_TEXT.filter(str.strip),
+    answer=_TEXT.filter(str.strip),
+    meta=st.dictionaries(
+        _TEXT, st.one_of(st.integers(), st.floats(), _TEXT, st.lists(_TEXT)), max_size=4
+    ),
+)
+
+
+@given(_RECORDS)
+def test_encode_line_is_the_json_dumps_reference(record):
+    expected = reference_line(record)
+    assert encode_line(record) == expected
+    if record.media and json_plain(record.media):  # the join path
+        assert encode_line(record, plain_media=True) == expected
 
 
 class TestLoaders:
@@ -301,11 +334,6 @@ class TestWriteJsonl:
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
-    def test_plain_dicts_accepted(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        assert write_jsonl([{"k": 1}], path) == 1
-        assert list(iter_jsonl_with_lines(path)) == [(1, {"k": 1})]
-
 
 class TestCorpusStats:
     def test_counts_and_means(self, tmp_path):
@@ -357,7 +385,7 @@ class TestCorpusStats:
     )
     def test_bad_row_names_line(self, tmp_path, row, message):
         path = tmp_path / "out.jsonl"
-        write_jsonl([InstructionRecord("r1", (), "IIG", "q", "a", {}), row], path)
+        write_rows([InstructionRecord("r1", (), "IIG", "q", "a", {})._asdict(), row], path)
         with pytest.raises(CorpusFormatError) as excinfo:
             corpus_stats(path)
         assert str(excinfo.value) == f"{path}: line 2: {message}"

@@ -1,8 +1,10 @@
 """Prediction parsing and temporal/lexical metric oracles."""
 
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from seq2time.evaluation import (
     DEFAULT_F1_THRESHOLDS,
     _iou_rows,
     _matched_counts,
+    _report_name,
     Event,
     EventPrediction,
     MetricsReport,
@@ -27,7 +30,6 @@ from seq2time.evaluation import (
     temporal_f1,
     tokenize,
 )
-from seq2time.dataset_io import write_jsonl
 from seq2time.image_sequence import parse_index_mentions
 from seq2time.position_token import (
     SCALE,
@@ -39,6 +41,9 @@ from seq2time.position_token import (
     render_code,
     to_timestamp,
 )
+
+from conftest import write_rows
+
 
 FREE = TimeRepresentation.FREE_FORM
 RPT = TimeRepresentation.RPT
@@ -461,7 +466,8 @@ class TestTemporalF1:
         assert all(type(th) is float for th in result.per_threshold)
 
     # integer endpoints and thresholds such as 0.5 or 1/3 put IoU values
-    # exactly on a threshold, where >= must still hold
+    # exactly on a threshold, where >= must still hold; lists with two
+    # values of one report name (1.0 and 0.9999999999999999) are refused
     @settings(max_examples=150, deadline=None)
     @given(
         _pred_gt_lists(),
@@ -469,7 +475,7 @@ class TestTemporalF1:
             st.sampled_from((1 / 3, 0.5, 0.6, 1.0)) | st.floats(0, 1, exclude_min=True),
             min_size=1,
             max_size=6,
-        ),
+        ).filter(lambda ths: len(set(map(_report_name, ths))) == len(set(ths))),
     )
     def test_warm_start_matches_brute_force_at_each_threshold(self, events, thresholds):
         preds, gts = events
@@ -490,8 +496,9 @@ class TestTemporalF1:
             score = result.per_threshold[th]
             assert score.precision == (matched / len(preds) if preds else 0.0)
             assert score.recall == (matched / len(gts) if gts else 0.0)
+        # the mean adds left to right from 0 (sum() compensates from Python 3.12 on)
         f1s = [s.f1 for s in result.per_threshold.values()]
-        assert result.f1 == sum(f1s) / len(f1s)
+        assert result.f1 == functools.reduce(operator.add, f1s, 0) / len(f1s)
 
 
 class TestTokenize:
@@ -549,7 +556,7 @@ class TestRichness:
 class TestLoaders:
     def test_ground_truth_round_trip(self, tmp_path):
         path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [
                 {
                     "video_id": "v1",
@@ -570,7 +577,7 @@ class TestLoaders:
 
     def test_ground_truth_bad_event_names_index(self, tmp_path):
         path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [
                 {
                     "video_id": "v1",
@@ -584,7 +591,7 @@ class TestLoaders:
 
     def test_ground_truth_inverted_event_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "events": [{"start": 5.0, "end": 1.0}]}], path
         )
         with pytest.raises(CorpusFormatError, match="bad event 0"):
@@ -592,7 +599,7 @@ class TestLoaders:
 
     def test_ground_truth_times_checked_before_caption(self, tmp_path):
         path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "events": [{"start": 5.0, "end": 1.0, "caption": 7}]}],
             path,
         )
@@ -601,7 +608,7 @@ class TestLoaders:
 
     def test_ground_truth_duplicate_video(self, tmp_path):
         path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [
                 {"video_id": "v1", "events": []},
                 {"video_id": "v1", "events": []},
@@ -615,7 +622,7 @@ class TestLoaders:
 
     def test_predictions_round_trip(self, tmp_path):
         path = tmp_path / "pred.jsonl"
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "output": "0 - 5 seconds, x", "duration_s": 20.0}],
             path,
         )
@@ -623,20 +630,20 @@ class TestLoaders:
 
     def test_predictions_require_positive_duration(self, tmp_path):
         path = tmp_path / "pred.jsonl"
-        write_jsonl([{"video_id": "v1", "output": "x", "duration_s": 0}], path)
+        write_rows([{"video_id": "v1", "output": "x", "duration_s": 0}], path)
         with pytest.raises(CorpusFormatError, match="positive duration_s"):
             load_predictions(path)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
     def test_predictions_reject_non_finite_duration(self, tmp_path, duration):
         path = tmp_path / "pred.jsonl"
-        write_jsonl([{"video_id": "v1", "output": "x", "duration_s": duration}], path)
+        write_rows([{"video_id": "v1", "output": "x", "duration_s": duration}], path)
         with pytest.raises(CorpusFormatError, match="line 1: .*positive duration_s"):
             load_predictions(path)
 
     def test_predictions_reject_bool_duration(self, tmp_path):
         path = tmp_path / "pred.jsonl"
-        write_jsonl([{"video_id": "v1", "output": "x", "duration_s": True}], path)
+        write_rows([{"video_id": "v1", "output": "x", "duration_s": True}], path)
         with pytest.raises(CorpusFormatError, match="positive duration_s"):
             load_predictions(path)
 
@@ -673,8 +680,8 @@ def _write_three_video_run(tmp_path):
         },
     ]
     pred_path, gt_path = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
-    write_jsonl(pred_rows, pred_path)
-    write_jsonl(gt_rows, gt_path)
+    write_rows(pred_rows, pred_path)
+    write_rows(gt_rows, gt_path)
     return pred_path, gt_path
 
 
@@ -740,7 +747,7 @@ class TestEvaluateRun:
             "0.0 - 5.0 seconds, totally different text\n"
             "5.0 - 20.0 seconds, again unrelated words"
         )
-        write_jsonl(rows, pred_path)
+        write_rows(rows, pred_path)
         moved = evaluate_run(pred_path, gt_path, FREE)
         assert moved.f1 == base.f1
         assert moved.r_at_1 == base.r_at_1
@@ -749,10 +756,10 @@ class TestEvaluateRun:
     def test_id_mismatch_lists_both_directions(self, tmp_path):
         pred_path = tmp_path / "pred.jsonl"
         gt_path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [{"video_id": "v2", "output": "x", "duration_s": 1.0}], pred_path
         )
-        write_jsonl([{"video_id": "v1", "events": []}], gt_path)
+        write_rows([{"video_id": "v1", "events": []}], gt_path)
         with pytest.raises(
             CorpusFormatError,
             match=r"videos without predictions: v1; "
@@ -771,11 +778,11 @@ class TestEvaluateRun:
     def test_captionless_run_reports_none_richness(self, tmp_path):
         pred_path = tmp_path / "pred.jsonl"
         gt_path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "output": "0 - 5 seconds,", "duration_s": 10.0}],
             pred_path,
         )
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "events": [{"start": 0, "end": 5}]}], gt_path
         )
         report = evaluate_run(pred_path, gt_path, FREE)
@@ -786,7 +793,7 @@ class TestEvaluateRun:
     def test_rpt_run(self, tmp_path):
         pred_path = tmp_path / "pred.jsonl"
         gt_path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [
                 {
                     "video_id": "v1",
@@ -796,7 +803,7 @@ class TestEvaluateRun:
             ],
             pred_path,
         )
-        write_jsonl(
+        write_rows(
             [
                 {
                     "video_id": "v1",
@@ -813,11 +820,11 @@ class TestEvaluateRun:
     def test_extra_gt_events_become_misses(self, tmp_path):
         pred_path = tmp_path / "pred.jsonl"
         gt_path = tmp_path / "gt.jsonl"
-        write_jsonl(
+        write_rows(
             [{"video_id": "v1", "output": "0 - 5 seconds, a", "duration_s": 10.0}],
             pred_path,
         )
-        write_jsonl(
+        write_rows(
             [
                 {
                     "video_id": "v1",
@@ -854,8 +861,8 @@ def _write_jobs_run(tmp_path, n_videos, output=None, events=None):
                           else output, "duration_s": 80.0})
         gt_rows.append({"video_id": video_id, "events": truth if events is None else events})
     pred_path, gt_path = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
-    write_jsonl(pred_rows, pred_path)
-    write_jsonl(gt_rows, gt_path)
+    write_rows(pred_rows, pred_path)
+    write_rows(gt_rows, gt_path)
     return pred_path, gt_path
 
 
@@ -903,7 +910,7 @@ class TestEvaluateRunJobs:
         pred_path, gt_path = _write_jobs_run(tmp_path, 20)
         rows = [json.loads(line) for line in gt_path.read_text().splitlines()]
         rows[3]["events"] = []
-        write_jsonl(rows, gt_path)
+        write_rows(rows, gt_path)
         self._same_at_both(pred_path, gt_path, pool_above_16, True)
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -200,6 +200,27 @@ class TestSampleContracts:
             assert rng.random() == reference.random()
         assert calls == [(range(96), 80)] * 20
 
+    def test_default_rng_never_reaches_rng_sample(self, monkeypatch):
+        # on every supported Python a plain random.Random draws through the
+        # inlined copy, in both branches; only a k outside 0..n defers
+        calls = []
+        sample = random.Random.sample
+
+        def counted(self, population, k):
+            calls.append((population, k))
+            return sample(self, population, k)
+
+        monkeypatch.setattr(random.Random, "sample", counted)
+        for n, k in [(1, 1), (10, 0), (24, 24), (96, 80), (1046, 96), (20_000, 96)]:
+            for seed in range(20):
+                rng, reference = random.Random(seed), random.Random(seed)
+                assert _sample_indices(rng, n, k) == sample(reference, range(n), k)
+                assert rng.random() == reference.random()
+        assert calls == []
+        with pytest.raises(ValueError):
+            _sample_indices(random.Random(0), 3, 5)
+        assert calls == [(range(3), 5)]
+
     @pytest.mark.parametrize("n, k", [(3, 5), (3, -1), (100, -1)])
     def test_index_draw_raises_what_random_sample_raises(self, n, k):
         with pytest.raises(ValueError) as expected:

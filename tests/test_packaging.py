@@ -1,6 +1,8 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and a tool runs its digest
+tests on other Python versions."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -32,3 +34,14 @@ def test_pyproject_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert pyproject["project"]["dependencies"] == []
+
+
+def test_digest_tool_runs_this_interpreter_and_skips_a_missing_one(capsys):
+    spec = importlib.util.spec_from_file_location("tool", ROOT / "tools" / "digests_on_pythons.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    missing = str(ROOT / "no-such-python")
+    assert tool.main([sys.executable, missing]) == 0
+    ran, skipped = capsys.readouterr().out.splitlines()
+    assert ran.startswith(f"{sys.executable} ({sys.version.split()[0]}): passed: 24 passed")
+    assert skipped.startswith(f"{missing} (?): skipped: ")
