@@ -8,11 +8,12 @@ Both builders run ``_cmd_build``. Their parsers differ only in the
 config class they fill, the options they add (each a field of that
 class, which gives its type and default), and the ``load_pool`` and
 ``corpus`` functions they set, which read the caption source and turn
-the config into a corpus. Every build option is read once, from its
-flag or else from a JSON config file given via ``--config`` or the
-``SEQ2TIME_CONFIG`` environment variable (its keys are the long flag
-names of either builder with underscores; any other key is an error);
-``-v`` logs the options as read.
+the config into a corpus. The options both take are one table,
+``_shared_options``. Every build option is read once, from its flag or
+else from a JSON config file given via ``--config`` or the
+``SEQ2TIME_CONFIG`` environment variable (its keys are that table's and
+either builder's own options; any other key is an error); ``-v`` logs
+the options as read.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
 violations, 4 I/O and data-format errors, 141 (128 + SIGPIPE) when the
@@ -41,7 +42,7 @@ from .errors import (
     TemplateError,
     TokenParseError,
 )
-from .image_sequence import ImageCorpusConfig, image_corpus
+from .image_sequence import MAX_STANDARD_TARGETS, ImageCorpusConfig, image_corpus
 from .position_token import (
     ErrorModel,
     TimeRepresentation,
@@ -56,8 +57,6 @@ from .templates import TemplateBank
 
 log = logging.getLogger("seq2time")
 
-MAX_STANDARD_TARGETS = 5
-
 _TIME_REPRS = {
     "rpt": TimeRepresentation.RPT,
     "free-form": TimeRepresentation.FREE_FORM,
@@ -70,7 +69,7 @@ _MODELS = {
 }
 
 
-def _load_config_file(explicit: str | None) -> dict:
+def _load_config_file(explicit: str | None, keys: set[str]) -> dict:
     path = explicit or os.environ.get("SEQ2TIME_CONFIG")
     if not path:
         return {}
@@ -83,18 +82,31 @@ def _load_config_file(explicit: str | None) -> dict:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
-    # a key of either builder is accepted, so one file can serve both
-    unknown = sorted(data.keys() - {*_COMMON_KEYS, *_IMAGE_OPTIONS, *_CLIP_OPTIONS})
+    unknown = sorted(data.keys() - keys)
     if unknown:
         raise ConfigError(f"config file {p} has unknown keys: {', '.join(unknown)}")
     return data
 
 
 _REQUIRED = object()
-_COMMON_KEYS = ("source", "output", "n", "seed", "time_repr", "jobs", "templates")
 
 
-def _option(args, config: dict, key: str, kind: type = str, default=_REQUIRED):
+def _shared_options() -> dict:
+    """Each option both builds take, in ``--help`` order: its config key
+    (the flag with underscores), type, default (or ``_REQUIRED``) and help.
+    Built per parser, so ``--jobs`` defaults to the cores usable then."""
+    return {
+        "seed": (int, 0, "run seed (default 0)"),
+        "source": (str, _REQUIRED, "caption corpus (JSON-lines)"),
+        "output": (str, _REQUIRED, "output instruction corpus path"),
+        "n": (int, _REQUIRED, "number of records to generate"),
+        "time_repr": (str, "rpt", "position rendering (default rpt)"),
+        "jobs": (int, usable_cores(), "worker processes (default: all usable cores)"),
+        "templates": (str, None, "custom template bank JSON"),
+    }
+
+
+def _option(args, config: dict, key: str, kind: type, default):
     """The flag value, else the config file's, else ``default``, as a ``kind``.
 
     A missing required option, or a config value that is null, a bool, not
@@ -173,23 +185,13 @@ _CLIP_OPTIONS = {
 
 
 def _cmd_build(args) -> int:
-    config = _load_config_file(args.config)
+    # a key of either builder is accepted, so one file can serve both
+    config = _load_config_file(args.config, {*args.options, *_IMAGE_OPTIONS, *_CLIP_OPTIONS})
     options = {
-        "source": _option(args, config, "source"),
-        "output": _option(args, config, "output"),
-        "n": _option(args, config, "n", int),
+        key: _option(args, config, key, kind, default)
+        for key, (kind, default, _) in args.options.items()
     }
-    build_options = {
-        f.name: _option(args, config, f.name, type(f.default), f.default)
-        for f in dataclasses.fields(args.config_type)
-        if f.name in args.build_options
-    }
-    options.update(build_options)
-    options["seed"] = _option(args, config, "seed", int, 0)
-    options["time_repr"] = _option(args, config, "time_repr", str, "rpt")
     time_repr = _time_repr(options["time_repr"])
-    options["jobs"] = _option(args, config, "jobs", int, usable_cores())
-    options["templates"] = _option(args, config, "templates", str, None)
     max_targets = options.get("max_targets", 0)
     if max_targets > MAX_STANDARD_TARGETS and not args.allow_nonstandard:
         raise ConfigError(
@@ -201,8 +203,9 @@ def _cmd_build(args) -> int:
         _existing_path(options["templates"], "template bank")
     pool = args.load_pool(source)
     bank = TemplateBank.load(options["templates"])
+    own = {key: options[key] for key in args.build_options}
     build = args.config_type(
-        n_instances=options["n"], seed=options["seed"], time_repr=time_repr, **build_options
+        n_instances=options["n"], seed=options["seed"], time_repr=time_repr, **own
     )
     corpus = args.corpus(build, pool, bank)
     log.info(
@@ -310,24 +313,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_build_common(sub: argparse.ArgumentParser, config_type: type, options: dict) -> None:
+def _add_build_common(
+    sub: argparse.ArgumentParser, shared: dict, config_type: type, own: dict
+) -> None:
+    defaults = {f.name: f.default for f in dataclasses.fields(config_type)}
+    options = shared | {k: (type(defaults[k]), defaults[k], text) for k, text in own.items()}
+    # a flag defaults to None, so ``_cmd_build`` can tell it was not given
     sub.add_argument("--config", help="JSON config file (or set SEQ2TIME_CONFIG)")
-    sub.add_argument("--seed", type=int, help="run seed (default 0)")
-    sub.add_argument("--source", help="caption corpus (JSON-lines)")
-    sub.add_argument("--output", help="output instruction corpus path")
-    sub.add_argument("--n", type=int, help="number of records to generate")
-    sub.add_argument(
-        "--time-repr",
-        dest="time_repr",
-        choices=sorted(_TIME_REPRS),
-        help="position rendering (default rpt)",
-    )
-    sub.add_argument("--jobs", type=int, help="worker processes (default: all usable cores)")
-    sub.add_argument("--templates", help="custom template bank JSON")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(config_type)}
-    for key, text in options.items():
-        sub.add_argument("--" + key.replace("_", "-"), type=kinds[key], help=text)
-    sub.set_defaults(func=_cmd_build, config_type=config_type, build_options=options)
+    for key, (kind, _, text) in options.items():
+        choices = sorted(_TIME_REPRS) if key == "time_repr" else None
+        sub.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=text)
+    sub.set_defaults(func=_cmd_build, config_type=config_type, options=options, build_options=own)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,11 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    shared = _shared_options()
 
     p = subparsers.add_parser(
         "build-image-seq", help="generate image-sequence pretext records"
     )
-    _add_build_common(p, ImageCorpusConfig, _IMAGE_OPTIONS)
+    _add_build_common(p, shared, ImageCorpusConfig, _IMAGE_OPTIONS)
     p.add_argument(
         "--allow-nonstandard",
         action="store_true",
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "build-clip-seq", help="generate clip-sequence DVC/TVG records"
     )
-    _add_build_common(p, ClipCorpusConfig, _CLIP_OPTIONS)
+    _add_build_common(p, shared, ClipCorpusConfig, _CLIP_OPTIONS)
     _add_common(p)
     p.set_defaults(load_pool=load_clip_captions, corpus=clip_corpus)
 
@@ -402,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--thresholds", help="F1 IoU thresholds, comma-separated")
     p.add_argument("--iou", help="R@1 IoU thresholds, comma-separated")
-    p.add_argument(
-        "--jobs", type=int, default=usable_cores(),
-        help="worker processes (default: all usable cores)",
-    )
+    kind, default, text = shared["jobs"]
+    p.add_argument("--jobs", type=kind, default=default, help=text)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 

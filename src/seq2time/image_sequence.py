@@ -53,6 +53,8 @@ from .templates import (
     render_template,
 )
 
+MAX_STANDARD_TARGETS = 5  # the paper's cap on targets per record
+
 
 class PretextTask(Enum):
     IIG = "iig"
@@ -97,7 +99,7 @@ def sample_sequence(
     pool: Sequence[CaptionedImage],
     seq_len: int,
     rng: random.Random,
-    max_targets: int = 5,
+    max_targets: int = MAX_STANDARD_TARGETS,
 ) -> ImageSequenceSample:
     """Draw a sequence uniformly without replacement, plus target positions.
 
@@ -222,7 +224,7 @@ def image_record(
 class ImageCorpusConfig:
     n_instances: int
     seq_len: int = 96
-    max_targets: int = 5
+    max_targets: int = MAX_STANDARD_TARGETS
     seed: int = 0
     time_repr: TimeRepresentation = TimeRepresentation.RPT
 

@@ -6,6 +6,7 @@ durations stay in 5..15 s so rendered 0.1 s timestamps never collapse a
 short event to a point.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import seq2time.corpus as corpus
 from seq2time.clip_sequence import CaptionedClip, ClipSequenceSample
 from seq2time.dataset_io import InstructionRecord
 from seq2time.errors import InvariantViolation
+from seq2time.evaluation import iou
 from seq2time.image_sequence import CaptionedImage
 from seq2time.position_token import MAX_RPT_LENGTH, TimeInterval, TimeRepresentation
 
@@ -134,6 +136,20 @@ def reference_line(record: InstructionRecord) -> str:
     """The oracle of ``dataset_io.encode_line``: ``json.dumps`` of the
     record's fields in order."""
     return json.dumps(record._asdict(), ensure_ascii=False) + "\n"
+
+
+def brute_force_matching(preds, gts, threshold) -> int:
+    """The oracle of ``evaluation._matched_counts``: the largest one-to-one
+    matching at IoU >= ``threshold``, by trying every injective assignment."""
+    if len(preds) > len(gts):
+        preds, gts = gts, preds
+    best = 0
+    for perm in itertools.permutations(range(len(gts)), len(preds)):
+        best = max(
+            best,
+            sum(1 for i, j in enumerate(perm) if iou(preds[i], gts[j]) >= threshold),
+        )
+    return best
 
 
 def write_rows(rows, path: Path) -> Path:

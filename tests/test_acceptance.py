@@ -6,7 +6,6 @@ stated inline next to each assertion.
 """
 
 import hashlib
-import itertools
 import math
 import random
 import time
@@ -52,7 +51,13 @@ from seq2time.position_token import (
 )
 from seq2time.templates import TemplateBank, find_missing_in_order
 
-from conftest import derive_annotations, self_eval_files, write_clip_source, write_image_source
+from conftest import (
+    brute_force_matching,
+    derive_annotations,
+    self_eval_files,
+    write_clip_source,
+    write_image_source,
+)
 
 RPT = TimeRepresentation.RPT
 FREE = TimeRepresentation.FREE_FORM
@@ -266,18 +271,6 @@ def test_criterion_08_generate_parse_identity(clip_pool, tmp_path):
     )
 
 
-def _brute_force_matching(preds, gts, threshold):
-    if len(preds) > len(gts):
-        preds, gts = gts, preds
-    best = 0
-    for perm in itertools.permutations(range(len(gts)), len(preds)):
-        best = max(
-            best,
-            sum(1 for i, j in enumerate(perm) if iou(preds[i], gts[j]) >= threshold),
-        )
-    return best
-
-
 def test_criterion_09_metric_oracles():
     sec = lambda a, b: Event(a, b, "")
 
@@ -292,7 +285,7 @@ def test_criterion_09_metric_oracles():
             for s in (rng.uniform(0.0, 10.0) for _ in range(rng.randint(0, 4)))
         ]
         threshold = rng.choice((0.3, 0.5, 0.7, 0.9))
-        assert _matched_counts(preds, gts, (threshold,))[threshold] == _brute_force_matching(
+        assert _matched_counts(preds, gts, (threshold,))[threshold] == brute_force_matching(
             preds, gts, threshold
         )
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import random
 import shutil
@@ -978,6 +979,102 @@ class TestConfigFile:
         rows = [json.loads(line) for line in output.read_text().splitlines()]
         assert len(rows) == 3
         assert {row["meta"]["seq_len"] for row in rows} == {8}
+
+
+# each builder's own options at a value other than their defaults, as JSON
+OWN_OPTION_VALUES = {
+    "image": {"seq_len": 8, "max_targets": 3},
+    "clip": {"total_frames": 50, "clip_min": 3, "clip_max": 4, "rate_min": 0.7, "rate_max": 1.5},
+}
+
+
+def _option_values(kind, request, tmp_path) -> dict:
+    """A value for every key a build config file may hold: the shared
+    option table's, then the ``kind`` builder's own."""
+    shared = {
+        "seed": 4,
+        "source": str(request.getfixturevalue(f"{kind}_source")),
+        "output": str(tmp_path / "corpus.jsonl"),
+        "n": 3,
+        "time_repr": "free-form",
+        "jobs": 1,
+        "templates": str(SRC / "seq2time" / "data" / "template_bank.json"),
+    }
+    return {**shared, **OWN_OPTION_VALUES[kind]}
+
+
+def _flags(options: dict) -> list[str]:
+    pairs = (("--" + key.replace("_", "-"), str(value)) for key, value in options.items())
+    return [text for pair in pairs for text in pair]
+
+
+class TestFlagOrConfigKey:
+    """Every build option reads the same from its flag as from its config key."""
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, key)
+            for kind in sorted(BUILDS)
+            for key in (*cli._shared_options(), *OWN_OPTION_VALUES[kind])
+        ],
+    )
+    def test_flag_and_config_key_give_the_same_run(
+        self, capsys, caplog, request, tmp_path, kind, key
+    ):
+        caplog.set_level(logging.INFO, logger="seq2time")
+        values = _option_values(kind, request, tmp_path)
+        required = {name: values[name] for name in ("source", "output", "n") if name != key}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: values[key]}), encoding="utf-8")
+        output = Path(values["output"])
+        runs = []
+        as_flag = _flags({**required, key: values[key]})
+        for argv in (as_flag, [*_flags(required), "--config", str(cfg)]):
+            caplog.clear()
+            code, out, err = run_cli(capsys, BUILDS[kind][0], "-v", *argv)
+            assert code == 0, err
+            messages = [record.getMessage() for record in caplog.records]
+            resolved = [message for message in messages if "resolved config" in message]
+            runs.append((code, out, output.read_bytes(), resolved))
+            output.unlink()
+        assert runs[0] == runs[1]
+        (line,) = runs[0][3]
+        assert json.loads(line.split("resolved config: ", 1)[1])[key] == values[key]
+
+    def test_config_keys_are_the_option_table_and_both_builders_own(
+        self, capsys, request, tmp_path, monkeypatch
+    ):
+        accepted = []
+        real = cli._load_config_file
+        monkeypatch.setattr(
+            cli,
+            "_load_config_file",
+            lambda explicit, keys: accepted.append(keys) or real(explicit, keys),
+        )
+        for kind, (subcommand, _, _) in sorted(BUILDS.items()):
+            # one file holding every key builds, whichever builder reads it
+            values = _option_values(kind, request, tmp_path)
+            cfg = tmp_path / "run.json"
+            every = {**OWN_OPTION_VALUES["image"], **OWN_OPTION_VALUES["clip"], **values}
+            cfg.write_text(json.dumps(every), encoding="utf-8")
+            code, _, err = run_cli(capsys, subcommand, "--config", str(cfg))
+            assert code == 0, err
+        assert accepted == [set(every), set(every)]
+        assert set(every) == {*cli._shared_options(), *cli._IMAGE_OPTIONS, *cli._CLIP_OPTIONS}
+
+    @pytest.mark.parametrize(
+        "key", ["allow_nonstandard", "config", "json", "verbose", "n_instances"]
+    )
+    def test_other_flags_have_no_config_key(self, capsys, image_source, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 1}), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "build-image-seq", "--config", str(cfg), "--source", str(image_source),
+            "--output", str(tmp_path / "out.jsonl"), "--n", "3",
+        )
+        assert (code, out) == (2, "")
+        assert f"unknown keys: {key}" in err
 
 
 def _write_eval_run(tmp_path):

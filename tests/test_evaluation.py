@@ -1,7 +1,6 @@
 """Prediction parsing and temporal/lexical metric oracles."""
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -42,7 +41,7 @@ from seq2time.position_token import (
     to_timestamp,
 )
 
-from conftest import write_rows
+from conftest import brute_force_matching, write_rows
 
 
 FREE = TimeRepresentation.FREE_FORM
@@ -350,19 +349,6 @@ def _pred_gt_lists(draw):
     shared = st.tuples(points, points).map(lambda ends: sec(min(ends), max(ends)))
     events = st.lists(_INTERVALS | shared, max_size=6)
     return draw(events), draw(events)
-
-
-def brute_force_matching(preds, gts, threshold):
-    """Max one-to-one matching size by trying every injective assignment."""
-    if len(preds) > len(gts):
-        preds, gts = gts, preds
-    best = 0
-    for perm in itertools.permutations(range(len(gts)), len(preds)):
-        best = max(
-            best,
-            sum(1 for i, j in enumerate(perm) if iou(preds[i], gts[j]) >= threshold),
-        )
-    return best
 
 
 class TestMatchedCounts:
