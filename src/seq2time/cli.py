@@ -23,7 +23,6 @@ reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -316,7 +315,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_build_common(
     sub: argparse.ArgumentParser, shared: dict, config_type: type, own: dict
 ) -> None:
-    defaults = {f.name: f.default for f in dataclasses.fields(config_type)}
+    defaults = config_type._field_defaults
     options = shared | {k: (type(defaults[k]), defaults[k], text) for k, text in own.items()}
     # a flag defaults to None, so ``_cmd_build`` can tell it was not given
     sub.add_argument("--config", help="JSON config file (or set SEQ2TIME_CONFIG)")

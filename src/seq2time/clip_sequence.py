@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, pairwise
@@ -54,22 +53,27 @@ class ClipTask(Enum):
     TVG = "tvg"
 
 
-@dataclass(frozen=True)
-class ClipSequenceSample:
-    clips: tuple[CaptionedClip, ...]
-    rate_factors: tuple[float, ...]
-    frame_counts: tuple[int, ...]
-    total_frames: int
+class ClipSequenceSample(
+    namedtuple("ClipSequenceSample", "clips rate_factors frame_counts total_frames")
+):
+    """Clips composed into one pseudo video, checked once to give every clip
+    at least one frame and to split exactly ``total_frames``."""
 
-    def __post_init__(self) -> None:
-        if any(c < 1 for c in self.frame_counts):
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
+
+    def __new__(
+        cls, clips: tuple, rate_factors: tuple, frame_counts: tuple, total_frames: int
+    ) -> ClipSequenceSample:
+        if any(c < 1 for c in frame_counts):
             raise InvariantViolation(
-                f"every clip needs at least one frame, got {self.frame_counts}"
+                f"every clip needs at least one frame, got {frame_counts}"
             )
-        if sum(self.frame_counts) != self.total_frames:
+        if sum(frame_counts) != total_frames:
             raise InvariantViolation(
-                f"frame counts {self.frame_counts} do not sum to {self.total_frames}"
+                f"frame counts {frame_counts} do not sum to {total_frames}"
             )
+        return tuple.__new__(cls, (clips, rate_factors, frame_counts, total_frames))
 
     @property
     def pseudo_duration_s(self) -> float:
@@ -288,20 +292,22 @@ def clip_record(
     )
 
 
-@dataclass(frozen=True)
-class ClipCorpusConfig:
-    n_instances: int
-    clip_min: int = MIN_CLIPS
-    clip_max: int = MAX_CLIPS
-    total_frames: int = 96
-    rate_min: float = 0.5
-    rate_max: float = 2.0
-    seed: int = 0
-    time_repr: TimeRepresentation = TimeRepresentation.RPT
+class ClipCorpusConfig(
+    namedtuple(
+        "ClipCorpusConfig",
+        "n_instances clip_min clip_max total_frames rate_min rate_max seed time_repr",
+        defaults=(MIN_CLIPS, MAX_CLIPS, 96, 0.5, 2.0, 0, TimeRepresentation.RPT),
+    )
+):
+    """A clip build's settings, checked once to describe a build that can run."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
     # a record's cost in corpus.SERIAL_MAX units: 0.7-1.2 at any config (BENCH_24.json)
     record_weight = 1.0
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> ClipCorpusConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_instances < 0:
             raise ConfigError(f"n_instances must be >= 0, got {self.n_instances}")
         if not MIN_CLIPS <= self.clip_min <= self.clip_max <= MAX_CLIPS:
@@ -320,6 +326,7 @@ class ClipCorpusConfig:
                 "rate_min and rate_max must satisfy 0 < rate_min <= rate_max, got "
                 f"{self.rate_min} and {self.rate_max}"
             )
+        return self
 
 
 def _draw(corpus: Corpus, task: ClipTask, rng: random.Random) -> RecordFields:

@@ -10,6 +10,12 @@ most ``SERIAL_MAX`` items of work (a config's ``record_weight`` each);
 else in a pool of up to ``workers``, ``max(16, n // (8 * workers))`` per
 range. Ranges come back in ordinal order, so the output never depends on
 ``jobs``. ``evaluation`` runs its per-video score rows the same way.
+
+A ``Corpus`` is a named tuple, as are the configs it holds and the
+samples its builders draw: equal to the plain tuple of its fields,
+``_asdict()`` for a dict of them, ``AttributeError`` on setting one. The
+configs check their fields in ``__new__``, so ``_make``, ``_replace`` and
+unpickling check too.
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .dataset_io import CorpusStats, InstructionRecord, encode_line, open_replacing
 from .errors import ConfigError
@@ -95,8 +100,7 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
 RecordFields = tuple[tuple[str, ...], str, str, str, dict]
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """One build: a builder's record draw and everything it reads."""
 
     namespace: str  # of the record seeds: "image-seq" or "clip-seq"

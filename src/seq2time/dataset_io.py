@@ -9,6 +9,12 @@ instruction record is an :class:`InstructionRecord` tuple; ``encode_line``
 writes it as one JSON line with its fields in order (id, media, task,
 question, answer, meta) and no float re-formatting, so equal inputs
 produce byte-identical files and builds can be regression-tested by hash.
+
+Every value type here is a named tuple, equal to the plain tuple of its
+fields. The checked ones (``InstructionRecord``, ``CaptionedImage``,
+``CaptionedClip``) run their check in ``__new__``, so ``_make``,
+``_replace`` and unpickling run it too; ``_asdict()`` gives the fields as
+a dict, and setting a field raises ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ import re
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, CorpusFormatError
 
@@ -141,44 +146,47 @@ def unique_rows(
         yield p, lineno, obj, row_id
 
 
-@dataclass(frozen=True)
-class CaptionedImage:
-    id: str
-    image: str
-    caption: str
+class CaptionedImage(namedtuple("CaptionedImage", "id image caption")):
+    """One row of an image-caption pool, checked once to hold a non-blank caption."""
 
-    def __post_init__(self) -> None:
-        if not self.caption.strip():
-            raise ConfigError(f"image {self.id!r} has an empty caption")
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
+
+    def __new__(cls, id: str, image: str, caption: str) -> CaptionedImage:
+        if not caption.strip():
+            raise ConfigError(f"image {id!r} has an empty caption")
+        return tuple.__new__(cls, (id, image, caption))
 
 
-@dataclass(frozen=True)
-class CaptionedClip:
-    id: str
-    video: str
-    label: str
-    caption: str
-    duration_s: float
-    fps: float
+class CaptionedClip(namedtuple("CaptionedClip", "id video label caption duration_s fps")):
+    """One row of a clip-caption pool, checked once to hold a non-blank
+    caption and a finite, positive duration and frame rate."""
 
-    def __post_init__(self) -> None:
-        if not self.caption.strip():
-            raise ConfigError(f"clip {self.id!r} has an empty caption")
-        if not (0 < self.duration_s < math.inf and 0 < self.fps < math.inf):
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
+
+    def __new__(
+        cls, id: str, video: str, label: str, caption: str, duration_s: float, fps: float
+    ) -> CaptionedClip:
+        if not caption.strip():
+            raise ConfigError(f"clip {id!r} has an empty caption")
+        if not (0 < duration_s < math.inf and 0 < fps < math.inf):
             raise ConfigError(
-                f"clip {self.id!r} needs finite positive duration and fps, got "
-                f"({self.duration_s}, {self.fps})"
+                f"clip {id!r} needs finite positive duration and fps, got "
+                f"({duration_s}, {fps})"
             )
+        return tuple.__new__(cls, (id, video, label, caption, duration_s, fps))
 
 
 def load_image_captions(path: str | Path) -> list[CaptionedImage]:
     """Load an image-caption corpus, rejecting malformed rows by line number."""
+    # _require_text has made CaptionedImage's check, so tuple.__new__ skips it
     return [
-        CaptionedImage(
-            id=row_id,
-            image=_require_text(obj, lineno, "image", p),
-            caption=_require_text(obj, lineno, "caption", p),
-        )
+        tuple.__new__(CaptionedImage, (
+            row_id,
+            _require_text(obj, lineno, "image", p),
+            _require_text(obj, lineno, "caption", p),
+        ))
         for p, lineno, obj, row_id in unique_rows(
             path, text_fields=("id", "image", "caption")
         )
@@ -187,15 +195,16 @@ def load_image_captions(path: str | Path) -> list[CaptionedImage]:
 
 def load_clip_captions(path: str | Path) -> list[CaptionedClip]:
     """Load a clip-caption corpus, rejecting malformed rows by line number."""
+    # _require_text and _require_positive have made CaptionedClip's check
     return [
-        CaptionedClip(
-            id=row_id,
-            video=_require_text(obj, lineno, "video", p),
-            label=_require_text(obj, lineno, "label", p),
-            caption=_require_text(obj, lineno, "caption", p),
-            duration_s=_require_positive(obj, lineno, "duration_s", p),
-            fps=_require_positive(obj, lineno, "fps", p),
-        )
+        tuple.__new__(CaptionedClip, (
+            row_id,
+            _require_text(obj, lineno, "video", p),
+            _require_text(obj, lineno, "label", p),
+            _require_text(obj, lineno, "caption", p),
+            _require_positive(obj, lineno, "duration_s", p),
+            _require_positive(obj, lineno, "fps", p),
+        ))
         for p, lineno, obj, row_id in unique_rows(
             path, text_fields=("id", "video", "label", "caption")
         )
@@ -261,8 +270,7 @@ def write_jsonl(records: Iterable[InstructionRecord], path: str | Path) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     total: int
     task_counts: dict[str, int]
     mean_question_chars: float
@@ -281,7 +289,7 @@ class CorpusStats:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "task_counts": dict(sorted(self.task_counts.items()))}
+        return {**self._asdict(), "task_counts": dict(sorted(self.task_counts.items()))}
 
 
 def corpus_stats(path: str | Path) -> CorpusStats:

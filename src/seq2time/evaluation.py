@@ -61,7 +61,6 @@ import math
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -360,8 +359,7 @@ def _pooled_richness(videos: Iterable[tuple[int, int, float | None]]) -> Richnes
     return RichnessResult(total_tokens / total_captions, ttr_sum / n_ttrs)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     n_videos: int
     f1: float
     f1_per_threshold: dict[float, float]
@@ -377,7 +375,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         """The fields, ``f1`` as ``temporal_f1``, thresholds sorted and named."""
-        data = dict(vars(self))
+        data = self._asdict()
         data["temporal_f1"] = data.pop("f1")
         for k in ("f1_per_threshold", "precision_per_threshold", "recall_per_threshold", "r_at_1"):
             data[k] = {_report_name(th): v for th, v in sorted(data[k].items())}

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import product
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, RecordFields, _sample_indices
 from .dataset_io import CaptionedImage, json_plain
@@ -68,19 +68,21 @@ def _gather(items: Sequence, indices: Sequence[int]) -> tuple:
     return picked if len(indices) > 1 else (picked,)
 
 
-@dataclass(frozen=True)
-class ImageSequenceSample:
+class ImageSequenceSample(NamedTuple):
     """The draw ``sample_sequence`` makes, unchecked here: the pool, the
     images' positions in it, and the sorted, distinct 1-based targets.
 
     The sample keeps indices, not images: a record reads only the
     captions it names (``caption``), and ``images`` gathers the rest on
-    request.
+    request. Its repr leaves the pool out.
     """
 
-    pool: Sequence[CaptionedImage] = field(repr=False)
+    pool: Sequence[CaptionedImage]
     indices: tuple[int, ...]
     targets: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        return f"ImageSequenceSample(indices={self.indices!r}, targets={self.targets!r})"
 
     @property
     def seq_len(self) -> int:
@@ -220,15 +222,20 @@ def image_record(
     )
 
 
-@dataclass(frozen=True)
-class ImageCorpusConfig:
-    n_instances: int
-    seq_len: int = 96
-    max_targets: int = MAX_STANDARD_TARGETS
-    seed: int = 0
-    time_repr: TimeRepresentation = TimeRepresentation.RPT
+class ImageCorpusConfig(
+    namedtuple(
+        "ImageCorpusConfig",
+        "n_instances seq_len max_targets seed time_repr",
+        defaults=(96, MAX_STANDARD_TARGETS, 0, TimeRepresentation.RPT),
+    )
+):
+    """An image build's settings, checked once to describe a build that can run."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # via __new__, so _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> ImageCorpusConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_instances < 0:
             raise ConfigError(f"n_instances must be >= 0, got {self.n_instances}")
         if self.seq_len < 2:
@@ -242,6 +249,7 @@ class ImageCorpusConfig:
             raise ConfigError(
                 f"max_targets must be in 1..{self.seq_len}, got {self.max_targets}"
             )
+        return self
 
     @property
     def record_weight(self) -> float:

@@ -33,8 +33,8 @@ being approximated:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, TokenParseError
 
@@ -63,8 +63,7 @@ class IntervalUnit(Enum):
     SECONDS = "seconds"
 
 
-@dataclass(frozen=True)
-class TimeInterval:
+class TimeInterval(NamedTuple):
     """A start/end pair in seconds."""
 
     start: float
@@ -167,8 +166,7 @@ class ErrorModel(Enum):
     FRAME_SAMPLING = "frame_sampling"
 
 
-@dataclass(frozen=True)
-class QuantizationErrorReport:
+class QuantizationErrorReport(NamedTuple):
     """Temporal error statistics of the codec under one error model."""
 
     model: ErrorModel
@@ -180,7 +178,7 @@ class QuantizationErrorReport:
     max_abs_error_s: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "model": self.model.value}
+        return {**self._asdict(), "model": self.model.value}
 
 
 def quantization_error_report(

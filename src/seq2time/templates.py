@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
@@ -91,6 +90,10 @@ class TemplateBank:
     def load(cls, path: str | Path | None = None) -> "TemplateBank":
         """Read a bank from ``path`` or fall back to the packaged default."""
         if path is None:
+            # on Python 3.12+ importlib.resources imports inspect, so only
+            # the packaged default pays for it, not `import seq2time`
+            from importlib import resources
+
             source = resources.files("seq2time").joinpath("data/template_bank.json")
         else:
             source = Path(path)

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: flags, config files, exit codes, output text."""
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -463,14 +462,9 @@ class TestBuildFlags:
         )
         assert code == 0
         (config,) = configs
-        for field in dataclasses.fields(make_config):
-            if field.default_factory is not dataclasses.MISSING:
-                default = field.default_factory()
-            elif field.default is not dataclasses.MISSING:
-                default = field.default
-            else:
-                continue  # required, so every run sets it
-            assert getattr(config, field.name) != default, field.name
+        # a required field has no default, and every run sets it
+        for name, default in make_config._field_defaults.items():
+            assert getattr(config, name) != default, name
 
     @pytest.mark.parametrize("kind", sorted(BUILDS))
     def test_negative_n_is_config_error(self, capsys, request, tmp_path, kind):
@@ -616,7 +610,7 @@ class TestCorpusWriter:
         # DVC answers hold one event per line, so such a caption would
         # split its event and the answer would not parse back
         pool = list(clip_pool)
-        pool[7] = dataclasses.replace(pool[7], caption=f"a person is{brk}juggling")
+        pool[7] = pool[7]._replace(caption=f"a person is{brk}juggling")
         source = write_clip_source(pool, tmp_path / "clips.jsonl")
         out_path = tmp_path / "corpus.jsonl"
         out_path.write_bytes(b"previous corpus\n")
@@ -1837,6 +1831,26 @@ class TestParserBehavior:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    @pytest.mark.parametrize("module", ["seq2time", "seq2time.cli"])
+    def test_import_adds_neither_dataclasses_nor_inspect(self, module):
+        # the value types are named tuples: `dataclasses` would bring in
+        # `inspect` (and with it `ast`, `dis`, `tokenize`) at every start
+        def loaded(statement: str) -> str:
+            probe = (
+                f"{statement}\nimport sys\n"
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert loaded(f"import {module}") == loaded("pass")
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_like_sigpipe(self, buffered):

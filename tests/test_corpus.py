@@ -2,7 +2,6 @@
 cannot move a byte; and the range runner every build runs on."""
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import os
 
@@ -47,7 +46,7 @@ PATH_MARKS = {
 def marked(pool, field, marks):
     """``pool`` with every third ``field`` path ending in the next of ``marks``."""
     return [
-        dataclasses.replace(item, **{field: getattr(item, field) + marks[k // 3 % len(marks)]})
+        item._replace(**{field: getattr(item, field) + marks[k // 3 % len(marks)]})
         if k % 3 == 0 and marks
         else item
         for k, item in enumerate(pool)

@@ -1,13 +1,17 @@
 """Corpus loading and serialization."""
 
 import json
+import math
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from seq2time.clip_sequence import ClipCorpusConfig, ClipSequenceSample
 from seq2time.dataset_io import (
     RECORD_KEY_ORDER,
+    CaptionedClip,
+    CaptionedImage,
     CorpusStats,
     InstructionRecord,
     corpus_stats,
@@ -18,7 +22,9 @@ from seq2time.dataset_io import (
     load_image_captions,
     write_jsonl,
 )
-from seq2time.errors import CorpusFormatError
+from seq2time.errors import ConfigError, CorpusFormatError, DomainError, InvariantViolation
+from seq2time.evaluation import Event
+from seq2time.image_sequence import ImageCorpusConfig
 
 from conftest import reference_line, write_clip_source, write_image_source, write_rows
 
@@ -62,18 +68,71 @@ class TestInstructionRecord:
         record = self._record()._replace(question="q2")
         assert type(record) is InstructionRecord and record.question == "q2"
 
-    def test_pickle_round_trip(self):
-        # records(jobs=2) returns records from pool workers this way
-        record = self._record()
-        copy = pickle.loads(pickle.dumps(record))
-        assert copy == record
-        assert type(copy) is InstructionRecord
-
     def test_encode_line_writes_the_dict_form(self):
         record = self._record()
         obj = {**record._asdict(), "media": list(record.media)}
         assert encode_line(record) == json.dumps(obj, ensure_ascii=False) + "\n"
         assert encode_line(record, plain_media=True) == reference_line(record)
+
+
+_CLIP = CaptionedClip("clip-1", "clips/1.mp4", "juggling", "a person is juggling", 4.0, 30.0)
+
+# per checked named tuple: a valid value, fields it refuses, and its error
+CHECKED = {
+    "InstructionRecord": (
+        InstructionRecord("x", (), "IIG", "q", "a", {}), {"answer": " "},
+        CorpusFormatError, "^record 'x' has an empty question or answer$",
+    ),
+    "CaptionedImage": (
+        CaptionedImage("img-1", "images/1.jpg", "a red kite"), {"caption": " "},
+        ConfigError, "^image 'img-1' has an empty caption$",
+    ),
+    "CaptionedClip": (
+        _CLIP, {"fps": math.inf},
+        ConfigError, r"^clip 'clip-1' needs finite positive duration and fps, got \(4.0, inf\)$",
+    ),
+    "ImageCorpusConfig": (
+        ImageCorpusConfig(10), {"max_targets": 0},
+        ConfigError, r"^max_targets must be in 1\.\.96, got 0$",
+    ),
+    "ClipCorpusConfig": (
+        ClipCorpusConfig(10, seed=3), {"rate_min": 3.0},
+        ConfigError,
+        "^rate_min and rate_max must satisfy 0 < rate_min <= rate_max, got 3.0 and 2.0$",
+    ),
+    "ClipSequenceSample": (
+        ClipSequenceSample((_CLIP, _CLIP), (1.0, 1.0), (2, 3), 5), {"total_frames": 6},
+        InvariantViolation, r"^frame counts \(2, 3\) do not sum to 6$",
+    ),
+    "Event": (
+        Event(0.0, 1.0, "c"), {"start": 5.0},
+        DomainError, r"^interval requires 0 <= start <= end, got \(5.0, 1.0\)$",
+    ),
+}
+
+
+@pytest.mark.parametrize("value, bad, error, message", CHECKED.values(), ids=list(CHECKED))
+class TestCheckedTuples:
+    def test_new_make_and_replace_check(self, value, bad, error, message):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        cls, fields = type(value), {**value._asdict(), **bad}
+        with pytest.raises(error, match=message):
+            cls(**fields)
+        with pytest.raises(error, match=message):
+            cls._make(fields.values())
+        with pytest.raises(error, match=message):
+            value._replace(**bad)
+        copy = value._replace()
+        assert copy == value == tuple(value) and type(copy) is cls
+
+    def test_pickle_round_trip(self, value, bad, error, message):
+        # records(jobs=2) returns records from pool workers this way, and
+        # unpickling runs the check again
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+        forged = tuple.__new__(type(value), {**value._asdict(), **bad}.values())
+        with pytest.raises(error, match=message):
+            pickle.loads(pickle.dumps(forged))
 
 
 # text with what JSON escapes (a quote, a backslash, control characters) and
