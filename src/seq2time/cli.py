@@ -12,8 +12,10 @@ the config into a corpus. The options both take are one table,
 ``_shared_options``. Every build option is read once, from its flag or
 else from a JSON config file given via ``--config`` or the
 ``SEQ2TIME_CONFIG`` environment variable (its keys are that table's and
-either builder's own options; any other key is an error); ``-v`` logs
-the options as read.
+either builder's own options; any other key is an error). Only the
+builds take ``-v``, which prints the options as read on stderr. Every
+subcommand but ``analyze-quantization``, whose report is always JSON,
+takes ``--json``, which switches its stdout to JSON.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
 violations, 4 I/O and data-format errors, 141 (128 + SIGPIPE) when the
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -53,8 +54,6 @@ from .position_token import (
     to_timestamp,
 )
 from .templates import TemplateBank
-
-log = logging.getLogger("seq2time")
 
 _TIME_REPRS = {
     "rpt": TimeRepresentation.RPT,
@@ -207,9 +206,9 @@ def _cmd_build(args) -> int:
         n_instances=options["n"], seed=options["seed"], time_repr=time_repr, **own
     )
     corpus = args.corpus(build, pool, bank)
-    log.info(
-        "%s resolved config: %s", args.subcommand, json.dumps(options, sort_keys=True)
-    )
+    if args.verbose:
+        resolved = json.dumps(options, sort_keys=True)
+        print(f"INFO seq2time: {args.subcommand} resolved config: {resolved}", file=sys.stderr)
     output, seed = options["output"], options["seed"]
     stats = corpus.write(output, options["jobs"])
     summary = stats.to_dict()
@@ -305,11 +304,8 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_json(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable stdout")
-    sub.add_argument(
-        "-v", "--verbose", action="count", default=0, help="log resolved config and more"
-    )
 
 
 def _add_build_common(
@@ -323,6 +319,16 @@ def _add_build_common(
         choices = sorted(_TIME_REPRS) if key == "time_repr" else None
         flag = "--" + key.replace("_", "-")
         sub.add_argument(flag, type=kind, choices=choices, help=text.format(default))
+    if "max_targets" in own:  # the one option with a cap to lift
+        sub.add_argument(
+            "--allow-nonstandard",
+            action="store_true",
+            help=f"permit settings beyond the standard cap of {MAX_STANDARD_TARGETS} targets",
+        )
+    _add_json(sub)
+    sub.add_argument(
+        "-v", "--verbose", action="store_true", help="print the resolved config on stderr"
+    )
     sub.set_defaults(func=_cmd_build, config_type=config_type, options=options, build_options=own)
 
 
@@ -341,31 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
         "build-image-seq", help="generate image-sequence pretext records"
     )
     _add_build_common(p, shared, ImageCorpusConfig, _IMAGE_OPTIONS)
-    p.add_argument(
-        "--allow-nonstandard",
-        action="store_true",
-        help=f"permit settings beyond the standard cap of {MAX_STANDARD_TARGETS} targets",
-    )
-    _add_common(p)
     p.set_defaults(load_pool=load_image_captions, corpus=image_corpus)
 
     p = subparsers.add_parser(
         "build-clip-seq", help="generate clip-sequence DVC/TVG records"
     )
     _add_build_common(p, shared, ClipCorpusConfig, _CLIP_OPTIONS)
-    _add_common(p)
     p.set_defaults(load_pool=load_clip_captions, corpus=clip_corpus)
 
     p = subparsers.add_parser("tokenize", help="encode a position as digit tokens")
     p.add_argument("index", type=int, help="1-based position")
     p.add_argument("length", type=int, help="sequence length")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=_cmd_tokenize)
 
     p = subparsers.add_parser("detokenize", help="decode digit tokens to a timestamp")
     p.add_argument("code", help='token string such as "<0><7><2><9>"')
     p.add_argument("--duration", type=float, help="video duration in seconds")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=_cmd_detokenize)
 
     p = subparsers.add_parser(
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="rounding-only",
         help="error model",
     )
-    _add_common(p)
     p.set_defaults(func=_cmd_analyze_quantization)
 
     p = subparsers.add_parser(
@@ -401,12 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou", help="R@1 IoU thresholds, comma-separated")
     kind, default, text = shared["jobs"]
     p.add_argument("--jobs", type=kind, default=default, help=text)
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=_cmd_eval)
 
     p = subparsers.add_parser("stats", help="summarize an instruction corpus")
     p.add_argument("corpus", help="instruction corpus JSON-lines")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=_cmd_stats)
 
     return parser
@@ -415,11 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         status = args.func(args)
         sys.stdout.flush()  # so a closed stdout shows up here, not at exit

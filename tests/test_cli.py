@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import logging
 import os
 import random
 import shutil
@@ -1047,10 +1046,8 @@ class TestFlagOrConfigKey:
             for key in (*cli._shared_options(), *OWN_OPTION_VALUES[kind])
         ],
     )
-    def test_flag_and_config_key_give_the_same_run(
-        self, capsys, caplog, request, tmp_path, kind, key
-    ):
-        caplog.set_level(logging.INFO, logger="seq2time")
+    def test_flag_and_config_key_give_the_same_run(self, capsys, request, tmp_path, kind, key):
+        subcommand, config_type, _ = BUILDS[kind]
         values = _option_values(kind, request, tmp_path)
         required = {name: values[name] for name in ("source", "output", "n") if name != key}
         cfg = tmp_path / "run.json"
@@ -1059,16 +1056,19 @@ class TestFlagOrConfigKey:
         runs = []
         as_flag = _flags({**required, key: values[key]})
         for argv in (as_flag, [*_flags(required), "--config", str(cfg)]):
-            caplog.clear()
-            code, out, err = run_cli(capsys, BUILDS[kind][0], "-v", *argv)
+            code, out, err = run_cli(capsys, subcommand, "-v", *argv)
             assert code == 0, err
-            messages = [record.getMessage() for record in caplog.records]
-            resolved = [message for message in messages if "resolved config" in message]
-            runs.append((code, out, output.read_bytes(), resolved))
+            runs.append((out, output.read_bytes(), err))
             output.unlink()
         assert runs[0] == runs[1]
-        (line,) = runs[0][3]
-        assert json.loads(line.split("resolved config: ", 1)[1])[key] == values[key]
+        # the -v line, whole: every option as read, the unset ones at their defaults
+        defaults = {name: default for name, (_, default, _) in cli._shared_options().items()}
+        own = {name: config_type._field_defaults[name] for name in OWN_OPTION_VALUES[kind]}
+        resolved = json.dumps({**defaults, **own, **required, key: values[key]}, sort_keys=True)
+        assert runs[0][2] == f"INFO seq2time: {subcommand} resolved config: {resolved}\n"
+        # without -v, the same run writes nothing to stderr
+        assert run_cli(capsys, subcommand, *as_flag) == (0, runs[0][0], "")
+        assert output.read_bytes() == runs[0][1]
 
     def test_config_keys_are_the_option_table_and_both_builders_own(
         self, capsys, request, tmp_path, monkeypatch
@@ -1784,6 +1784,36 @@ class TestParserBehavior:
         assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-quantization", "--duration", "60", "--json"],
+            ["tokenize", "7", "96", "-v"],
+            ["detokenize", "<0><7><2><9>", "-v"],
+            ["analyze-quantization", "--duration", "60", "-v"],
+            ["eval-dvc", "--pred", "pred.jsonl", "--gt", "gt.jsonl", "-v"],
+            ["eval-tvg", "--pred", "pred.jsonl", "--gt", "gt.jsonl", "-v"],
+            ["stats", "corpus.jsonl", "-v"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-1]}",
+    )
+    def test_flag_without_effect_is_gone(self, capsys, argv):
+        # a subcommand takes only the flags that change what it does
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+    def test_repeated_v_still_builds(self, capsys, image_source, tmp_path):
+        code, out, err = run_cli(
+            capsys, "build-image-seq", "--source", str(image_source),
+            "--output", str(tmp_path / "out.jsonl"), "--n", "3", "-vv",
+        )
+        assert code == 0, err
+        assert out.startswith("wrote 3 records to ")
+        assert err.startswith("INFO seq2time: build-image-seq resolved config: {")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "sub",
         [
             "build-image-seq", "build-clip-seq", "tokenize", "detokenize",
@@ -1833,13 +1863,15 @@ class TestParserBehavior:
         assert proc.stdout.splitlines() == ["[]", "[]"]
 
     @pytest.mark.parametrize("module", ["seq2time", "seq2time.cli"])
-    def test_import_adds_neither_dataclasses_nor_inspect(self, module):
+    def test_import_adds_none_of_dataclasses_inspect_logging(self, module):
         # the value types are named tuples: `dataclasses` would bring in
-        # `inspect` (and with it `ast`, `dis`, `tokenize`) at every start
+        # `inspect` (and with it `ast`, `dis`, `tokenize`) at every start;
+        # and the builds print their `-v` line: `logging` would bring in
+        # `traceback`, `string` and `tokenize`
         def loaded(statement: str) -> str:
             probe = (
                 f"{statement}\nimport sys\n"
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+                "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", probe],
