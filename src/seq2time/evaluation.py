@@ -32,15 +32,17 @@ Metrics:
   their harmonic mean. The reported F1 averages thresholds {0.3, 0.5,
   0.7, 0.9}, and run-level F1 averages videos. Absolute values depend on
   this protocol, so it is spelled out here and in the report metadata.
-  Every threshold list obeys one rule (``_check_thresholds``, which
-  ``evaluate_run`` applies before it reads a file): at least one
-  threshold, each in (0, 1], and no two distinct ones that the report
-  names alike. So a pair without overlap (IoU 0) is never an edge and
-  only overlapping pairs enter each video's IoU table.
-  The table is computed once and matched highest threshold first, and
-  the search stops once every pred or every ground-truth event is
-  matched; every threshold still gets an exact maximum matching, so no
-  number changes.
+  Every threshold list obeys one rule (``_check_thresholds``): at least
+  one threshold, each in (0, 1], and no two distinct ones that the
+  report names alike. ``temporal_f1`` checks it per call; ``evaluate_run``
+  checks it once per run, before it reads a file, and scores every video
+  through ``temporal_f1``'s core, ``_f1_row``. So a pair without overlap
+  (IoU 0) is never an edge and only overlapping pairs enter each video's
+  IoU table. The table is computed once and matched highest threshold
+  first; a pred that overlaps no ground truth is never searched from,
+  and the search stops once every other pred or every ground-truth event
+  is matched. Every threshold still gets an exact maximum matching, so
+  no number changes.
 * ``recall_at_1`` scores aligned single-query grounding at IoU 0.5/0.7.
 * ``aggregate_richness`` reports caption diversity: mean tokens per
   caption, pooled, and type-token ratio, averaged over videos, with
@@ -73,6 +75,7 @@ DEFAULT_F1_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 DEFAULT_R1_THRESHOLDS = (0.5, 0.7)
 TOKENIZATION_RULE = "lowercase; tokens are maximal alphanumeric runs"
 _report_name = "{:g}".format  # a threshold's key in ``MetricsReport.to_dict``
+_FLOAT_MAX = sys.float_info.max
 
 # a line holds no line break, so the caption group runs to its end, and ``strip``
 # (``\s`` and ``str.isspace`` agree) costs less than a lazy group before ``\s*$``
@@ -121,33 +124,27 @@ def parse_predictions(
     than dropped. A free-form time too long for a float reads as infinity;
     its line is skipped and counted like one that does not match.
     """
-    if time_repr is TimeRepresentation.RPT:
-        if video_duration_s is None or not 0 < video_duration_s < math.inf:
-            raise DomainError(
-                "position-token decoding requires a positive, finite "
-                f"video_duration_s, got {video_duration_s}"
-            )
+    rpt = time_repr is TimeRepresentation.RPT
+    if rpt and (video_duration_s is None or not 0 < video_duration_s < math.inf):
+        raise DomainError(
+            "position-token decoding requires a positive, finite "
+            f"video_duration_s, got {video_duration_s}"
+        )
+    pattern = _RPT_LINE if rpt else _FREE_FORM_LINE
     events: list[Event] = []
     skipped = 0
     for line in text.splitlines():
-        if not line.strip():
+        match = pattern.match(line)
+        if match is None:
+            skipped += bool(line.strip())  # no blank line matches, nor counts
             continue
-        if time_repr is TimeRepresentation.RPT:
-            match = _RPT_LINE.match(line)
-            if match is None:
-                skipped += 1
-                continue
-            start_code, end_code, caption = match.groups()
+        start_text, end_text, caption = match.groups()
+        if rpt:
             # the pattern admits only codes of four digit tokens, so the
             # digits sit at every third character from the second
-            start = int(start_code[1::3]) / SCALE * video_duration_s
-            end = int(end_code[1::3]) / SCALE * video_duration_s
+            start = int(start_text[1::3]) / SCALE * video_duration_s
+            end = int(end_text[1::3]) / SCALE * video_duration_s
         else:
-            match = _FREE_FORM_LINE.match(line)
-            if match is None:
-                skipped += 1
-                continue
-            start_text, end_text, caption = match.groups()
             start, end = float(start_text), float(end_text)
             if math.inf in (start, end):
                 skipped += 1
@@ -239,18 +236,26 @@ def _matched_counts(
     """Maximum matching size per distinct threshold, from one IoU table: a
     lower threshold only adds edges, so one augmenting search per pred left
     unmatched above makes the kept matching maximum (Kuhn 1955; Berge 1957).
-    Once every pred or every ground-truth event is matched, no threshold can
-    add a match, so the lower ones report the same count."""
+    A pred that overlaps no ground truth has no edge and is never searched
+    from; an augmenting path keeps every matched pred matched, so the
+    unmatched ones carry over. Once every pred with an edge or every
+    ground-truth event is matched, the lower thresholds report the same count."""
     rows = _iou_rows(pred_events, gt_events)
+    free = [u for u, row in enumerate(rows) if row]
     owner, matches, counts = [-1] * len(gt_events), 0, {}
-    most = min(len(rows), len(owner))
+    most = min(len(free), len(owner))
     for th in sorted(set(thresholds), reverse=True):
         if matches < most:
             adjacency = [[j for v, j in row if v >= th] for row in rows]
-            for root in [u for u in range(len(rows)) if u not in owner]:
-                matches += _augment(root, adjacency, owner)
-                if matches == most:
-                    break
+            unmatched = []
+            for root in free:
+                if not _augment(root, adjacency, owner):
+                    unmatched.append(root)
+                else:
+                    matches += 1
+                    if matches == most:
+                        break
+            free = unmatched
         counts[th] = matches
     return counts
 
@@ -304,19 +309,27 @@ def temporal_f1(
     thresholds: Sequence[float] = DEFAULT_F1_THRESHOLDS,
 ) -> TemporalF1Result:
     """One video's event-level F1, averaged over IoU thresholds."""
-    thresholds = _check_thresholds(thresholds)
-    counts = _matched_counts(pred_events, gt_events, thresholds)
+    keys = tuple(dict.fromkeys(_check_thresholds(thresholds)))  # a repeated one counts once
+    f1, scores = _f1_row(pred_events, gt_events, keys)
+    per_threshold = {th: ThresholdScore(*scores[3 * i:3 * i + 3]) for i, th in enumerate(keys)}
+    return TemporalF1Result(per_threshold, f1)
+
+
+def _f1_row(pred_events: Sequence, gt_events: Sequence, keys: Sequence[float]) -> tuple:
+    """``temporal_f1`` of one video at the distinct, checked ``keys``: its F1,
+    and precision, recall and F1 at each key as one flat list."""
+    counts = _matched_counts(pred_events, gt_events, keys)
     n_pred, n_gt = len(pred_events), len(gt_events)
-    per_threshold: dict[float, ThresholdScore] = {}
+    scores = []
     f1_sum = 0  # left to right from 0: sum() compensates from Python 3.12 on
-    for th in dict.fromkeys(thresholds):  # a repeated threshold counts once
+    for th in keys:
         matched = counts[th]  # if 0, a side may be empty: every score is 0
         precision = matched / n_pred if matched else 0.0
         recall = matched / n_gt if matched else 0.0
         f1 = 2.0 * precision * recall / (precision + recall) if matched else 0.0
-        per_threshold[th] = ThresholdScore(precision, recall, f1)
+        scores += (precision, recall, f1)
         f1_sum += f1
-    return TemporalF1Result(per_threshold, f1_sum / len(per_threshold))
+    return f1_sum / len(keys), scores
 
 
 def tokenize(text: str) -> list[str]:
@@ -382,16 +395,11 @@ class MetricsReport(NamedTuple):
         return data
 
 
-def _event_time(event: dict, key: str) -> float:
-    """A ground-truth event's ``start`` or ``end``: a JSON number, finite."""
-    value = event[key]
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{key} must be a finite number of seconds, got {value!r}")
-    return float(value)
-
-
 def load_ground_truth(path: str | Path) -> dict[str, list[Event]]:
-    """Ground truth JSONL: {"video_id", "events": [{start, end, caption}]}."""
+    """Ground truth JSONL: {"video_id", "events": [{start, end, caption}]}.
+    Each event's ``start``, then ``end``, must be a finite JSON number (not a
+    bool); then ``0 <= start <= end`` holds, as ``Event`` checks; then the
+    caption, ``""`` if absent, must be a string."""
     videos: dict[str, list[Event]] = {}
     for p, lineno, obj, video_id in unique_rows(path, "video_id"):
         events = obj.get("events")
@@ -400,16 +408,22 @@ def load_ground_truth(path: str | Path) -> dict[str, list[Event]]:
         parsed = []
         for k, ev in enumerate(events):
             try:
-                # the times are checked, by Event, before the caption
-                start, end = _event_time(ev, "start"), _event_time(ev, "end")
-                event = Event(start, end, ev.get("caption", ""))
-                if not isinstance(event.caption, str):
-                    raise TypeError(f"caption must be a string, got {event.caption!r}")
+                start = ev["start"]
+                if type(start) not in (int, float) or not abs(start) <= _FLOAT_MAX:
+                    raise ValueError(f"start must be a finite number of seconds, got {start!r}")
+                end = ev["end"]
+                if type(end) not in (int, float) or not abs(end) <= _FLOAT_MAX:
+                    raise ValueError(f"end must be a finite number of seconds, got {end!r}")
+                start, end, caption = float(start), float(end), ev.get("caption", "")
+                if not 0.0 <= start <= end:
+                    raise DomainError(f"interval requires 0 <= start <= end, got ({start}, {end})")
+                if not isinstance(caption, str):
+                    raise TypeError(f"caption must be a string, got {caption!r}")
             except (KeyError, TypeError, ValueError, DomainError) as exc:
                 raise CorpusFormatError(
                     f"{p}: line {lineno}: bad event {k}: {exc}"
                 ) from exc
-            parsed.append(event)
+            parsed.append(tuple.__new__(Event, (start, end, caption)))
         videos[video_id] = parsed
     return videos
 
@@ -430,17 +444,16 @@ def load_predictions(path: str | Path) -> dict[str, tuple[str, float]]:
 
 def _score_videos(state: tuple, ordinals: range) -> list[tuple]:
     """One row of numbers per video ``ids[k]``: skipped lines, events parsed,
-    F1, the precision, recall and F1 at each distinct F1 threshold (one flat
+    ``_f1_row`` at the distinct F1 thresholds ``keys`` (the F1, then the flat
     list), R@1 hits per R@1 threshold, ``_video_richness`` of its captions."""
-    preds, gts, ids, time_repr, thresholds, r1_thresholds = state
+    preds, gts, ids, time_repr, keys, r1_thresholds = state
     rows = []
     for k in ordinals:
         (output, duration), gt_events = preds[ids[k]], gts[ids[k]]
         events, skipped = parse_predictions(output, time_repr, duration)
-        result = temporal_f1(events, gt_events, thresholds)
-        scores = [x for score in result.per_threshold.values() for x in score]
+        f1, scores = _f1_row(events, gt_events, keys)
         hits = _r1_hits(zip(events, gt_events), r1_thresholds)
-        rows.append((skipped, len(events), result.f1, scores, hits,
+        rows.append((skipped, len(events), f1, scores, hits,
                      _video_richness([event.caption for event in events])))
     return rows
 
@@ -482,8 +495,8 @@ def evaluate_run(
 
     # sums over the rows in sorted-id order, left to right from 0
     ids = sorted(gts)
-    state = (preds, gts, ids, time_repr, thresholds, r1_thresholds)
-    keys = dict.fromkeys(thresholds)  # temporal_f1's keys, in its order
+    keys = tuple(dict.fromkeys(thresholds))  # temporal_f1's keys, in its order
+    state = (preds, gts, ids, time_repr, keys, r1_thresholds)
     f1_sum = n_pred = skipped = 0
     sums, hits, richness = [0] * (3 * len(keys)), [0] * len(r1_thresholds), []
     for chunk in run_ranges(_score_videos, state, len(ids), jobs):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import shutil
@@ -18,6 +19,7 @@ from seq2time.clip_sequence import ClipCorpusConfig, build_clip_corpus
 from seq2time.corpus import Corpus, usable_cores
 from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
+from seq2time.evaluation import load_ground_truth
 from seq2time.image_sequence import CaptionedImage, ImageCorpusConfig, build_image_corpus
 from seq2time.position_token import render_code
 
@@ -1441,50 +1443,96 @@ class TestEvalCommands:
         assert code == 4
         assert "invalid JSON" in err
 
+    @staticmethod
+    def _bad_gt_event(capsys, tmp_path, event):
+        """``eval-dvc`` with ``event`` the one event of line 2 of the ground
+        truth: exit code, stdout, stderr, and the stderr line of a message."""
+        pred, gt = _write_eval_run(tmp_path)
+        gt.write_text(
+            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
+            f'{{"video_id": "v2", "events": [{event}]}}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt))
+        return code, out, err, f"error: {gt}: line 2: bad event 0: {{}}\n".format
+
     @pytest.mark.parametrize(
-        "event",
+        "event, message",
         [
-            '{"start": 0.0, "end": Infinity}',
-            '{"start": 0.0, "end": 1e999}',
-            '{"start": true, "end": 8.0}',
-            '{"start": "0", "end": 8.0}',
-            '{"start": 0.0, "end": " 5.0 "}',
+            pytest.param(event, f"{key} must be a finite number of seconds, got {got}", id=event)
+            for event, key, got in [
+                ('{"start": 0.0, "end": Infinity}', "end", "inf"),
+                ('{"start": 0.0, "end": 1e999}', "end", "inf"),
+                ('{"start": true, "end": 8.0}', "start", "True"),
+                ('{"start": "0", "end": 8.0}', "start", "'0'"),
+                ('{"start": 0.0, "end": " 5.0 "}', "end", "' 5.0 '"),
+            ]
+        ]
+        + [
             pytest.param(
-                '{"start": 0, "end": 1' + "0" * 400 + "}", id="int-beyond-float"
+                '{"start": 0, "end": 1' + "0" * 400 + "}",
+                "end must be a finite number of seconds, got 1" + "0" * 400,
+                id="int-beyond-float",
             ),
         ],
     )
-    def test_gt_time_not_a_finite_number_is_data_error(self, capsys, tmp_path, event):
-        pred, gt = _write_eval_run(tmp_path)
-        gt.write_text(
-            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
-            f'{{"video_id": "v2", "events": [{event}]}}\n',
-            encoding="utf-8",
-        )
-        code, out, err = run_cli(
-            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt)
-        )
-        assert code == 4
-        assert out == ""
-        assert "line 2: bad event 0" in err
-        assert "finite number of seconds" in err
+    def test_gt_time_not_a_finite_number_is_data_error(self, capsys, tmp_path, event, message):
+        code, out, err, line = self._bad_gt_event(capsys, tmp_path, event)
+        assert (code, out, err) == (4, "", line(message))
 
     @pytest.mark.parametrize(
-        "event", ['{"start": -1.0, "end": 2.0}', '{"start": 5.0, "end": 1.0}']
+        "event, message",
+        [
+            pytest.param(event, f"interval requires 0 <= start <= end, got {got}", id=event)
+            for event, got in [
+                ('{"start": -1.0, "end": 2.0}', "(-1.0, 2.0)"),
+                ('{"start": 5.0, "end": 1.0}', "(5.0, 1.0)"),
+            ]
+        ],
     )
-    def test_gt_times_out_of_order_is_data_error(self, capsys, tmp_path, event):
-        pred, gt = _write_eval_run(tmp_path)
-        gt.write_text(
-            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
-            f'{{"video_id": "v2", "events": [{event}]}}\n',
-            encoding="utf-8",
-        )
-        code, out, err = run_cli(
-            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt)
-        )
-        assert (code, out) == (4, "")
-        assert "line 2: bad event 0" in err
-        assert "0 <= start <= end" in err
+    def test_gt_times_out_of_order_is_data_error(self, capsys, tmp_path, event, message):
+        code, out, err, line = self._bad_gt_event(capsys, tmp_path, event)
+        assert (code, out, err) == (4, "", line(message))
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ("1", "'int' object is not subscriptable"),
+            ('"x"', "string indices must be integers, not 'str'"),
+            ("null", "'NoneType' object is not subscriptable"),
+            ("[]", "list indices must be integers or slices, not str"),
+            ('{"end": 8.0}', "'start'"),
+            ('{"start": 0.0}', "'end'"),
+            ('{"start": "x"}', "start must be a finite number of seconds, got 'x'"),
+            ('{"start": 0.0, "end": false}', "end must be a finite number of seconds, got False"),
+            ('{"start": NaN, "end": 1.0}', "start must be a finite number of seconds, got nan"),
+            ('{"start": 5, "end": 1}', "interval requires 0 <= start <= end, got (5.0, 1.0)"),
+            ('{"start": 5.0, "end": 1.0, "caption": 7}',
+             "interval requires 0 <= start <= end, got (5.0, 1.0)"),
+        ],
+    )
+    def test_gt_event_checks_keep_their_order(self, capsys, tmp_path, event, message):
+        # an event is read as an object, then start, end, their order and the
+        # caption are checked in that order, and the first failure is reported
+        code, out, err, line = self._bad_gt_event(capsys, tmp_path, event)
+        assert (code, out, err) == (4, "", line(message))
+
+    @pytest.mark.parametrize(
+        "event, times",
+        [
+            ('{"start": 0, "end": 8}', (0.0, 8.0)),
+            ('{"start": -0.0, "end": 8}', (-0.0, 8.0)),
+            ('{"start": -0.0, "end": -0.0}', (-0.0, -0.0)),
+        ],
+    )
+    def test_gt_integer_and_negative_zero_times_load(self, capsys, tmp_path, event, times):
+        code, out, err, _ = self._bad_gt_event(capsys, tmp_path, event)
+        # v1 scores 2/3 and v2's prediction parses to nothing
+        assert (code, out.splitlines()[0], err) == (0, "temporal_f1 0.333333", "")
+        (loaded,) = load_ground_truth(tmp_path / "gt.jsonl")["v2"]
+        assert loaded == (*times, "")
+        assert [type(t) for t in loaded[:2]] == [float, float]
+        assert [math.copysign(1, t) for t in loaded[:2]] == [math.copysign(1, t) for t in times]
 
     @pytest.mark.parametrize(
         "row", ['{"video_id": "v1", "events": {}}', '{"video_id": "v1"}'], ids=["object", "absent"]
@@ -1509,19 +1557,10 @@ class TestEvalCommands:
 
     @pytest.mark.parametrize("caption", ["7", "null", '["a"]'])
     def test_gt_caption_not_a_string_is_data_error(self, capsys, tmp_path, caption):
-        pred, gt = _write_eval_run(tmp_path)
-        gt.write_text(
-            '{"video_id": "v1", "events": [{"start": 0.0, "end": 5.0}]}\n'
-            '{"video_id": "v2", "events": '
-            f'[{{"start": 0.0, "end": 8.0, "caption": {caption}}}]}}\n',
-            encoding="utf-8",
-        )
-        code, out, err = run_cli(
-            capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt)
-        )
-        assert code == 4
-        assert out == ""
-        assert "line 2: bad event 0: caption must be a string" in err
+        event = f'{{"start": 0.0, "end": 8.0, "caption": {caption}}}'
+        code, out, err, line = self._bad_gt_event(capsys, tmp_path, event)
+        shown = {"7": "7", "null": "None", '["a"]': "['a']"}[caption]
+        assert (code, out, err) == (4, "", line(f"caption must be a string, got {shown}"))
 
 
 class TestStats:

@@ -9,12 +9,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seq2time.evaluation as evaluation
 from seq2time.errors import ConfigError, CorpusFormatError, DomainError
 from seq2time.evaluation import (
     DEFAULT_F1_THRESHOLDS,
+    _check_thresholds,
     _iou_rows,
     _matched_counts,
+    _r1_hits,
     _report_name,
+    _score_videos,
+    _video_richness,
     Event,
     EventPrediction,
     MetricsReport,
@@ -387,6 +392,34 @@ class TestMatchedCounts:
                 preds, gts, threshold
             ), (preds, gts, threshold)
 
+    def test_edgeless_preds_match_brute_force_at_several_thresholds(self, monkeypatch):
+        # ground truth lies in [0, 10] and some preds in [20, 30]: those have no
+        # edge, are never searched from, and bound the count by the others
+        searched = []
+        augment = evaluation._augment
+
+        def spy(root, *rest):
+            searched.append(root)
+            return augment(root, *rest)
+
+        def events(low, n):
+            return [sec(s, s + rng.uniform(0.1, 6.0)) for s in
+                    (rng.uniform(low, low + 4) for _ in range(n))]
+
+        monkeypatch.setattr(evaluation, "_augment", spy)
+        rng = random.Random(31)
+        for _ in range(1500):
+            preds = events(0, rng.randint(0, 4)) + events(20, rng.randint(0, 3))
+            rng.shuffle(preds)
+            gts = events(0, rng.randint(0, 4))
+            thresholds = rng.sample((0.1, 0.3, 0.5, 0.7, 0.9, 1.0), rng.randint(1, 6))
+            searched.clear()
+            counts = _matched_counts(preds, gts, thresholds)
+            assert counts == {
+                th: brute_force_matching(preds, gts, th) for th in thresholds
+            }, (preds, gts, thresholds)
+            assert all(preds[u].start < 20 for u in searched)
+
 
 class TestTemporalF1:
     def test_identity_is_one(self):
@@ -485,6 +518,44 @@ class TestTemporalF1:
         # the mean adds left to right from 0 (sum() compensates from Python 3.12 on)
         f1s = [s.f1 for s in result.per_threshold.values()]
         assert result.f1 == functools.reduce(operator.add, f1s, 0) / len(f1s)
+
+
+class TestScoreVideos:
+    @pytest.mark.parametrize(
+        "thresholds", [DEFAULT_F1_THRESHOLDS, (0.9, 0.3, 0.5, 0.3), (1, 0.5, 1.0), (0.7, 0.05)]
+    )
+    def test_row_is_the_public_metrics(self, thresholds):
+        # the scorer's row holds exactly what temporal_f1, _r1_hits and
+        # _video_richness give for the video, also for preds that overlap nothing
+        rng = random.Random(f"rows:{thresholds}")
+        preds, gts = {}, {}
+        for v in range(300):
+            truth = [ev(s, s + rng.uniform(0.1, 6.0), rng.choice(("a b", "c", "")))
+                     for s in (rng.uniform(0, 20) for _ in range(rng.randint(0, 5)))]
+            lines = [f"{rng.uniform(0, 20):.2f} - {rng.uniform(0, 20):.2f} seconds, x y"
+                     for _ in range(rng.randint(0, 4))]
+            lines += [f"{s:.2f} - {s + 3:.2f} seconds: far" for s in
+                      (rng.uniform(30, 40) for _ in range(rng.randint(0, 2)))]
+            lines += rng.choice(([], ["garbage"], ["", "  "]))
+            rng.shuffle(lines)
+            preds[f"v{v}"], gts[f"v{v}"] = ("\n".join(lines), 40.0), truth
+        ids = sorted(gts)
+        r1 = (0.7, 0.5, 0.5)
+        keys = tuple(dict.fromkeys(_check_thresholds(thresholds)))
+        rows = _score_videos((preds, gts, ids, FREE, keys, r1), range(len(ids)))
+        assert len(rows) == len(ids)
+        for video_id, row in zip(ids, rows):
+            events, skipped = parse_predictions(preds[video_id][0], FREE)
+            result = temporal_f1(events, gts[video_id], thresholds)
+            flat = [x for score in result.per_threshold.values() for x in score]
+            assert row == (
+                skipped,
+                len(events),
+                result.f1,
+                flat,
+                _r1_hits(zip(events, gts[video_id]), r1),
+                _video_richness([e.caption for e in events]),
+            )
 
 
 class TestTokenize:
