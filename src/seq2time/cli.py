@@ -18,8 +18,9 @@ subcommand but ``analyze-quantization``, whose report is always JSON,
 takes ``--json``, which switches its stdout to JSON.
 
 Exit codes: 0 success, 2 usage/config errors, 3 generation invariant
-violations, 4 I/O and data-format errors, 141 (128 + SIGPIPE) when the
-reader of stdout closes it early.
+violations, 4 I/O and data-format errors (a dead worker too), 141 (128 +
+SIGPIPE) when the reader of stdout closes it early; SIGINT and SIGTERM
+end a run by the same signal, after cleanup and one line on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -410,9 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(signal.SIGTERM)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)  # unwind, cleaning up, as on SIGINT
     try:
         status = args.func(args)
         sys.stdout.flush()  # so a closed stdout shows up here, not at exit
@@ -431,6 +438,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt as exc:
+        signum = signal.SIGTERM if exc.args == (signal.SIGTERM,) else signal.SIGINT
+        print(f"interrupted: {signum.name}", file=sys.stderr, flush=True)
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)  # end as the signal would have
+        return 128 + signum
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

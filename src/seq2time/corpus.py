@@ -7,9 +7,9 @@ and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
 that can run anywhere (``run_ranges``), at ``workers = min(jobs,
 usable_cores())``: in the parent, 16 at a time, at one worker or for at
 most ``SERIAL_MAX`` items of work (a config's ``record_weight`` each);
-else in a pool of up to ``workers``, ``max(16, n // (8 * workers))`` per
-range. Ranges come back in ordinal order, so the output never depends on
-``jobs``. ``evaluation`` runs its per-video score rows the same way.
+else in up to ``workers`` forked children, ``max(16, n // (8 * workers))``
+per range. Ranges come back in ordinal order, through a pipe per child, so
+the output never depends on ``jobs``. ``evaluation`` runs its rows so too.
 
 A ``Corpus`` is a named tuple, as are the configs it holds and the
 samples its builders draw: equal to the plain tuple of its fields,
@@ -26,8 +26,8 @@ import os
 import random
 from collections import Counter
 from enum import Enum
-from functools import cache, partial
-from itertools import accumulate, chain
+from functools import cache
+from itertools import accumulate, chain, cycle
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -168,18 +168,6 @@ def _encode(corpus: Corpus, ordinals: range) -> tuple[bytes, Counter, int, int]:
     )
 
 
-_STATE: Any = None  # set only inside pool workers
-
-
-def _init_worker(state: Any) -> None:
-    global _STATE
-    _STATE = state
-
-
-def _run_in_worker(task: Callable, ordinals: range):
-    return task(_STATE, ordinals)
-
-
 def usable_cores() -> int:
     """The CPUs this process may run on (its affinity mask where the platform
     has one), not all the host's cores: the default and the cap of ``jobs``."""
@@ -196,22 +184,64 @@ SERIAL_MAX = 2500
 
 def run_ranges(task: Callable, state: Any, n: int, jobs: int, weight: float = 1) -> Iterator:
     """``task(state, ordinals)`` over consecutive ranges of ``range(n)``, in
-    order, at ``workers = min(jobs, usable_cores())``: ranges of 16, run
-    lazily in this process, at one worker or if ``n * weight <= SERIAL_MAX``
-    (``weight``: an item's cost); else ``max(16, n // (8 * workers))`` in a pool."""
+    order, at ``workers = min(jobs, usable_cores())``: ranges of 16, run lazily
+    in this process, at one worker, without ``os.fork`` or if ``n * weight <=
+    SERIAL_MAX`` (``weight``: an item's cost); else ``max(16, n // (8 * workers))``
+    in forked children, so call it from a single-threaded process."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, usable_cores())
-    if workers == 1 or n * weight <= SERIAL_MAX:
+    if workers == 1 or n * weight <= SERIAL_MAX or not hasattr(os, "fork"):
         return (task(state, range(i, min(i + 16, n))) for i in range(0, n, 16))
     size = max(16, n // (8 * workers))
     ranges = [range(i, min(i + size, n)) for i in range(0, n, size)]
-    # a fork-started pool launches every worker up front
     return _pooled(task, state, min(workers, len(ranges)), ranges)
 
 
 def _pooled(task: Callable, state: Any, workers: int, ranges: list[range]) -> Iterator:
-    from concurrent.futures import ProcessPoolExecutor  # only fan-out needs it
+    """Child w of ``workers`` forked children pickles ``(True, result)`` or ``(False,
+    exception)`` for each of ``ranges[w::workers]`` to a pipe of its own, read in
+    range order. Each is reaped before this ends, killed first if the run ends early."""
+    import pickle  # here, so that import seq2time loads neither
+    import signal
 
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
-        yield from pool.map(partial(_run_in_worker, task), ranges)
+    children: dict[int, Any] = {}  # pid: the read end of its pipe, until reaped
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # ends in os._exit: never back into the parent's frames
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent cleans up
+                    os.close(read_fd)  # so writes fail with EPIPE once the parent is gone
+                    for reader in children.values():
+                        reader.close()
+                    out = open(write_fd, "wb")
+                    for ordinals in ranges[w::workers]:
+                        try:
+                            result = True, task(state, ordinals)
+                        except Exception as exc:  # raised in the parent
+                            result = False, exc
+                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()  # else range i waits for range i + workers
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        for _, pid in zip(ranges, cycle(list(children))):
+            try:
+                ok, result = pickle.load(children[pid])
+            except (EOFError, pickle.UnpicklingError):  # it ended before it sent the range
+                children.pop(pid).close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"ended by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"worker process {pid} {how}") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid, reader in children.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

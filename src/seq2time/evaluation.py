@@ -53,8 +53,8 @@ Every number of a run's report is a sum of per-video numbers, so
 ``evaluate_run`` scores each video to a row of numbers and folds the rows
 in sorted-id order. ``corpus.run_ranges``, the builds' runner, makes the
 rows: in process when ``min(jobs, usable cores)`` is 1 or for
-``corpus.SERIAL_MAX`` videos or fewer, else in a pool whose workers
-inherit the loaded files by fork and send back only rows.
+``corpus.SERIAL_MAX`` videos or fewer, else in workers it forks, which
+inherit the loaded files and send back only rows, each through a pipe.
 """
 
 from __future__ import annotations

@@ -5,10 +5,13 @@ import json
 import math
 import os
 import random
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -538,6 +541,36 @@ class TestCorpusWriter:
         assert "synthetic failure" in err
         assert out_path.read_bytes() == b"previous corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
+
+    def test_dead_worker_is_one_line_and_exit_4(
+        self, capsys, image_source, tmp_path, monkeypatch, pool_above_16
+    ):
+        real, parent = Corpus.record, os.getpid()
+
+        def die_at_150(corpus, ordinal):
+            if ordinal == 150 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(corpus, ordinal)
+
+        monkeypatch.setattr(Corpus, "record", die_at_150)
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        code, out, err = run_cli(
+            capsys, "build-image-seq", "--source", str(image_source),
+            "--output", str(out_path), "--n", "300", "--jobs", "2",
+        )
+        assert (code, out) == (4, "")
+        # the runner's error, under the writer's
+        assert re.fullmatch(
+            rf"error: cannot write {re.escape(str(out_path))}: "
+            r"worker process \d+ ended by signal 9\n",
+            err,
+        )
+        assert pool_above_16
+        assert out_path.read_bytes() == b"previous corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_small_clip_pool_keeps_existing_output(self, capsys, clip_pool, tmp_path):
         source = write_clip_source(clip_pool[:5], tmp_path / "clips.jsonl")
@@ -1881,25 +1914,46 @@ class TestParserBehavior:
         assert code == 3
         assert "invariant violation" in err
 
-    def test_import_stays_light(self):
+    def test_import_stays_light(self, image_source, tmp_path):
         # the package has no runtime dependencies, and the CLI imports the
-        # process pool only when a build fans out and the scorer only when
-        # it scores, so start-up stays cheap; numpy (a test-only extra)
-        # must not come back in through the CLI
+        # scorer only when it scores, so start-up stays cheap; numpy (a
+        # test-only extra) must not come back in through the CLI; and a
+        # pooled build or eval forks its own workers, without the
+        # executor or multiprocessing
         probe = (
             "import sys, seq2time, seq2time.cli\n"
-            "heavy = {'numpy', 'requests', 'concurrent.futures.process', 'seq2time.evaluation'}\n"
+            "heavy = {'numpy', 'requests', 'concurrent.futures', 'multiprocessing',"
+            " 'seq2time.evaluation'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
             "print([n for n in seq2time.__all__ if not hasattr(seq2time, n)])\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
+        pred, gt = _pinned_eval_run(tmp_path, "rpt")
+        build = ["build-image-seq", "--source", str(image_source),
+                 "--output", str(tmp_path / "corpus.jsonl"), "--n", "40", "--jobs", "2"]
+        score = ["eval-dvc", "--pred", str(pred), "--gt", str(gt), "--jobs", "2"]
+        pooled_runs = (
+            "import sys, seq2time.corpus as corpus\n"
+            "corpus.SERIAL_MAX, corpus.usable_cores = 16, lambda: 2\n"
+            "pooled, pools = corpus._pooled, []\n"
+            "corpus._pooled = lambda *a: pools.append(1) or pooled(*a)\n"
+            "from seq2time.cli import main\n"
+            f"codes = [main({build!r}), main({score!r})]\n"
+            "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+            "print(codes, len(pools), sorted(loaded))\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+
+        def last_lines(code: str, count: int) -> list[str]:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.splitlines()[-count:]
+
+        assert last_lines(probe, 2) == ["[]", "[]"]
+        assert last_lines(pooled_runs, 1) == ["[0, 0] 2 []"]
 
     @pytest.mark.parametrize("module", ["seq2time", "seq2time.cli"])
     def test_import_adds_none_of_dataclasses_inspect_logging(self, module):
@@ -1952,3 +2006,115 @@ class TestParserBehavior:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "<0><7><2><9>"
+
+
+# The CLI with the cutoff at 16 items, two usable cores and a 0.2 s pause
+# before every range, so that a signal sent once a run has started lands
+# in the middle of it.
+_SLOW_RANGES = (
+    "import sys, time\n"
+    "import seq2time.corpus as corpus, seq2time.evaluation as evaluation\n"
+    "corpus.SERIAL_MAX, corpus.usable_cores = 16, lambda: 2\n"
+    "run_ranges = corpus.run_ranges\n"
+    "def slow(task, *rest):\n"
+    "    return run_ranges(lambda s, o: time.sleep(0.2) or task(s, o), *rest)\n"
+    "corpus.run_ranges = evaluation.run_ranges = slow\n"
+    "from seq2time.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def _alive_in_session(sid: int) -> list[int]:
+    """The processes of session ``sid`` that have not ended. Zombies are left
+    out: whoever adopts an orphan reaps it, not the test."""
+    found = subprocess.run(["pgrep", "-s", str(sid)], capture_output=True, text=True).stdout
+    alive = []
+    for pid in map(int, found.split()):
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+        except OSError:  # ended since
+            continue
+        if state != "Z":
+            alive.append(pid)
+    return alive
+
+
+def _eventually(condition, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and shutil.which("pgrep") and os.path.isdir("/proc/self")),
+    reason="needs fork, pgrep and /proc",
+)
+class TestInterrupts:
+    """A run that is sent a signal, in a session of its own."""
+
+    @pytest.fixture
+    def started_run(self, tmp_path, image_source):
+        """Starts a build or an eval. Returns it once it writes its temporary
+        file (in process) or runs both its workers (at --jobs 2). Whatever
+        the test leaves of the session is killed afterwards."""
+        started = []
+
+        def start(kind: str, jobs: str) -> subprocess.Popen:
+            if kind == "build":
+                argv = ["build-image-seq", "--source", str(image_source),
+                        "--output", str(tmp_path / "corpus.jsonl"), "--n", "300"]
+            else:
+                pred, gt = _pinned_eval_run(tmp_path, "rpt")
+                argv = ["eval-dvc", "--pred", str(pred), "--gt", str(gt), "--time-repr", "rpt"]
+            with open(tmp_path / "stdout", "wb") as out, open(tmp_path / "stderr", "wb") as err:
+                proc = subprocess.Popen(
+                    [sys.executable, "-c", _SLOW_RANGES, *argv, "--jobs", jobs],
+                    stdout=out, stderr=err, start_new_session=True,
+                    env={**os.environ, "PYTHONPATH": str(SRC)},
+                )
+            started.append(proc)
+            if jobs == "1":
+                ready = lambda: any(p.stat().st_size for p in tmp_path.glob(".*.tmp"))
+            else:
+                ready = lambda: len(_alive_in_session(proc.pid)) == 3
+            assert _eventually(ready, 30)
+            return proc
+
+        yield start
+        for proc in started:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=30)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "kind, jobs", [("build", "1"), ("build", "2"), ("eval", "2")],
+        ids=["build-jobs-1", "build-jobs-2", "eval-jobs-2"],
+    )
+    def test_signal_cleans_up_then_ends_the_run(self, tmp_path, started_run, kind, jobs, signum):
+        out_path = tmp_path / "corpus.jsonl"
+        out_path.write_bytes(b"previous corpus\n")
+        proc = started_run(kind, jobs)
+        assert len(list(tmp_path.glob(".*.tmp"))) == (kind == "build")
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)  # as ^C at a terminal: the whole group
+        else:
+            os.kill(proc.pid, signum)  # as `kill PID`: the parent alone
+        assert proc.wait(timeout=30) == -signum
+        assert (tmp_path / "stderr").read_text() == f"interrupted: {signum.name}\n"
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert out_path.read_bytes() == b"previous corpus\n"
+        assert not list(tmp_path.glob(".*.tmp"))
+        assert _eventually(lambda: not _alive_in_session(proc.pid), 10)
+
+    def test_workers_end_when_the_parent_is_killed(self, started_run):
+        proc = started_run("build", "2")
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        # each worker's next write to its pipe fails with EPIPE, and it exits
+        assert _eventually(lambda: not _alive_in_session(proc.pid), 10)

@@ -1,9 +1,11 @@
 """Record seeds and corpus bytes pinned to fixed values, so a refactor
 cannot move a byte; and the range runner every build runs on."""
 
-import concurrent.futures
 import hashlib
 import os
+import signal
+import stat
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ from seq2time import corpus
 from seq2time.clip_sequence import ClipCorpusConfig, clip_corpus
 from seq2time.corpus import derive_record_seed, run_ranges, usable_cores
 from seq2time.dataset_io import encode_line
-from seq2time.errors import ConfigError
+from seq2time.errors import ConfigError, InvariantViolation
 from seq2time.evaluation import evaluate_run
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus
 from seq2time.position_token import TimeRepresentation
@@ -140,12 +142,16 @@ class TestDeriveRecordSeed:
 
 
 def _range_task(state, ordinals):
-    # module level, so pool workers can unpickle it
     return state, list(ordinals)
 
 
 def _no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was started")
+    raise AssertionError("a worker process was forked")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunRanges:
@@ -153,7 +159,7 @@ class TestRunRanges:
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 40])
     def test_every_ordinal_once_in_range_order(self, monkeypatch, pool_above_16, n, jobs):
         if jobs == 1 or n <= 16:  # ranges this process runs itself
-            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+            monkeypatch.setattr(os, "fork", _no_pool)
         results = list(run_ranges(_range_task, "state", n, jobs))
         assert bool(pool_above_16) == (jobs > 1 and n > 16)
         assert all(state == "state" for state, _ in results)
@@ -167,7 +173,7 @@ class TestRunRanges:
     @pytest.mark.parametrize("n, weight, pooled", [(8, 2, False), (9, 2, True), (32, 0.5, False)])
     def test_weight_counts_toward_the_cutoff(self, monkeypatch, pool_above_16, n, weight, pooled):
         if not pooled:
-            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+            monkeypatch.setattr(os, "fork", _no_pool)
         results = list(run_ranges(_range_task, "state", n, 2, weight))
         assert len(pool_above_16) == pooled
         assert [i for _, ordinals in results for i in ordinals] == list(range(n))
@@ -198,7 +204,7 @@ class TestRunRanges:
     ):
         # jobs=2 above the cutoff, but one usable core makes one worker
         monkeypatch.setattr(corpus, "usable_cores", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(os, "fork", _no_pool)
         build = clip_corpus(ClipCorpusConfig(n_instances=40), clip_pool)
         assert build.write(tmp_path / "corpus.jsonl", jobs=2).total == 40
         ids = [f"v{i:02d}" for i in range(40)]
@@ -216,7 +222,7 @@ class TestRunRanges:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_small_build_starts_no_pool(self, monkeypatch, clip_pool, tmp_path, jobs):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(os, "fork", _no_pool)
         build = clip_corpus(ClipCorpusConfig(n_instances=16), clip_pool)
         stats = build.write(tmp_path / "corpus.jsonl", jobs)
         assert stats.total == 16
@@ -228,3 +234,119 @@ class TestRunRanges:
 
         with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
             run_ranges(never_run, None, 40, jobs)
+
+    def test_without_fork_runs_in_process_with_the_same_bytes(
+        self, monkeypatch, pool_above_16, clip_pool, tmp_path
+    ):
+        build = clip_corpus(ClipCorpusConfig(n_instances=40), clip_pool)
+        build.write(tmp_path / "one.jsonl", jobs=1)
+        monkeypatch.delattr(os, "fork")
+        build.write(tmp_path / "two.jsonl", jobs=2)  # above the lowered cutoff
+        assert not pool_above_16
+        assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+
+
+class TestWorkers:
+    """The children ``run_ranges`` forks for a pooled run, and how they end.
+
+    After each test no child of this process is left: every worker was
+    reaped, whether its run finished, failed or was cut short."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [ConfigError("jobs must be >= 1, got 0"), InvariantViolation("synthetic failure"),
+         KeyError("video"), OSError(2, "No such file or directory")],
+        ids=repr,
+    )
+    def test_worker_exception_is_raised_in_the_parent(self, pool_above_16, error):
+        def fail_at_20(state, ordinals):
+            if 20 in ordinals:
+                raise error
+            return list(ordinals)
+
+        with pytest.raises(type(error)) as raised:
+            list(run_ranges(fail_at_20, None, 40, 2))
+        assert pool_above_16
+        assert type(raised.value) is type(error)
+        assert (raised.value.args, str(raised.value)) == (error.args, str(error))
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "end, message",
+        [(lambda: os.kill(os.getpid(), signal.SIGKILL), "ended by signal 9"),
+         (lambda: os._exit(3), "exited with status 3")],
+        ids=["sigkill", "exit-3"],
+    )
+    def test_worker_that_dies_is_a_child_process_error(self, pool_above_16, end, message):
+        parent = os.getpid()
+
+        def die_at_20(state, ordinals):
+            if 20 in ordinals and os.getpid() != parent:
+                end()
+            return list(ordinals)
+
+        results = run_ranges(die_at_20, None, 40, 2)
+        assert next(results) == list(range(16))
+        with pytest.raises(ChildProcessError, match=rf"^worker process \d+ {message}$") as raised:
+            next(results)
+        assert int(raised.value.args[0].split()[2]) != os.getpid()
+        _no_child_left()
+
+    def test_early_close_kills_and_reaps_the_workers(self, pool_above_16):
+        def slow_after_first(state, ordinals):
+            if ordinals.start:
+                time.sleep(60)
+            return list(ordinals)
+
+        results = run_ranges(slow_after_first, None, 40, 2)
+        assert next(results) == list(range(16))
+        start = time.monotonic()
+        results.close()
+        assert time.monotonic() - start < 10
+        _no_child_left()
+
+    def test_every_worker_is_reaped_when_the_run_ends(self, pool_above_16):
+        # so their CPU is in this process's RUSAGE_CHILDREN by then
+        results = run_ranges(_range_task, "state", 40, 2)
+        assert [next(results) for _ in range(3)][-1] == ("state", list(range(32, 40)))
+        with pytest.raises(StopIteration):
+            next(results)
+        _no_child_left()
+
+    def test_workers_reset_signals_and_hold_no_read_end(self, pool_above_16):
+        def fifo_reads():
+            fds = map(int, os.listdir("/proc/self/fd"))
+            return sorted(
+                fd for fd in fds
+                if _is_fifo(fd) and _read_only(fd)
+            )
+
+        def probe(state, ordinals):
+            handlers = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
+            return handlers, fifo_reads()
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd here")
+        parent_reads = fifo_reads()
+        # as the CLI has it: SIGTERM raises, SIGINT raises KeyboardInterrupt
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            results = list(run_ranges(probe, None, 40, 2))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        assert pool_above_16
+        assert results == [((signal.SIG_DFL, signal.SIG_IGN), parent_reads)] * 3
+
+
+def _is_fifo(fd):
+    try:
+        return stat.S_ISFIFO(os.fstat(fd).st_mode)
+    except OSError:  # the listing's own descriptor, closed since
+        return False
+
+
+def _read_only(fd):
+    import fcntl
+
+    return fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY

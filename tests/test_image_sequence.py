@@ -1,6 +1,6 @@
 """Image pretext-task generators: grounding, captioning, adjacency."""
 
-import concurrent.futures
+import os
 import random
 
 import pytest
@@ -603,31 +603,18 @@ class TestBuildImageCorpus:
         assert weights == [152 / 246, 1, 2, 5150 / 246]
 
     def test_workers_capped_at_cores(self, image_pool, tmp_path, monkeypatch, pool_above_16):
-        # a fork-started pool launches every worker up front, so a huge
-        # jobs value must not ask for more workers than there are usable
-        # cores (2, as pool_starts pins them), nor cut finer ranges; the
-        # stand-in records each pool's request and ranges and maps in
-        # this process
-        pools = []
+        # the runner forks every worker up front, so a huge jobs value must
+        # not fork more workers than there are usable cores (2, as
+        # pool_starts pins them), nor cut finer ranges
+        pools, forks = [], []
+        pooled, fork = corpus._pooled, os.fork
 
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                self.ranges = []
-                pools.append((max_workers, self.ranges))
-                initializer(*initargs)
+        def recording_pooled(task, state, workers, ranges):
+            pools.append((workers, ranges))
+            return pooled(task, state, workers, ranges)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                self.ranges.extend(iterable)
-                return map(fn, self.ranges)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(corpus, "_STATE", None)
+        monkeypatch.setattr(corpus, "_pooled", recording_pooled)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         # 400 records at 2 workers make ranges of 25, not the minimum of 16
         build = image_corpus(ImageCorpusConfig(n_instances=400, seed=5), image_pool)
         build.write(tmp_path / "one.jsonl", jobs=1)
@@ -637,6 +624,7 @@ class TestBuildImageCorpus:
         assert pools[1] == pools[0]
         assert pools[0][0] == corpus.usable_cores() == 2
         assert [len(ordinals) for ordinals in pools[0][1]] == [25] * 16
+        assert len(forks) == 4
         expected = (tmp_path / "one.jsonl").read_bytes()
         assert (tmp_path / "cores.jsonl").read_bytes() == expected
         assert (tmp_path / "many.jsonl").read_bytes() == expected
