@@ -241,7 +241,9 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
     Bytes go to a temporary file in the same directory, which
     ``os.replace`` moves onto ``path`` once the block completes. On any
     failure the temporary file is removed and ``path`` is left as it was,
-    so a failed run never leaves a truncated or empty file behind.
+    so a failed run never leaves a truncated or empty file behind. An
+    ``OSError`` in the block is raised as ``CorpusFormatError("cannot write
+    PATH: ...")``, but a dead worker's ``ChildProcessError`` as it is.
     """
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.urandom(4).hex()}.tmp")
@@ -249,6 +251,8 @@ def open_replacing(path: str | Path) -> Iterator[BinaryIO]:
         with tmp.open("xb") as fh:
             yield fh
         os.replace(tmp, p)
+    except ChildProcessError:  # a worker that died, not the write
+        raise
     except OSError as exc:
         raise CorpusFormatError(f"cannot write {p}: {exc}") from exc
     finally:

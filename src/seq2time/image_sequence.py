@@ -73,8 +73,8 @@ class ImageSequenceSample(NamedTuple):
     images' positions in it, and the sorted, distinct 1-based targets.
 
     The sample keeps indices, not images: a record reads only the
-    captions it names (``caption``), and ``images`` gathers the rest on
-    request. Its repr leaves the pool out.
+    captions it names (``caption``), and ``image_record`` gathers the
+    paths from them. Its repr leaves the pool out.
     """
 
     pool: Sequence[CaptionedImage]
@@ -87,10 +87,6 @@ class ImageSequenceSample(NamedTuple):
     @property
     def seq_len(self) -> int:
         return len(self.indices)
-
-    @property
-    def images(self) -> tuple[CaptionedImage, ...]:
-        return _gather(self.pool, self.indices)
 
     def caption(self, position: int) -> str:
         """The caption of the image at 1-based ``position``."""

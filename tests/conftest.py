@@ -1,10 +1,5 @@
-"""Shared fixtures: synthetic caption pools and self-evaluation helpers.
-
-Captions are digit-free by construction so that free-form index
-parse-back (which reads integer literals) is an exact inverse, and clip
-durations stay in 5..15 s so rendered 0.1 s timestamps never collapse a
-short event to a point.
-"""
+"""Shared fixtures: synthetic caption pools (built in ``pinned_digests``)
+and self-evaluation helpers."""
 
 import itertools
 import json
@@ -21,58 +16,12 @@ from seq2time.evaluation import iou
 from seq2time.image_sequence import CaptionedImage
 from seq2time.position_token import MAX_RPT_LENGTH, TimeInterval, TimeRepresentation
 
+import pinned_digests
+
 # every run draws the same examples and saves none, so two tier-1 runs agree;
 # each test's own @settings budget still applies
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
-
-_ADJECTIVES = ("amber", "rusty", "pale", "shiny", "crooked", "quiet", "vivid")
-_NOUNS = (
-    "kettle",
-    "bicycle",
-    "lantern",
-    "sparrow",
-    "ladder",
-    "teapot",
-    "anvil",
-    "compass",
-    "mitten",
-    "barrel",
-    "violin",
-)
-_VERBS = ("rests", "spins", "leans", "glows", "wobbles")
-_PLACES = ("by the window", "on the porch", "under the awning")
-
-_ACTIONS = (
-    "kneading dough",
-    "raking leaves",
-    "tying a knot",
-    "pouring tea",
-    "folding laundry",
-    "sharpening a pencil",
-    "stacking crates",
-    "wiping a counter",
-    "rolling a barrel",
-    "sweeping the floor",
-    "braiding rope",
-    "stirring soup",
-    "hanging a picture",
-    "packing a box",
-    "washing windows",
-    "planting seedlings",
-    "shuffling cards",
-    "polishing shoes",
-    "carving wood",
-    "threading a needle",
-)
-
-
-def _image_caption(k: int) -> str:
-    a = _ADJECTIVES[k % len(_ADJECTIVES)]
-    n = _NOUNS[(k // len(_ADJECTIVES)) % len(_NOUNS)]
-    v = _VERBS[(k // (len(_ADJECTIVES) * len(_NOUNS))) % len(_VERBS)]
-    p = _PLACES[(k // (len(_ADJECTIVES) * len(_NOUNS) * len(_VERBS))) % len(_PLACES)]
-    return f"a {a} {n} {v} {p}"
 
 
 @pytest.fixture
@@ -98,42 +47,18 @@ def pool_above_16(monkeypatch, pool_starts) -> list:
 
 @pytest.fixture(scope="session")
 def image_pool() -> list[CaptionedImage]:
-    return [
-        CaptionedImage(
-            id=f"img-{k:04d}", image=f"images/{k:06d}.jpg", caption=_image_caption(k)
-        )
-        for k in range(500)
-    ]
+    return pinned_digests.image_pool(500)
 
 
 @pytest.fixture(scope="session")
 def large_image_pool() -> list[CaptionedImage]:
     """Enough digit-free images for the longest position-token sequence."""
-    return [
-        CaptionedImage(
-            id=f"img-{k:05d}", image=f"images/{k:06d}.jpg", caption=_image_caption(k)
-        )
-        for k in range(MAX_RPT_LENGTH)
-    ]
+    return pinned_digests.image_pool(MAX_RPT_LENGTH)
 
 
 @pytest.fixture(scope="session")
 def clip_pool() -> list[CaptionedClip]:
-    pool = []
-    for k in range(160):
-        action = _ACTIONS[k % len(_ACTIONS)]
-        flavor = _ADJECTIVES[(k // len(_ACTIONS)) % len(_ADJECTIVES)]
-        pool.append(
-            CaptionedClip(
-                id=f"clip-{k:04d}",
-                video=f"clips/{k:05d}.mp4",
-                label=action,
-                caption=f"a person is {action} with a {flavor} rhythm",
-                duration_s=5.0 + (k * 37 % 101) / 10.0,  # 5.0 .. 15.0 s
-                fps=30.0,
-            )
-        )
-    return pool
+    return pinned_digests.clip_pool()
 
 
 def reference_line(record: InstructionRecord) -> str:

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import re
 import shutil
 import signal
@@ -19,14 +18,14 @@ import pytest
 import seq2time.cli as cli
 from seq2time.cli import main
 from seq2time.clip_sequence import ClipCorpusConfig, build_clip_corpus
-from seq2time.corpus import Corpus, usable_cores
+from seq2time.corpus import Corpus
 from seq2time.dataset_io import corpus_stats, write_jsonl
 from seq2time.errors import InvariantViolation
 from seq2time.evaluation import load_ground_truth
 from seq2time.image_sequence import CaptionedImage, ImageCorpusConfig, build_image_corpus
-from seq2time.position_token import render_code
 
 from conftest import write_clip_source, write_image_source, write_rows
+from pinned_digests import pinned_eval_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -560,12 +559,7 @@ class TestCorpusWriter:
             "--output", str(out_path), "--n", "300", "--jobs", "2",
         )
         assert (code, out) == (4, "")
-        # the runner's error, under the writer's
-        assert re.fullmatch(
-            rf"error: cannot write {re.escape(str(out_path))}: "
-            r"worker process \d+ ended by signal 9\n",
-            err,
-        )
+        assert re.fullmatch(r"error: worker process \d+ ended by signal 9\n", err)
         assert pool_above_16
         assert out_path.read_bytes() == b"previous corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "images.jsonl"]
@@ -1190,125 +1184,6 @@ def _write_eval_run(tmp_path):
     return pred_path, gt_path
 
 
-_EVAL_CAPTIONS = ("a person is kneading dough", "raking leaves", "", "Stir, then pour!")
-_EVAL_GARBAGE = (
-    "no events here",
-    "<1><2><3> a truncated code",
-    "12.5 - seconds, no end time",
-    "<\u0665><\u0660><\u0660><\u0660><\u0666><\u0660><\u0660><\u0660> other digits",
-    "   ",
-)
-
-
-def _pinned_eval_run(directory: Path, time_repr: str) -> tuple[Path, Path]:
-    """300 seeded videos whose ground-truth events overlap, touch, repeat and
-    have zero length, predicted with jitter, misses, extras, duplicates,
-    inversions, reordering and garbage lines. Every time sits on grid point
-    k of 0..9999: k/100 s in free-form, k/10^4 of the duration in rpt, the
-    values the parser reads back, so touching and equal ends stay exact."""
-    rng = random.Random(1616)
-    rpt = time_repr == "rpt"
-    gt_rows, pred_rows = [], []
-    for v in range(300):
-        duration = rng.choice((30.0, 61.5, 100.0, 240.0))
-
-        def seconds(k):
-            return k / 10000 * duration if rpt else k / 100
-
-        def line(k0, k1):
-            caption = rng.choice(_EVAL_CAPTIONS)
-            if rpt:
-                return f"{render_code(k0)}{render_code(k1)} {caption}"
-            sep = rng.choice((" seconds, ", "second: ", " SECONDS "))
-            return f"{seconds(k0)!r} - {seconds(k1)!r}{sep}{caption}"
-
-        spans, cursor = [], rng.randint(0, 3000)
-        for _ in range(rng.randint(0, 9)):
-            if spans and rng.random() < 0.15:
-                spans.append(spans[-1])  # duplicate event
-                continue
-            start = min(cursor, 9999)
-            end = min(start + (0 if rng.random() < 0.1 else rng.randint(1, 2500)), 9999)
-            spans.append((start, end))
-            step = rng.random()
-            if step < 0.3:
-                cursor = end  # the next event touches this one
-            elif step < 0.6:
-                cursor = (start + end) // 2  # or overlaps it
-            else:
-                cursor = end + rng.randint(1, 800)  # or follows a gap
-        lines = []
-        for k0, k1 in spans:
-            if rng.random() < 0.1:
-                continue  # missed
-            jitter = rng.choice((0, 0, 15, 300))
-            p0 = min(max(k0 + rng.randint(-jitter, jitter), 0), 9999)
-            p1 = min(max(k1 + rng.randint(-jitter, jitter), 0), 9999)
-            lines.append(line(*((p1, p0) if rng.random() < 0.1 else (p0, p1))))
-            if rng.random() < 0.1:
-                lines.append(lines[-1])
-        for _ in range(rng.choice((0, 0, 1, 2))):
-            k = rng.randint(0, 9999)
-            lines.append(line(k, min(k + rng.choice((0, rng.randint(1, 2000))), 9999)))
-        for _ in range(rng.choice((0, 0, 0, 1, 2))):
-            lines.insert(rng.randint(0, len(lines)), rng.choice(_EVAL_GARBAGE))
-        if rng.random() < 0.2:
-            rng.shuffle(lines)
-        video_id = f"video-{v:03d}"
-        gt_rows.append({"video_id": video_id, "events": [
-            {"start": seconds(k0), "end": seconds(k1), "caption": rng.choice(_EVAL_CAPTIONS)}
-            for k0, k1 in spans
-        ]})
-        pred_rows.append({"video_id": video_id, "output": "\n".join(lines), "duration_s": duration})
-    paths = directory / "pred.jsonl", directory / "gt.jsonl"
-    for path, rows in zip(paths, (pred_rows, gt_rows)):
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    return paths
-
-
-# sha256 of eval-dvc stdout on _pinned_eval_run, so a faster scorer cannot move a byte
-EVAL_DIGESTS = {
-    ("free-form", "json"):
-        "ef191256544dea327d32fc56dd6f833a9e8212cb808d65d065ce76a071f31cb5",
-    ("free-form", "json-custom"):
-        "82b5dbdb3d8316f06a9c9a6eeaaa530aa2fec9a3b328b05ba8491c5bb5e44893",
-    ("free-form", "text"):
-        "37aaaeea6b3f77e3b5ff8f461c499e742f023193c65b8f6f7a5b7c0a222d9d5f",
-    ("rpt", "json"):
-        "02b9bab6b533499d5b44c7eed9d77d72b42e034b4f26e8b139b2d2bdccd5663c",
-    ("rpt", "json-custom"):
-        "364875b17f9404150144d10820714447fb321dfc99b4c131294232abd1633aa6",
-    ("rpt", "text"):
-        "86cf213c8c9e7c10ccc72d58d6288f87339dea790297156abe80210ee195cb23",
-}
-_EVAL_MODES = {
-    "json": ["--json"],
-    # a threshold of 1 needs equal events; 0.05 counts slight overlaps
-    "json-custom": ["--json", "--thresholds", "1,0.05,0.5,0.5", "--iou", "1,0.05"],
-    "text": [],
-}
-
-
-@pytest.mark.parametrize(
-    "jobs", [[], ["--jobs", "1"], ["--jobs", "2"]], ids=["default-jobs", "jobs-1", "jobs-2"]
-)
-@pytest.mark.parametrize("time_repr, mode", sorted(EVAL_DIGESTS))
-def test_eval_report_matches_pinned_digest(
-    capsys, tmp_path, pool_above_16, time_repr, mode, jobs
-):
-    # 300 videos score in process at any --jobs, so lower the bound: at
-    # --jobs 2, and at the default on more than one core, the rows come
-    # from a pool, folded in id order
-    pred, gt = _pinned_eval_run(tmp_path, time_repr)
-    code, out, _ = run_cli(
-        capsys, "eval-dvc", "--pred", str(pred), "--gt", str(gt),
-        "--time-repr", time_repr, *_EVAL_MODES[mode], *jobs,
-    )
-    assert code == 0
-    assert bool(pool_above_16) == (jobs == ["--jobs", "2"] or not jobs and usable_cores() > 1)
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_DIGESTS[time_repr, mode]
-
-
 class TestEvalCommands:
     def test_eval_dvc_text(self, capsys, tmp_path):
         pred, gt = _write_eval_run(tmp_path)
@@ -1927,7 +1802,7 @@ class TestParserBehavior:
             "print(sorted(heavy & set(sys.modules)))\n"
             "print([n for n in seq2time.__all__ if not hasattr(seq2time, n)])\n"
         )
-        pred, gt = _pinned_eval_run(tmp_path, "rpt")
+        pred, gt = pinned_eval_run(tmp_path, "rpt")
         build = ["build-image-seq", "--source", str(image_source),
                  "--output", str(tmp_path / "corpus.jsonl"), "--n", "40", "--jobs", "2"]
         score = ["eval-dvc", "--pred", str(pred), "--gt", str(gt), "--jobs", "2"]
@@ -2067,7 +1942,7 @@ class TestInterrupts:
                 argv = ["build-image-seq", "--source", str(image_source),
                         "--output", str(tmp_path / "corpus.jsonl"), "--n", "300"]
             else:
-                pred, gt = _pinned_eval_run(tmp_path, "rpt")
+                pred, gt = pinned_eval_run(tmp_path, "rpt")
                 argv = ["eval-dvc", "--pred", str(pred), "--gt", str(gt), "--time-repr", "rpt"]
             with open(tmp_path / "stdout", "wb") as out, open(tmp_path / "stderr", "wb") as err:
                 proc = subprocess.Popen(

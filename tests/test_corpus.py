@@ -1,5 +1,6 @@
-"""Record seeds and corpus bytes pinned to fixed values, so a refactor
-cannot move a byte; and the range runner every build runs on."""
+"""Record seeds, and the corpus and eval digests of ``pinned_digests``,
+pinned to fixed values, so a refactor cannot move a byte; and the range
+runner every build runs on."""
 
 import hashlib
 import os
@@ -19,77 +20,12 @@ from seq2time.image_sequence import ImageCorpusConfig, image_corpus
 from seq2time.position_token import TimeRepresentation
 
 from conftest import reference_line, write_rows
-
-# sha256 of 500-record builds (seed 0, default options) from the conftest pools
-DIGESTS = {
-    ("image", "rpt"): "ee4bd3f8b2ce3e939cf47a3d924674c97545fe1fe597b91035215d94a33ba1b8",
-    ("image", "free_form"): "762ec8e68874dd6a45ef606058a46ae8db086eecaefe724ee101b700459de69c",
-    ("clip", "rpt"): "35ebe9231be97b453bf57570c11182957da83fb1b95ce31fe01c0ae4667b2c93",
-    ("clip", "free_form"): "4609d8871ae91e5d51f08b5c568a76bc67faca8ef2f57d00896e7828e0c9fe69",
-}
+from pinned_digests import DIGESTS, PATH_MARKS, digest, marked
 
 
-# sha256 of a 500-record image build (seed 0, default options) whose media
-# paths need JSON escapes: every third path ends in ", \\, a tab, U+2028 or é
-ESCAPING_DIGEST = "2fda73558f23e4fa85d4113dd08cd681e41531849feffb9584111a527434da5b"
-
-# a path mark JSON escapes ('"', "\\", a tab), and one it writes as it is
-PATH_MARKS = {
-    "quote": '"',
-    "backslash": "\\",
-    "tab": "\t",
-    "line-separator": "\u2028",
-    "e-acute": "\u00e9",
-    "ascii": "",
-    "mixed": '"\\\t\u2028\u00e9',
-}
-
-
-def marked(pool, field, marks):
-    """``pool`` with every third ``field`` path ending in the next of ``marks``."""
-    return [
-        item._replace(**{field: getattr(item, field) + marks[k // 3 % len(marks)]})
-        if k % 3 == 0 and marks
-        else item
-        for k, item in enumerate(pool)
-    ]
-
-
-@pytest.mark.parametrize("kind, repr_name", sorted(DIGESTS))
-def test_written_corpus_matches_pinned_digest(
-    image_pool, clip_pool, tmp_path, kind, repr_name
-):
-    time_repr = TimeRepresentation(repr_name)
-    if kind == "image":
-        build = image_corpus(ImageCorpusConfig(n_instances=500, time_repr=time_repr), image_pool)
-    else:
-        build = clip_corpus(ClipCorpusConfig(n_instances=500, time_repr=time_repr), clip_pool)
-    path = tmp_path / "corpus.jsonl"
-    build.write(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[kind, repr_name]
-
-
-def test_repeated_label_build_matches_pinned_digest(clip_pool, tmp_path):
-    # 24 clips of 3 labels in sequences of 10: every record repeats labels,
-    # draws its whole window from random.sample's pool branch and runs the
-    # label-spreading greedy
-    labels = {clip.label for clip in clip_pool[:3]}
-    pool = [clip for clip in clip_pool if clip.label in labels]
-    assert len(pool) == 24
-    config = ClipCorpusConfig(n_instances=500, clip_min=10, clip_max=10)
-    path = tmp_path / "corpus.jsonl"
-    clip_corpus(config, pool).write(path)
-    assert (
-        hashlib.sha256(path.read_bytes()).hexdigest()
-        == "cdc69186bb55b630f796b097f54ab5e02c539ce63bd04231b34a11903f976d26"
-    )
-
-
-def test_escaping_media_build_matches_pinned_digest(image_pool, tmp_path):
-    pool = marked(image_pool, "image", PATH_MARKS["mixed"])
-    path = tmp_path / "corpus.jsonl"
-    image_corpus(ImageCorpusConfig(n_instances=500), pool).write(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == ESCAPING_DIGEST
+@pytest.mark.parametrize("case", DIGESTS)
+def test_matches_pinned_digest(case):
+    assert digest(case) == DIGESTS[case]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
