@@ -213,18 +213,18 @@ def _boundary(frame: int, total_frames: int) -> tuple[str, float]:
 
 
 def _spans(
-    sample: ClipSequenceSample, time_repr: TimeRepresentation
+    sample: ClipSequenceSample, time_repr: TimeRepresentation, duration: float
 ) -> list[tuple[str, list[float]]]:
     """Per clip, its rendered interval and the [start_s, end_s] it parses to.
 
     Position codes are those of the boundary frame indices, so the end code
     of clip j equals the start code of clip j+1 exactly; seconds are the
-    clip's relative span scaled by the pseudo duration, at display
-    precision. Each of the n + 1 boundaries is rendered once: its code
-    text and fraction come from a cache shared by every record
+    clip's relative span scaled by ``duration`` (the sample's pseudo
+    duration), at display precision. Each of the n + 1 boundaries is
+    rendered once: its code text and fraction come from a cache shared by every record
     (``_boundary``), its seconds from one ``format_seconds`` call.
     """
-    total, duration = sample.total_frames, sample.pseudo_duration_s
+    total = sample.total_frames
     frames = accumulate(sample.frame_counts, initial=0)
     if time_repr is TimeRepresentation.RPT:
         bounds = [_boundary(frame, total) for frame in frames]
@@ -268,7 +268,8 @@ def clip_record(
     TVG draws one clip uniformly and puts its caption in the question and
     its span in the answer.
     """
-    spans = _spans(sample, time_repr)
+    duration = sample.pseudo_duration_s
+    spans = _spans(sample, time_repr, duration)
     captions = [clip.caption for clip in sample.clips]
     values, meta = {}, {}
     if task is ClipTask.TVG:
@@ -283,7 +284,7 @@ def clip_record(
         _answer(task, a_tpl, spans, captions, time_repr),
         {
             "total_frames": sample.total_frames,
-            "duration_s": sample.pseudo_duration_s,
+            "duration_s": duration,
             "intervals": [seconds for _, seconds in spans],
             "captions": captions,
             **meta,
@@ -359,7 +360,7 @@ def _probe_answers(time_repr: TimeRepresentation, templates: TemplateBank) -> No
     """
     from .evaluation import parse_predictions  # keeps the scorer out of `import seq2time`
 
-    spans = _spans(_PROBE, time_repr)
+    spans = _spans(_PROBE, time_repr, _PROBE.pseudo_duration_s)
     captions = [clip.caption for clip in _PROBE.clips]
     for task in ClipTask:
         shown = spans if task is ClipTask.DVC else spans[:1]

@@ -3,7 +3,8 @@
 Record i of a build depends only on (config, seed, i): ``Corpus.record``
 seeds its rng from them, draws its task, lets the builder draw the rest
 and names it ``{prefix}-{seed}-{i:08d}`` (``is`` for image sequences,
-``cs`` for clip sequences). So the ordinals split into contiguous ranges
+``cs`` for clip sequences); a range reseeds one rng for each of its
+records. So the ordinals split into contiguous ranges
 that can run anywhere (``run_ranges``), at ``workers = min(jobs,
 usable_cores())``: in the parent, 16 at a time, at one worker or for at
 most ``SERIAL_MAX`` items of work (a config's ``record_weight`` each);
@@ -112,17 +113,23 @@ class Corpus(NamedTuple):
     templates: TemplateBank
     plain_media: bool  # every media path of the pool is ``json_plain``
 
-    def record(self, ordinal: int) -> InstructionRecord:
+    def record(self, ordinal: int, rng: random.Random | None = None) -> InstructionRecord:
         """Record ``ordinal`` of the run; pure in (config, seed, ordinal).
 
-        Its rng is seeded by ``derive_record_seed``; the first draw picks
-        its task, each task at the same rate (``rng.choices`` over the
-        tasks in value order with equal weights, which ``choices`` turns
-        into these cumulative weights), and ``draw`` draws the other fields.
-        The seed and the ordinal close the record's ``meta``.
+        Its rng, ``rng`` or else a new ``random.Random``, is seeded by
+        ``derive_record_seed``; reseeding, as the constructor does, also
+        clears ``gauss_next``. The first draw picks its task, each task at
+        the same rate (``rng.choices`` over the tasks in value order with
+        equal weights, which ``choices`` turns into these cumulative
+        weights), and ``draw`` draws the other fields. The seed and the
+        ordinal close the record's ``meta``.
         """
         seed = self.config.seed
-        rng = random.Random(derive_record_seed(seed, ordinal, self.namespace))
+        record_seed = derive_record_seed(seed, ordinal, self.namespace)
+        if rng is None:
+            rng = random.Random(record_seed)
+        else:
+            rng.seed(record_seed)
         members, cum_weights = _task_draw(self.tasks)
         task = rng.choices(members, cum_weights=cum_weights)[0]
         media, task_name, question, answer, meta = self.draw(self, task, rng)
@@ -155,7 +162,8 @@ class Corpus(NamedTuple):
 
 
 def _generate(corpus: Corpus, ordinals: range) -> list[InstructionRecord]:
-    return [corpus.record(i) for i in ordinals]
+    rng = random.Random(0)  # reseeded for each record; seeded, so os.urandom is not read
+    return [corpus.record(i, rng) for i in ordinals]
 
 
 def _encode(corpus: Corpus, ordinals: range) -> tuple[bytes, Counter, int, int]:

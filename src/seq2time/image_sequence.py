@@ -29,7 +29,7 @@ import random
 import re
 from collections import namedtuple
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -130,6 +130,12 @@ def render_index(index: int, seq_len: int, time_repr: TimeRepresentation) -> str
     return str(index)
 
 
+@lru_cache(maxsize=16)
+def _rendered_indices(seq_len: int, time_repr: TimeRepresentation) -> tuple[str, ...]:
+    """``render_index`` of positions 1..seq_len, position i at i - 1."""
+    return tuple(render_index(i, seq_len, time_repr) for i in range(1, seq_len + 1))
+
+
 _CODE = re.compile(CODE_PATTERN)
 
 
@@ -188,7 +194,8 @@ def image_record(
     neighbor would fall off the sequence edge; its one target is that
     neighbor. ``paths`` holds the image path of every image in the pool
     the sample was drawn from, in pool order; the record's media are
-    those at the sample's indices.
+    those at the sample's indices. Each target is shown as ``render_index``
+    renders it; those in 1..seq_len are rendered once per (seq_len, time_repr).
     """
     seq_len, targets, meta = sample.seq_len, sample.targets, {}
     if task is PretextTask.ALR:
@@ -202,7 +209,11 @@ def image_record(
         targets, meta = (anchor + step,), {"anchor": anchor, "direction": direction}
         values = {"<CAPTION1>": sample.caption(anchor), "<DIRECTION>": direction}
     captions = [sample.caption(t) for t in targets]
-    indices = [render_index(t, seq_len, time_repr) for t in targets]
+    shown = _rendered_indices(seq_len, time_repr)
+    indices = [
+        shown[t - 1] if 0 < t <= seq_len else render_index(t, seq_len, time_repr)
+        for t in targets
+    ]
     if task is PretextTask.IIG:
         values = {"<CAPTION>": _join_captions(captions)}
     elif task is PretextTask.IIC:

@@ -13,7 +13,8 @@ collide with digit position tokens, which are single digits. The bank
 validates on load that every template carries all slots its task needs,
 and no slot its task leaves unfilled; and that none is blank (a record
 needs a question) or holds a lone surrogate escape (``"\\ud800"``, which
-no UTF-8 output can hold).
+no UTF-8 output can hold). ``render_template`` fills the slots through
+a ``str.format_map`` string compiled once per template.
 Whether an answer template parses back is checked where the parsing
 rules are known: each build renders every answer template it can draw
 with probe values and reads it back with the scorer's parsers, at setup.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -62,21 +64,27 @@ def find_missing_in_order(text: str, needles: Iterable[str]) -> str | None:
     return None
 
 
+@lru_cache(maxsize=1024)
+def _format_string(template: str) -> str:
+    """``template`` as a ``str.format_map`` string: its braces doubled and
+    each slot marker a field named by it (``<INDEX>`` -> ``{<INDEX>}``)."""
+    escaped = template.replace("{", "{{").replace("}", "}}")
+    return _SLOT_RE.sub(r"{\g<0>}", escaped)
+
+
 def render_template(template: str, values: dict[str, str]) -> str:
     """Fill every slot of ``template`` from ``values``, in one pass.
 
-    Values are inserted verbatim, even one that holds a slot marker.
-    Raises :class:`TemplateError` if the template contains a slot with no
-    value.
+    Values are inserted verbatim, even one that holds a slot marker or a
+    brace. Raises :class:`TemplateError` naming the template's first slot
+    with no value.
     """
-
-    def fill(match: re.Match) -> str:
-        slot = match.group(0)
-        if slot not in values:
-            raise TemplateError(f"no value provided for slot {slot} in {template!r}")
-        return values[slot]
-
-    return _SLOT_RE.sub(fill, template)
+    try:
+        return _format_string(template).format_map(values)
+    except KeyError as exc:
+        raise TemplateError(
+            f"no value provided for slot {exc.args[0]} in {template!r}"
+        ) from None
 
 
 class TemplateBank:

@@ -519,10 +519,10 @@ class TestCorpusWriter:
     ):
         real = Corpus.record
 
-        def fail_at_ordinal(corpus, ordinal):
+        def fail_at_ordinal(corpus, ordinal, rng):
             if ordinal == fail_at:
                 raise InvariantViolation("synthetic failure")
-            return real(corpus, ordinal)
+            return real(corpus, ordinal, rng)
 
         monkeypatch.setattr(Corpus, "record", fail_at_ordinal)
         out_path = tmp_path / "corpus.jsonl"
@@ -546,10 +546,10 @@ class TestCorpusWriter:
     ):
         real, parent = Corpus.record, os.getpid()
 
-        def die_at_150(corpus, ordinal):
+        def die_at_150(corpus, ordinal, rng):
             if ordinal == 150 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(corpus, ordinal)
+            return real(corpus, ordinal, rng)
 
         monkeypatch.setattr(Corpus, "record", die_at_150)
         out_path = tmp_path / "corpus.jsonl"

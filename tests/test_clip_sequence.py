@@ -306,7 +306,8 @@ class TestSpans:
         for _ in range(200):
             n_clips = rng.randint(MIN_CLIPS, MAX_CLIPS)
             sample = compose_sequence(clip_pool, n_clips, total_frames, (0.5, 2.0), rng)
-            assert _spans(sample, time_repr) == reference_spans(sample, time_repr)
+            spans = _spans(sample, time_repr, sample.pseudo_duration_s)
+            assert spans == reference_spans(sample, time_repr)
 
 
 class TestDeriveAnnotations:

@@ -4,6 +4,7 @@ runner every build runs on."""
 
 import hashlib
 import os
+import random
 import signal
 import stat
 import time
@@ -75,6 +76,43 @@ class TestDeriveRecordSeed:
         for ordinal in range(100):
             value = derive_record_seed(123, ordinal, "record")
             assert 0 <= value < 2**64
+
+
+class TestSharedRng:
+    """A range reseeds one rng for each of its records: nothing a record
+    drew is left for the next one."""
+
+    @pytest.mark.parametrize("time_repr", list(TimeRepresentation))
+    @pytest.mark.parametrize("kind", ["image", "clip"])
+    def test_reused_rng_in_any_order_gives_each_record_alone(
+        self, image_pool, clip_pool, tmp_path, kind, time_repr
+    ):
+        n = 40  # ranges of 16, 16 and 8
+        if kind == "image":
+            config = ImageCorpusConfig(n_instances=n, seed=4, time_repr=time_repr)
+            build = image_corpus(config, image_pool)
+        else:
+            config = ClipCorpusConfig(n_instances=n, seed=4, time_repr=time_repr)
+            build = clip_corpus(config, clip_pool)
+        alone = [build.record(i) for i in range(n)]
+        shuffled = list(range(n))
+        random.Random(9).shuffle(shuffled)
+        rng = random.Random(0)
+        for order in (reversed(range(n)), shuffled):
+            for i in order:
+                rng.gauss(0.0, 1.0)  # leaves a cached second normal in the rng
+                assert build.record(i, rng) == alone[i]
+        path = tmp_path / "corpus.jsonl"
+        build.write(path)
+        assert path.read_bytes() == "".join(map(encode_line, alone)).encode()
+
+    def test_reseeding_gives_the_state_of_a_new_rng(self):
+        rng = random.Random(0)
+        rng.gauss(0.0, 1.0)
+        rng.random()
+        seed = derive_record_seed(4, 17, "clip-seq")
+        rng.seed(seed)
+        assert rng.getstate() == random.Random(seed).getstate()
 
 
 def _range_task(state, ordinals):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from seq2time import corpus, image_sequence
 from seq2time.corpus import _sample_indices, derive_record_seed
 from seq2time.dataset_io import InstructionRecord, encode_line
-from seq2time.errors import ConfigError
+from seq2time.errors import ConfigError, DomainError
 from seq2time.image_sequence import (
     CaptionedImage,
     ImageCorpusConfig,
@@ -291,6 +291,19 @@ class TestIIGRecord:
             pool_paths(image_pool),
         )
         assert record.answer == "The image index is 7."
+
+    @pytest.mark.parametrize("time_repr", list(TimeRepresentation))
+    def test_target_outside_the_sequence_renders_as_render_index_does(
+        self, image_pool, time_repr
+    ):
+        # a hand-built sample is not checked; position 0 must not read as position 5
+        sample = make_sample(image_pool, 5, (0,))
+        args = (PretextTask.IIG, sample, canonical_bank(), time_repr, random.Random(0))
+        if time_repr is TimeRepresentation.RPT:
+            with pytest.raises(DomainError, match="index 0 outside valid range 1..5"):
+                image_record(*args, pool_paths(image_pool))
+        else:
+            assert image_record(*args, pool_paths(image_pool)).answer == "The image index is 0."
 
     def test_multi_joins_quoted_captions(self, image_pool):
         sample = make_sample(image_pool, 96, (7, 24))

@@ -3,6 +3,7 @@ probe every build runs over its answer templates."""
 
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -14,6 +15,7 @@ from seq2time.evaluation import parse_predictions
 from seq2time.image_sequence import ImageCorpusConfig, image_corpus, parse_index_mentions
 from seq2time.position_token import MAX_RPT_LENGTH, TimeRepresentation
 from seq2time.templates import (
+    _SLOT_RE,
     MIN_VARIANTS,
     REQUIRED_SLOTS,
     TemplateBank,
@@ -219,6 +221,89 @@ class TestRenderTemplate:
         # never searched for slots of its own
         out = render_template("see <CAPTION>", {"<CAPTION>": "oops <INDEX>"})
         assert out == "see oops <INDEX>"
+
+
+def regex_fill(template: str, values: dict[str, str]) -> str:
+    """The reference fill: one ``_SLOT_RE.sub`` pass with a callback that
+    looks each slot up, as ``render_template`` filled before it compiled
+    templates to ``format_map`` strings."""
+
+    def fill(match: re.Match) -> str:
+        slot = match.group(0)
+        if slot not in values:
+            raise TemplateError(f"no value provided for slot {slot} in {template!r}")
+        return values[slot]
+
+    return _SLOT_RE.sub(fill, template)
+
+
+def filled(fill, template: str, values: dict[str, str]) -> str | tuple[str, str]:
+    """What ``fill`` makes of ``template``: the text, or the error it raises."""
+    try:
+        return fill(template, values)
+    except TemplateError as exc:
+        return "TemplateError", str(exc)
+
+
+SLOTS = sorted({slot for pair in REQUIRED_SLOTS.values() for kind in pair for slot in kind})
+# values holding braces, format fields, slot markers, %-codes and backslashes
+PROBE_VALUES = {
+    slot: f"{{{i}}} {{{slot}}} <INDEX>{{ }}%s\\ {slot}" for i, slot in enumerate(SLOTS)
+}
+ODD_TEMPLATES = [
+    "{", "}", "{}", "{{", "}}", "{0}", "{<INDEX>}", "{{<INDEX>}}", "%s <INDEX> %d",
+    "\\", "\\<INDEX>\\", "<INDEX>{<CAPTION>}<INDEX>", "{<CAPTION1>!r:>10}",
+    "<CAPTION2>}{<DIRECTION>", "<INDEX", "INDEX>", "<<INDEX>>", "<index>", "",
+    "{<EVENTS>.x}", "<INTERVAL>[0]", "{<INTERVAL>[0]}",
+]
+
+
+class TestCompiledFill:
+    """``render_template`` fills as the one-pass regex fill does, to the byte,
+    and fails with its error text."""
+
+    @pytest.mark.parametrize("task, arity", sorted(REQUIRED_SLOTS))
+    def test_packaged_templates(self, bank, task, arity):
+        questions, answers = bank.variants(task, arity)
+        assert len(questions) + len(answers) == 20  # 140 over the seven pairs
+        for template in questions + answers:
+            assert render_template(template, PROBE_VALUES) == regex_fill(template, PROBE_VALUES)
+            for missing in _SLOT_RE.findall(template):
+                values = {k: v for k, v in PROBE_VALUES.items() if k != missing}
+                assert filled(render_template, template, values) == filled(
+                    regex_fill, template, values
+                )
+
+    @pytest.mark.parametrize("template", ODD_TEMPLATES)
+    def test_templates_with_braces_and_escapes(self, template):
+        value_sets = [PROBE_VALUES, {}, {"<INDEX>": "{<CAPTION>}"}, {"<CAPTION>": "}{"}]
+        for values in value_sets:
+            assert filled(render_template, template, values) == filled(
+                regex_fill, template, values
+            )
+
+    @given(
+        parts=st.lists(
+            st.sampled_from(["{", "}", "{0}", "%s", "\\", "<", ">", "a", *SLOTS]),
+            max_size=12,
+        ),
+        present=st.sets(st.sampled_from(SLOTS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_mix_of_braces_and_slots(self, parts, present):
+        template = "".join(parts)
+        values = {slot: PROBE_VALUES[slot] for slot in present}
+        assert filled(render_template, template, values) == filled(
+            regex_fill, template, values
+        )
+
+    def test_missing_slot_error_names_the_first_missing_in_template_order(self):
+        template = "{<INDEX>} <CAPTION2> then <CAPTION1>"
+        with pytest.raises(TemplateError) as caught:
+            render_template(template, {"<INDEX>": "1"})
+        assert str(caught.value) == (
+            f"no value provided for slot <CAPTION2> in {template!r}"
+        )
 
 
 class TestFindMissingInOrder:
